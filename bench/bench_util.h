@@ -122,8 +122,8 @@ inline ObsArgs parse_obs_args(int argc, char** argv) {
 
 /// The one flag parser every driver shares. Wraps the observability flags
 /// (parse_obs_args) and --jobs (engine::parse_jobs) that used to be parsed
-/// in per-driver copies, plus the common booleans (--smoke, --quick) and
-/// --out=PATH; driver-specific extras are declared at construction and read
+/// in per-driver copies, plus the common --smoke boolean and --out=PATH;
+/// driver-specific extras are declared at construction and read
 /// through flag()/value() so no driver grows its own argv loop again. An
 /// undeclared `--flag` is a usage error: it prints the accepted set to
 /// stderr and exits 2 instead of being silently ignored (a typo like
@@ -141,7 +141,6 @@ class ArgParser {
   [[nodiscard]] const ObsArgs& obs() const { return obs_; }
   [[nodiscard]] unsigned jobs() const { return jobs_; }
   [[nodiscard]] bool smoke() const { return flag("smoke"); }
-  [[nodiscard]] bool quick() const { return flag("quick"); }
   [[nodiscard]] std::string out(std::string fallback) const {
     return value("out", std::move(fallback));
   }
@@ -186,9 +185,9 @@ class ArgParser {
   /// two-token `--jobs N` form consumes its value token.
   void reject_unknown(std::initializer_list<std::string_view> extra) const {
     static constexpr std::string_view kBuiltin[] = {
-        "smoke",      "quick",       "out",        "jobs",
-        "trace-out",  "metrics-out", "ledger-out", "profile-out",
-        "ring-buffer", "summary"};
+        "smoke",       "out",         "jobs",       "trace-out",
+        "metrics-out", "ledger-out",  "profile-out", "ring-buffer",
+        "summary"};
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const std::string& arg = args_[i];
       if (arg.rfind("--", 0) != 0) continue;
@@ -206,7 +205,7 @@ class ArgParser {
       }
       if (known) continue;
       std::cerr << "error: unknown flag '--" << name
-                << "'; accepted: --smoke --quick --out=PATH --jobs=N "
+                << "'; accepted: --smoke --out=PATH --jobs=N "
                    "--trace-out=PATH --metrics-out=PATH --ledger-out=PATH "
                    "--profile-out=PATH --ring-buffer[=N] --summary";
       for (const std::string_view declared : extra) {

@@ -84,9 +84,7 @@ Name decode_compressed_name(ByteReader& reader) {
       continue;
     }
     if (len > 63) throw WireFormatError("bad label length");
-    const Bytes label = reader.raw(len);
-    if (!text.empty()) text.push_back('.');
-    text.append(label.begin(), label.end());
+    append_wire_label(text, reader.raw(len));
   }
   if (jumped) reader.seek(return_position);
   return Name::parse(text);

@@ -208,9 +208,7 @@ Name decode_uncompressed_name(ByteReader& reader) {
     const std::uint8_t len = reader.u8();
     if (len == 0) break;
     if (len > 63) throw WireFormatError("compressed label in RDATA name");
-    const Bytes label = reader.raw(len);
-    if (!text.empty()) text.push_back('.');
-    text.append(label.begin(), label.end());
+    append_wire_label(text, reader.raw(len));
   }
   return Name::parse(text);
 }

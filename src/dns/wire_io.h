@@ -1,8 +1,10 @@
 // Low-level big-endian wire readers/writers shared by the codecs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "crypto/bytes.h"
 
@@ -15,6 +17,20 @@ class WireFormatError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Appends one decoded wire label (1..63 octets) to a name's dotted text.
+/// Throws WireFormatError where Name::parse would throw or would split the
+/// label: the name passes 255 octets, or the label holds a '.' octet.
+/// Callers decoding untrusted packets catch only WireFormatError.
+inline void append_wire_label(std::string& text, const Bytes& label) {
+  if (std::find(label.begin(), label.end(), '.') != label.end()) {
+    throw WireFormatError("'.' octet inside a DNS label");
+  }
+  if (!text.empty()) text.push_back('.');
+  text.append(label.begin(), label.end());
+  // Wire length: the dotted text plus the first length octet and the root.
+  if (text.size() + 2 > 255) throw WireFormatError("DNS name > 255 octets");
+}
 
 /// Appends big-endian integers and raw bytes to a growing buffer.
 class ByteWriter {

@@ -132,13 +132,6 @@ const metrics::Histogram* MetricsRegistry::histogram(
   return series == it->second.end() ? nullptr : &series->second.histogram;
 }
 
-void MetricsRegistry::import_counters(const metrics::CounterSet& counters,
-                                      std::string_view prefix) {
-  for (const auto& [name, value] : counters.entries()) {
-    add(std::string(prefix) + sanitize_metric_name(name), {}, value);
-  }
-}
-
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, series_map] : other.counters_) {
     for (const auto& [key, series] : series_map) {

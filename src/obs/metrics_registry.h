@@ -1,9 +1,9 @@
 // Labeled-instrument metrics registry with Prometheus/JSON/CSV export.
 //
-// Unifies the repository's two primitive accumulators (metrics::CounterSet
-// and metrics::Histogram) behind named instruments with label support —
-// `upstream_queries{server="dlv"}` — the way production resolvers expose
-// DNSSEC state counters (cf. PowerDNS's dnssecResults[state]++ pattern).
+// Named counters, high-water gauges and metrics::Histogram instruments with
+// label support — `upstream_queries{server="dlv"}` — the way production
+// resolvers expose DNSSEC state counters (cf. PowerDNS's
+// dnssecResults[state]++ pattern).
 // Export formats:
 //   prometheus_text()  — text exposition (counters + summary quantiles);
 //   json()             — one object with "counters" and "histograms";
@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/counters.h"
 #include "metrics/histogram.h"
 
 namespace lookaside::obs {
@@ -58,12 +57,6 @@ class MetricsRegistry {
   /// Histogram for `name{labels}`, or nullptr when absent.
   [[nodiscard]] const metrics::Histogram* histogram(
       std::string_view name, const Labels& labels = {}) const;
-
-  /// Imports a flat CounterSet as unlabeled counters. Dots and dashes in
-  /// names become underscores ("bytes.total" -> "bytes_total"); `prefix`
-  /// is prepended verbatim.
-  void import_counters(const metrics::CounterSet& counters,
-                       std::string_view prefix = "");
 
   /// Folds another registry into this one: counters add, histogram samples
   /// append. Used by the sweep engine to reduce per-shard registries into

@@ -109,14 +109,6 @@ class ResolverCache : public DenialProofSource {
 
   void store_negative(const dns::Name& name, dns::RRType type,
                       std::uint32_t ttl, bool nxdomain);
-  /// Deprecated shim over find_denial(sources = kNegative); the unified
-  /// ProofResult carries the same expiry deadline, so leak-cause
-  /// attribution is preserved (see synthesis_test's equivalence test).
-  [[deprecated("use find_denial() (DESIGN.md §4j)")]] [[nodiscard]]
-  NegativeEntry find_negative(const dns::Name& name, dns::RRType type,
-                              std::uint64_t* expires_us = nullptr) {
-    return negative_lookup(name, type, expires_us);
-  }
 
   // -- Unified denial lookup (DESIGN.md §4j) ---------------------------------
 
@@ -144,16 +136,6 @@ class ResolverCache : public DenialProofSource {
   /// Stores a validated NSEC record belonging to `zone_apex`.
   void store_nsec(const dns::Name& zone_apex,
                   const dns::ResourceRecord& nsec_record);
-
-  /// Deprecated shim over find_denial(sources = kSpans): same predecessor
-  /// semantics (expired entries met on the walk are reclaimed and skipped),
-  /// same expiry out-param, translated back to the legacy enum.
-  [[deprecated("use find_denial() (DESIGN.md §4j)")]] [[nodiscard]]
-  NsecCoverage nsec_check(const dns::Name& zone_apex, const dns::Name& qname,
-                          dns::RRType qtype,
-                          std::uint64_t* expires_us = nullptr) {
-    return nsec_lookup(zone_apex, qname, qtype, expires_us, nullptr);
-  }
 
   // -- NSEC3 closest-encloser evidence (RFC 8198 over RFC 5155) --------------
 
@@ -380,7 +362,7 @@ class ResolverCache : public DenialProofSource {
   void release(std::size_t cost);
 
   // -- Unified denial internals (DESIGN.md §4j) ------------------------------
-  // The non-deprecated bodies behind find_denial() and the legacy shims.
+  // The per-class lookups find_denial() composes.
 
   [[nodiscard]] NegativeEntry negative_lookup(const dns::Name& name,
                                               dns::RRType type,

@@ -1,13 +1,11 @@
 // Unified denial-of-existence lookup API (DESIGN.md §4j).
 //
-// Before PR 9 the resolver had three divergent denial entry points —
-// ResolverCache::find_negative (RFC 2308 exact negatives),
-// ResolverCache::nsec_check (aggressive NSEC spans, RFC 8198 / RFC 5074 §5)
-// and the private shared_nsec_check (cross-shard L2) — each with its own
-// result enum and out-params. DenialProofSource collapses them: one call,
-// one ProofResult carrying everything the caller's policy, accounting and
-// leak-cause attribution need (what is denied, where the proof came from,
-// until when it holds, and how many NSEC3 hash ops it cost).
+// Every denial proof class — RFC 2308 exact negatives, aggressive NSEC
+// spans (RFC 8198 / RFC 5074 §5), the cross-shard shared store and NSEC3
+// closest-encloser evidence — answers through one call returning one
+// ProofResult, which carries everything the caller's policy, accounting
+// and leak-cause attribution need (what is denied, where the proof came
+// from, until when it holds, and how many NSEC3 hash ops it cost).
 //
 // Callers express *policy* with the sources bitmask instead of choosing an
 // entry point: a paper-era resolver with aggressive_negative_caching off

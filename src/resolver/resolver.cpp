@@ -724,9 +724,9 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
   }
 
   for (const auto& [candidate, candidate_domain] : candidates) {
-    // One unified lookup replaces the old find_negative + nsec_check pair;
-    // the origin keeps the legacy counter/trace vocabulary intact so leak
-    // ledgers stay comparable across PRs.
+    // One lookup covers exact negatives and NSEC spans; the origin keeps
+    // the per-class counter/trace vocabulary intact so leak ledgers stay
+    // comparable across versions.
     const ProofResult proof = cache_.find_denial(
         apex, candidate, dns::RRType::kDlv, denial_sources());
     if (proof.hash_ops > 0) charge_nsec3_cost(proof.hash_ops);

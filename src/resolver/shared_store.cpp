@@ -59,7 +59,7 @@ NsecCoverage SharedProofStore::check_nsec(const dns::Name& zone_apex,
   if (zone_it == stripe.nsec.end()) return NsecCoverage::kNoProof;
   const NsecChain& chain = zone_it->second;
 
-  // Greatest live owner <= qname. Mirrors ResolverCache::nsec_check, except
+  // Greatest live owner <= qname. Mirrors ResolverCache::nsec_lookup, except
   // expired entries are skipped rather than erased — the read path holds a
   // shared lock; purge_expired() reclaims under exclusive locks.
   auto it = chain.upper_bound(qname);

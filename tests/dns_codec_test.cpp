@@ -192,6 +192,83 @@ TEST(CodecTest, RejectsQdcountDisagreeingWithQuestionSection) {
   EXPECT_THROW((void)decode_message(wire), WireFormatError);
 }
 
+/// Writes `labels` as raw wire labels (length octet + bytes each, no
+/// checks) followed by the root label.
+void write_raw_name(ByteWriter& writer,
+                    const std::vector<std::string>& labels) {
+  for (const std::string& label : labels) {
+    writer.u8(static_cast<std::uint8_t>(label.size()));
+    writer.raw(reinterpret_cast<const std::uint8_t*>(label.data()),
+               label.size());
+  }
+  writer.u8(0);
+}
+
+/// A query whose QNAME is `labels`, byte for byte.
+Bytes raw_query(const std::vector<std::string>& labels) {
+  ByteWriter writer;
+  for (const std::uint16_t field : {0x1234, 0x0100, 1, 0, 0, 0}) {
+    writer.u16(field);  // id, flags (RD), QDCOUNT=1, AN/NS/ARCOUNT=0
+  }
+  write_raw_name(writer, labels);
+  writer.u16(static_cast<std::uint16_t>(RRType::kA));
+  writer.u16(static_cast<std::uint16_t>(RRClass::kIn));
+  return writer.take();
+}
+
+/// A response for example.com whose one NS answer targets `labels`, byte
+/// for byte (the RDATA name path, not the compressed-owner path).
+Bytes raw_ns_response(const std::vector<std::string>& labels) {
+  ByteWriter writer;
+  for (const std::uint16_t field : {0x1234, 0x8000, 1, 1, 0, 0}) {
+    writer.u16(field);  // id, flags (QR), QDCOUNT=1, ANCOUNT=1
+  }
+  write_raw_name(writer, {"example", "com"});
+  writer.u16(static_cast<std::uint16_t>(RRType::kNs));
+  writer.u16(static_cast<std::uint16_t>(RRClass::kIn));
+  writer.u16(0xC00C);  // owner: pointer to the question name
+  writer.u16(static_cast<std::uint16_t>(RRType::kNs));
+  writer.u16(static_cast<std::uint16_t>(RRClass::kIn));
+  writer.u32(3600);
+  ByteWriter target;
+  write_raw_name(target, labels);
+  writer.u16(static_cast<std::uint16_t>(target.size()));
+  writer.raw(target.bytes());
+  return writer.take();
+}
+
+TEST(CodecTest, RejectsNamesOver255Octets) {
+  // Five 63-octet labels: 5 * 64 + 1 = 321 octets on the wire.
+  const std::vector<std::string> too_long(5, std::string(63, 'a'));
+  EXPECT_THROW((void)decode_message(raw_query(too_long)), WireFormatError);
+  EXPECT_THROW((void)decode_message(raw_ns_response(too_long)),
+               WireFormatError);
+
+  // 3 * 64 + 62 + 1 = 255 octets: exactly at the limit, still a name.
+  const std::vector<std::string> at_limit = {
+      std::string(63, 'a'), std::string(63, 'b'), std::string(63, 'c'),
+      std::string(61, 'd')};
+  EXPECT_EQ(decode_message(raw_query(at_limit)).question().name.wire_length(),
+            255u);
+  const Message response = decode_message(raw_ns_response(at_limit));
+  ASSERT_EQ(response.answers.size(), 1u);
+  EXPECT_EQ(std::get<NsRdata>(response.answers[0].rdata)
+                .nameserver.wire_length(),
+            255u);
+}
+
+TEST(CodecTest, RejectsDotOctetInsideALabel) {
+  // Dotted text cannot carry a '.' octet: a label "." would read as an
+  // empty label and "a.b" as two labels, so both are malformed here.
+  const std::vector<std::vector<std::string>> malformed = {{"."},
+                                                           {"a.b", "com"}};
+  for (const std::vector<std::string>& labels : malformed) {
+    EXPECT_THROW((void)decode_message(raw_query(labels)), WireFormatError);
+    EXPECT_THROW((void)decode_message(raw_ns_response(labels)),
+                 WireFormatError);
+  }
+}
+
 TEST(CodecPropertyTest, RandomMessagesRoundTrip) {
   crypto::SplitMix64 rng(2026);
   const char* tlds[] = {"com", "net", "org", "edu"};

@@ -148,16 +148,6 @@ TEST(MetricsRegistryTest, LabelOrderDoesNotSplitSeries) {
   EXPECT_EQ(registry.value("m", {{"a", "1"}, {"b", "2"}}), 2u);
 }
 
-TEST(MetricsRegistryTest, ImportsCounterSetWithSanitizedNames) {
-  CounterSet counters;
-  counters.add("bytes.total", 42);
-  counters.add("dest.tld-com.queries", 7);
-  obs::MetricsRegistry registry;
-  registry.import_counters(counters, "net_");
-  EXPECT_EQ(registry.value("net_bytes_total"), 42u);
-  EXPECT_EQ(registry.value("net_dest_tld_com_queries"), 7u);
-}
-
 TEST(CsvTest, EscapesSpecialCharacters) {
   CsvWriter csv({"name", "value"});
   csv.add_row({"plain", "1"});

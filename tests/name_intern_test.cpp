@@ -355,17 +355,23 @@ TEST(CacheBytes, EvictionOrderUnchangedByInterning) {
 // ---------------------------------------------------------------------------
 // Batched verification (§4k)
 
+/// bind_yum over a 10k universe. Its verdict cache is off, so every skipped
+/// RSA verification is the within-resolution batch memo alone.
+core::UniverseExperiment::Options batch_experiment_options() {
+  core::UniverseExperiment::Options options;
+  options.universe_size = 10'000;
+  options.resolver_config = resolver::ResolverConfig::bind_yum();
+  options.resolver_config.ns_fetch_probability = 0.0;
+  return options;
+}
+
 TEST(VerifyBatch, DedupesRepeatVerificationWithinOneResolution) {
   // A validated NXDOMAIN from a signed TLD verifies its authority NSECs
   // twice in one resolution: once for the denial proof, once when the spans
   // are cached for aggressive reuse. With the verdict cache off (bind_yum
   // default) the batch memo is the only thing standing between those and
   // two full RSA verifications.
-  core::UniverseExperiment::Options options;
-  options.universe_size = 10'000;
-  options.resolver_config = resolver::ResolverConfig::bind_yum();
-  options.resolver_config.ns_fetch_probability = 0.0;
-  core::UniverseExperiment experiment(options);
+  core::UniverseExperiment experiment(batch_experiment_options());
 
   const dns::Name tld = experiment.world().universe().domain_at(1).parent();
   (void)experiment.stub().visit(tld.with_prefix_label("definitely-not-there"));
@@ -376,6 +382,33 @@ TEST(VerifyBatch, DedupesRepeatVerificationWithinOneResolution) {
   // Verdict cache is off in this configuration: the dedupe above is the
   // within-resolution batch alone.
   EXPECT_EQ(counters.value("verdict.rsa_skipped"), 0u);
+}
+
+TEST(VerifyBatch, FixedChurnWorkloadKeepsItsExactVerifySchedule) {
+  // Two rounds, 2,100 s apart, of the top 40 domains plus 8 nonexistent
+  // SLDs under the signed TLDs. The counts are virtual-clock deterministic,
+  // so any change means the resolver now verifies a different set of
+  // (signed data, key) pairs, or batches a different share of them.
+  core::UniverseExperiment experiment(batch_experiment_options());
+  const workload::Universe& universe = experiment.world().universe();
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (std::uint64_t rank = 1; rank <= 40; ++rank) {
+      (void)experiment.stub().visit(universe.domain_at(rank));
+    }
+    // The chained NXDOMAIN holds the within-resolution repeat: its
+    // authority NSECs are verified for the denial proof and again when
+    // the spans are cached.
+    for (std::uint64_t rank = 1; rank <= 8; ++rank) {
+      const dns::Name tld = universe.domain_at(rank).parent();
+      (void)experiment.stub().visit(tld.with_prefix_label(
+          "nxprobe-" + std::to_string(round) + "-" + std::to_string(rank)));
+    }
+    experiment.clock().advance_seconds(2'100.0);
+  }
+
+  const auto& counters = experiment.resolver().validator().counters();
+  EXPECT_EQ(counters.value("verify.batch_unique"), 151u);
+  EXPECT_EQ(counters.value("verify.batch_deduped"), 10u);
 }
 
 }  // namespace

@@ -504,7 +504,10 @@ TEST(MetricsRegistryExportTest, PrometheusTextGolden) {
   registry.add("upstream_queries", {{"server", "dlv"}}, 791);
   registry.add("upstream_queries", {{"server", "root"}}, 31);
   registry.add("resolutions", {}, 1000);
+  registry.add("dest.tld-com.queries", {}, 7);  // exported sanitized
   EXPECT_EQ(registry.prometheus_text(),
+            "# TYPE dest_tld_com_queries counter\n"
+            "dest_tld_com_queries 7\n"
             "# TYPE resolutions counter\n"
             "resolutions 1000\n"
             "# TYPE upstream_queries counter\n"

@@ -15,9 +15,10 @@
 namespace lookaside::resolver {
 namespace {
 
-// Legacy-shaped adapters over the unified find_denial API (DESIGN.md §4j):
-// these suites assert denial *semantics*, not entry points — the deprecated
-// shims get their own equivalence coverage in synthesis_test.cpp.
+// Per-class adapters over the unified find_denial API (DESIGN.md §4j):
+// these suites assert the semantics of one proof class at a time, so each
+// adapter masks the sources to that class and maps the ProofResult onto
+// the class's own result enum.
 NegativeEntry find_negative(ResolverCache& cache, const dns::Name& name,
                             dns::RRType type) {
   const ProofResult proof =

@@ -177,7 +177,26 @@ TEST(ServeTest, MalformedWireGetsFormerr) {
   const Served no_question =
       fixture.frontend_->submit({10, 1, 0, dns::encode_message(empty)});
   EXPECT_TRUE(no_question.formerr);
-  EXPECT_EQ(fixture.frontend_->stats().value("serve.formerr"), 2u);
+
+  // A hostile QNAME of five 63-octet labels (321 octets, over the 255-octet
+  // limit) is answered like any other malformed query, not thrown.
+  dns::ByteWriter overlong;
+  for (const std::uint16_t field : {0x0bad, 0x0100, 1, 0, 0, 0}) {
+    overlong.u16(field);  // id, flags (RD), QDCOUNT=1, AN/NS/ARCOUNT=0
+  }
+  for (int i = 0; i < 5; ++i) {
+    overlong.u8(63);
+    overlong.raw(dns::Bytes(63, 'a'));
+  }
+  overlong.u8(0);
+  overlong.u16(static_cast<std::uint16_t>(dns::RRType::kA));
+  overlong.u16(static_cast<std::uint16_t>(dns::RRClass::kIn));
+  const Served hostile =
+      fixture.frontend_->submit({20, 2, 0, overlong.take()});
+  EXPECT_TRUE(hostile.formerr);
+  EXPECT_EQ(hostile.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(dns::decode_message(hostile.response_wire).header.id, 0x0bad);
+  EXPECT_EQ(fixture.frontend_->stats().value("serve.formerr"), 3u);
 }
 
 TEST(ServeTest, PlainStubResponsesAreStripped) {

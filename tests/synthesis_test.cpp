@@ -1,9 +1,9 @@
 // RFC 8198 aggressive synthesis + vState verdict caching (DESIGN.md §4j):
-// the unified DenialProofSource API (origin attribution, deprecated-shim
-// equivalence), the sorted span index against a linear reference model,
-// hash-gated NSEC3 synthesis from cached closest-encloser evidence, the
-// validator's signature-verdict cache (hit / expiry / key rollover /
-// epoch flush / cross-shard sharing), and the scenario-level contracts:
+// the unified DenialProofSource API (origin attribution), the sorted span
+// index against a linear reference model, hash-gated NSEC3 synthesis from
+// cached closest-encloser evidence, the validator's signature-verdict cache
+// (hit / expiry / key rollover / epoch flush / cross-shard sharing), and
+// the scenario-level contracts:
 // synthesis-on serving leaks exactly the sequential reference for any
 // shard count, and under a byte cap synthesis never leaks more than the
 // paper-era configuration.
@@ -163,63 +163,6 @@ TEST(FindDenial, AttributesLocalSharedAndSynthesizedOrigins) {
   EXPECT_FALSE(cache_a.find_denial(apex, name_of("m.example.com"),
                                    dns::RRType::kA, DenialSources::kNegative));
 }
-
-// -- Deprecated shims ---------------------------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(FindDenial, DeprecatedShimsMatchTheUnifiedApi) {
-  sim::SimClock clock;
-  ResolverCache cache(clock);
-  const dns::Name apex = name_of("example.com");
-  cache.store_negative(name_of("gone.example.com"), dns::RRType::kA, 300,
-                       /*nxdomain=*/true);
-  cache.store_negative(name_of("half.example.com"), dns::RRType::kAaaa, 300,
-                       /*nxdomain=*/false);
-  cache.store_nsec(apex, nsec_span("alpha.example.com", "omega.example.com"));
-
-  const auto negative_of = [](const ProofResult& proof) {
-    if (!proof) return NegativeEntry::kNone;
-    return proof.coverage == DenialKind::kNxDomain ? NegativeEntry::kNxDomain
-                                                   : NegativeEntry::kNoData;
-  };
-  const auto coverage_of = [](const ProofResult& proof) {
-    if (!proof) return NsecCoverage::kNoProof;
-    return proof.coverage == DenialKind::kNxDomain
-               ? NsecCoverage::kNameCovered
-               : NsecCoverage::kTypeAbsent;
-  };
-
-  for (const char* probe : {"gone.example.com", "half.example.com",
-                            "m.example.com", "zz.example.com"}) {
-    for (const dns::RRType qtype : {dns::RRType::kA, dns::RRType::kAaaa,
-                                    dns::RRType::kNs}) {
-      const dns::Name qname = name_of(probe);
-      std::uint64_t shim_expiry = 0;
-      std::uint64_t unified_expiry = 0;
-      const NegativeEntry shim_negative =
-          cache.find_negative(qname, qtype, &shim_expiry);
-      const ProofResult unified_negative =
-          cache.find_denial(qname, qname, qtype, DenialSources::kNegative);
-      unified_expiry = unified_negative.expires_us;
-      EXPECT_EQ(shim_negative, negative_of(unified_negative)) << probe;
-      if (shim_negative != NegativeEntry::kNone) {
-        EXPECT_EQ(shim_expiry, unified_expiry) << probe;
-      }
-
-      std::uint64_t shim_nsec_expiry = 0;
-      const NsecCoverage shim_coverage =
-          cache.nsec_check(apex, qname, qtype, &shim_nsec_expiry);
-      const ProofResult unified_span =
-          cache.find_denial(apex, qname, qtype, DenialSources::kSpans);
-      EXPECT_EQ(shim_coverage, coverage_of(unified_span)) << probe;
-      if (shim_coverage != NsecCoverage::kNoProof) {
-        EXPECT_EQ(shim_nsec_expiry, unified_span.expires_us) << probe;
-      }
-    }
-  }
-}
-#pragma GCC diagnostic pop
 
 // -- NSEC3 hash-gated synthesis -----------------------------------------------
 
