@@ -219,7 +219,7 @@ void BM_CacheProbe_NegativeNsecCover(benchmark::State& state) {
 BENCHMARK(BM_CacheProbe_NegativeNsecCover)->Arg(100)->Arg(10000);
 
 void BM_CacheProbe_SpanIndexSynth(benchmark::State& state) {
-  // The unified DenialProofSource probe with every source enabled: one
+  // The unified find_denial probe with every source enabled: one
   // negative-table miss, one span-index binary search, one (empty) NSEC3
   // evidence probe. This is the per-query cost fetch_from_cache pays when
   // aggressive_synthesis is on.

@@ -9,7 +9,8 @@
 //   --trace-out=t.jsonl    write the structured event stream as JSONL
 //   --metrics-out=m.txt    export metrics (.json/.csv by extension,
 //                          Prometheus text otherwise)
-//   --ring-buffer[=N]      keep the last N events in memory (bounded)
+//   --ledger-out=l.jsonl   write the leak ledger (Case-2 records by cause)
+//   --profile-out=p.jsonl  write per-query critical-path profiles
 //   --summary              print the aggregated per-server table at the end
 //
 // Engine-parallel drivers additionally take --jobs N (engine::parse_jobs);
@@ -43,14 +44,6 @@ inline void banner(const std::string& title) {
   std::cout << "\n==== " << title << " ====\n\n";
 }
 
-/// Maximum workload size: LOOKASIDE_SCALE env var, else `default_max`.
-inline std::uint64_t max_scale(std::uint64_t default_max) {
-  const char* env = std::getenv("LOOKASIDE_SCALE");
-  if (env == nullptr) return default_max;
-  const std::uint64_t parsed = std::strtoull(env, nullptr, 10);
-  return parsed == 0 ? default_max : parsed;
-}
-
 /// The standard N ladder {100, 1k, 10k, ...} capped at `max`. A cap that is
 /// not itself a decade point becomes the final rung, so LOOKASIDE_SCALE=5000
 /// runs {100, 1000, 5000} instead of silently stopping at 1000.
@@ -77,20 +70,23 @@ inline std::uint64_t parse_u64_flag(std::string_view flag_name,
   return value;
 }
 
+/// Maximum workload size: LOOKASIDE_SCALE env var, else `default_max`.
+/// Unset, empty and 0 mean the default; any other value must be all digits,
+/// so "10k" or "1e6" exits 2 instead of being read as a cap of 10 or 1.
+inline std::uint64_t max_scale(std::uint64_t default_max) {
+  const char* env = std::getenv("LOOKASIDE_SCALE");
+  if (env == nullptr || *env == '\0') return default_max;
+  const std::uint64_t parsed = parse_u64_flag("LOOKASIDE_SCALE", env);
+  return parsed == 0 ? default_max : parsed;
+}
+
 /// Observability options shared by the bench drivers.
 struct ObsArgs {
   std::string trace_out;        // --trace-out=<path>
   std::string metrics_out;      // --metrics-out=<path>
   std::string ledger_out;       // --ledger-out=<path> (leak ledger JSONL)
   std::string profile_out;      // --profile-out=<path> (per-query profiles)
-  std::size_t ring_capacity = 0;  // --ring-buffer[=N]; 0 = off
   bool summary = false;         // --summary
-
-  [[nodiscard]] bool any() const {
-    return !trace_out.empty() || !metrics_out.empty() ||
-           !ledger_out.empty() || !profile_out.empty() || ring_capacity > 0 ||
-           summary;
-  }
 };
 
 /// Parses the observability flags; unknown arguments are ignored so each
@@ -107,12 +103,6 @@ inline ObsArgs parse_obs_args(int argc, char** argv) {
       out.ledger_out = std::string(arg.substr(13));
     } else if (arg.rfind("--profile-out=", 0) == 0) {
       out.profile_out = std::string(arg.substr(14));
-    } else if (arg == "--ring-buffer") {
-      out.ring_capacity = std::size_t{1} << 16;
-    } else if (arg.rfind("--ring-buffer=", 0) == 0) {
-      const std::uint64_t n = parse_u64_flag("--ring-buffer", arg.substr(14));
-      out.ring_capacity = n == 0 ? std::size_t{1} << 16
-                                 : static_cast<std::size_t>(n);
     } else if (arg == "--summary") {
       out.summary = true;
     }
@@ -185,9 +175,8 @@ class ArgParser {
   /// two-token `--jobs N` form consumes its value token.
   void reject_unknown(std::initializer_list<std::string_view> extra) const {
     static constexpr std::string_view kBuiltin[] = {
-        "smoke",       "out",         "jobs",       "trace-out",
-        "metrics-out", "ledger-out",  "profile-out", "ring-buffer",
-        "summary"};
+        "smoke",       "out",        "jobs",        "trace-out",
+        "metrics-out", "ledger-out", "profile-out", "summary"};
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const std::string& arg = args_[i];
       if (arg.rfind("--", 0) != 0) continue;
@@ -207,7 +196,7 @@ class ArgParser {
       std::cerr << "error: unknown flag '--" << name
                 << "'; accepted: --smoke --out=PATH --jobs=N "
                    "--trace-out=PATH --metrics-out=PATH --ledger-out=PATH "
-                   "--profile-out=PATH --ring-buffer[=N] --summary";
+                   "--profile-out=PATH --summary";
       for (const std::string_view declared : extra) {
         std::cerr << " --" << declared;
       }
@@ -248,10 +237,6 @@ class ObsSession {
       metrics_sink_ = std::make_shared<obs::MetricsSink>(registry_);
       tracer_.add_sink(metrics_sink_);
     }
-    if (args_.ring_capacity > 0) {
-      ring_ = std::make_shared<obs::RingBufferSink>(args_.ring_capacity);
-      tracer_.add_sink(ring_);
-    }
     if (args_.summary) {
       summary_ = std::make_shared<obs::SummarySink>();
       tracer_.add_sink(summary_);
@@ -283,24 +268,18 @@ class ObsSession {
     return tracer_.has_sinks() ? &tracer_ : nullptr;
   }
 
-  /// Attaches the session's stream sinks (JSONL, ring, summary) to a
+  /// Attaches the session's stream sinks (JSONL, summary) to a
   /// shard-private tracer. Exactly one shard per sweep may call this — the
   /// stream sinks are single-writer.
   void attach_stream_sinks(obs::Tracer& tracer) {
     if (jsonl_ != nullptr) tracer.add_sink(jsonl_);
-    if (ring_ != nullptr) tracer.add_sink(ring_);
     if (summary_ != nullptr) tracer.add_sink(summary_);
-  }
-
-  [[nodiscard]] bool stream_sinks_requested() const {
-    return jsonl_ != nullptr || ring_ != nullptr || summary_ != nullptr;
   }
 
   [[nodiscard]] obs::MetricsRegistry& registry() { return registry_; }
   [[nodiscard]] bool metrics_enabled() const { return metrics_sink_ != nullptr; }
   [[nodiscard]] bool ledger_enabled() const { return ledger_sink_ != nullptr; }
   [[nodiscard]] bool profiles_enabled() const { return profiles_requested_; }
-  [[nodiscard]] obs::RingBufferSink* ring() { return ring_.get(); }
 
   /// The merged cross-shard ledger. Single-tracer drivers see the session
   /// sink folded in by finish(); sharded drivers populate it through
@@ -333,10 +312,6 @@ class ObsSession {
       // Lost-event accounting rides in the same export: a nonzero
       // obs_trace_dropped means the trace under-reports and every derived
       // artifact (ledger, profiles) inherits that caveat.
-      if (ring_ != nullptr && ring_->dropped() > 0) {
-        registry_.add("obs_trace_dropped", {{"sink", "ring"}},
-                      ring_->dropped());
-      }
       if (jsonl_ != nullptr && jsonl_->dropped() > 0) {
         registry_.add("obs_trace_dropped", {{"sink", "jsonl"}},
                       jsonl_->dropped());
@@ -358,11 +333,6 @@ class ObsSession {
           << profile_lines_.size() << " queries"
           << (write_profiles(args_.profile_out) ? "" : "; WRITE FAILED")
           << ")\n";
-    }
-    if (ring_ != nullptr) {
-      out << "[obs] ring buffer: " << ring_->size() << " buffered, "
-          << ring_->dropped() << " overwritten of " << ring_->total_seen()
-          << " seen\n";
     }
     if (summary_ != nullptr) summary_->print(out);
   }
@@ -386,7 +356,6 @@ class ObsSession {
   obs::MetricsRegistry registry_;
   std::shared_ptr<obs::JsonlFileSink> jsonl_;
   std::shared_ptr<obs::MetricsSink> metrics_sink_;
-  std::shared_ptr<obs::RingBufferSink> ring_;
   std::shared_ptr<obs::SummarySink> summary_;
   std::shared_ptr<obs::LeakLedger> ledger_sink_;
   std::shared_ptr<obs::TimelineSink> timeline_sink_;
@@ -399,7 +368,7 @@ class ObsSession {
 /// that wants tracing owns one: a private Tracer plus a private
 /// MetricsRegistry (when the session exports metrics), so worker threads
 /// never share a mutable sink. The designated primary shard additionally
-/// carries the session's stream sinks (JSONL trace, ring buffer, summary),
+/// carries the session's stream sinks (JSONL trace, summary),
 /// which therefore stay single-writer. After the engine's deterministic
 /// merge, call merge_into() in shard order so the exported metrics are
 /// byte-identical for any --jobs value.

@@ -19,7 +19,6 @@ std::optional<bool> VerifyBatch::lookup(std::uint64_t key) const {
 
 void VerifyBatch::record(std::uint64_t key, bool outcome) {
   outcomes_.emplace(key, outcome);
-  ++unique_;
 }
 
 }  // namespace lookaside::crypto

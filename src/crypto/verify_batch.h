@@ -16,7 +16,7 @@
 // via a depth counter). Within the window outcomes are exact — the same
 // bytes verify to the same bool — so dedup is observably free: control flow,
 // counters billed to the virtual clock, and every byte of bench output are
-// identical with the batch on or off. The validator's verdict cache
+// exactly what unbatched verification would produce. The validator's verdict cache
 // (DESIGN.md §4j) sits in front and persists *across* resolutions; the
 // batch only sees tuples the verdict cache missed (cache disabled, or an
 // epoch flush landed mid-resolution), and hands its outcomes back through
@@ -47,25 +47,9 @@ class VerifyBatch {
   /// Records the outcome of one executed verification.
   void record(std::uint64_t key, bool outcome);
 
-  /// Counts a repeat answered from the memo (for the caller's billing).
-  void count_dedup() { ++deduped_; }
-
-  /// Distinct verifications executed while a window was open (lifetime
-  /// total across windows).
-  [[nodiscard]] std::uint64_t unique_verifications() const { return unique_; }
-  /// Repeat verifications answered without bigint work (lifetime total).
-  [[nodiscard]] std::uint64_t deduped_verifications() const {
-    return deduped_;
-  }
-
-  /// Tuples pending in the current window.
-  [[nodiscard]] std::size_t pending() const { return outcomes_.size(); }
-
  private:
   int depth_ = 0;
   std::unordered_map<std::uint64_t, bool> outcomes_;
-  std::uint64_t unique_ = 0;
-  std::uint64_t deduped_ = 0;
 };
 
 /// RAII window over `batch.begin()` / `end()` for exception-safe scoping at

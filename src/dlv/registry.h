@@ -106,7 +106,6 @@ class DlvRegistry : public sim::Endpoint {
   [[nodiscard]] const std::vector<Observation>& observations() const {
     return observations_;
   }
-  void clear_observations() { observations_.clear(); }
   /// Leave accounting on but stop storing per-query observations (for
   /// million-domain runs, where counts are tracked by the analyzer instead).
   void set_store_observations(bool store) { store_observations_ = store; }

@@ -1,7 +1,5 @@
 #include "metrics/counters.h"
 
-#include <algorithm>
-
 namespace lookaside::metrics {
 
 void CounterSet::add(std::string_view name, std::uint64_t delta) {
@@ -18,43 +16,8 @@ std::uint64_t CounterSet::value(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-std::uint64_t CounterSet::total_with_prefix(std::string_view prefix) const {
-  std::uint64_t total = 0;
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    total += it->second;
-  }
-  return total;
-}
-
-CounterSet CounterSet::delta_since(const CounterSet& other) const {
-  CounterSet out;
-  std::uint64_t underflow = 0;
-  for (const auto& [name, value] : counters_) {
-    const std::uint64_t base = other.value(name);
-    if (value >= base) {
-      out.counters_[name] = value - base;
-    } else {
-      out.counters_[name] = 0;
-      underflow += base - value;
-    }
-  }
-  // Counters present only in the baseline underflow by their full value.
-  for (const auto& [name, base] : other.counters_) {
-    if (counters_.find(name) == counters_.end()) underflow += base;
-  }
-  if (underflow > 0) out.counters_[kUnderflowCounter] = underflow;
-  return out;
-}
-
-void CounterSet::merge(const CounterSet& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> CounterSet::entries() const {
   return {counters_.begin(), counters_.end()};
 }
-
-void CounterSet::clear() { counters_.clear(); }
 
 }  // namespace lookaside::metrics

@@ -1,8 +1,7 @@
 // Named counter registry used across the simulator for query/byte accounting.
 //
-// A `CounterSet` is a small string->uint64 map with convenience arithmetic.
-// It is deliberately value-semantic: experiment drivers snapshot a set before
-// a phase and subtract afterwards to obtain per-phase deltas.
+// A `CounterSet` is a small string->uint64 map. Experiment drivers read
+// counters by name; per-phase deltas are differences of value() reads.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +12,7 @@
 
 namespace lookaside::metrics {
 
-/// A value-semantic collection of named monotonically increasing counters.
+/// A collection of named monotonically increasing counters.
 class CounterSet {
  public:
   /// Adds `delta` to counter `name`, creating it at zero if absent.
@@ -22,30 +21,8 @@ class CounterSet {
   /// Returns the current value of `name`, or 0 if it was never touched.
   [[nodiscard]] std::uint64_t value(std::string_view name) const;
 
-  /// Returns the sum of all counters whose name starts with `prefix`.
-  [[nodiscard]] std::uint64_t total_with_prefix(std::string_view prefix) const;
-
-  /// Returns `*this - other`, counter by counter (missing counters are 0).
-  /// Counters that would go negative are clamped to zero, and the clamped
-  /// magnitude is accumulated into a dedicated "counterset.underflow"
-  /// counter in the result — deltas of monotonically increasing counters
-  /// never underflow, so a non-zero value flags non-monotonic usage
-  /// instead of hiding it.
-  [[nodiscard]] CounterSet delta_since(const CounterSet& other) const;
-
-  /// Name of the sentinel counter delta_since() emits on underflow.
-  static constexpr const char* kUnderflowCounter = "counterset.underflow";
-
-  /// Merges `other` into this set by addition.
-  void merge(const CounterSet& other);
-
   /// All (name, value) pairs in lexicographic name order.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> entries() const;
-
-  /// Drops every counter.
-  void clear();
-
-  [[nodiscard]] bool empty() const { return counters_.empty(); }
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;

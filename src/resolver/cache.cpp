@@ -233,7 +233,6 @@ void ResolverCache::store_servfail(const dns::Name& name, dns::RRType type,
     charge(servfail_cost(name));
     slots.emplace_back(type, record);
   }
-  counters_.add("cache.servfail_store");
 }
 
 bool ResolverCache::find_servfail(const dns::Name& name, dns::RRType type) {
@@ -321,7 +320,6 @@ NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
       entry.referenced = true;
       entry.chances = limits_.nsec_extra_chances;
       if (expires_us != nullptr) *expires_us = entry.expires_us;
-      counters_.add("cache.nsec_hit");
       return NsecCoverage::kTypeAbsent;
     }
     // The private exact entry says the type exists; a sibling's fresher
@@ -352,7 +350,6 @@ NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
     entry.referenced = true;
     entry.chances = limits_.nsec_extra_chances;
     if (expires_us != nullptr) *expires_us = entry.expires_us;
-    counters_.add("cache.nsec_hit");
     return NsecCoverage::kNameCovered;
   }
   return NsecCoverage::kNoProof;
@@ -455,13 +452,8 @@ NsecCoverage ResolverCache::shared_nsec_check(const dns::Name& zone_apex,
                                               dns::RRType qtype,
                                               std::uint64_t* expires_us) {
   if (shared_ == nullptr) return NsecCoverage::kNoProof;
-  const NsecCoverage coverage =
-      shared_->check_nsec(zone_apex, qname, qtype, now(), shard_id_,
-                          expires_us);
-  if (coverage != NsecCoverage::kNoProof) {
-    counters_.add("cache.nsec_shared_hit");
-  }
-  return coverage;
+  return shared_->check_nsec(zone_apex, qname, qtype, now(), shard_id_,
+                             expires_us);
 }
 
 // -- NSEC3 closest-encloser evidence + unified denial lookup (§4j) -----------
@@ -491,7 +483,6 @@ void ResolverCache::store_nsec3_evidence(const dns::Name& zone_apex,
     if (zone.spans.size() >= kMaxNsec3SpansPerZone) continue;  // bounded
     zone.spans.insert(it, {lo, hi, evidence.expires_us});
   }
-  counters_.add("cache.nsec3_evidence_store");
 }
 
 std::size_t ResolverCache::nsec3_evidence_spans(
@@ -544,7 +535,6 @@ ProofResult ResolverCache::nsec3_synth_lookup(const dns::Name& zone_apex,
   out.coverage = DenialKind::kNxDomain;
   out.origin = ProofOrigin::kSynthesized;
   out.expires_us = witness->expires_us;
-  counters_.add("cache.synth_nsec3_hit");
   return out;
 }
 
@@ -622,7 +612,6 @@ dns::Name ResolverCache::deepest_known_cut(const dns::Name& qname) {
     // at the deepest cut *any* shard has proven.
     if (shared_ != nullptr &&
         shared_->has_zone_cut(candidate, now(), shard_id_)) {
-      counters_.add("cache.zone_cut_shared_hit");
       return candidate;
     }
     if (candidate.is_root()) return candidate;

@@ -72,7 +72,7 @@ struct CacheLimits {
 };
 
 /// All resolver-side caches, sharing one virtual clock.
-class ResolverCache : public DenialProofSource {
+class ResolverCache {
  public:
   explicit ResolverCache(const sim::SimClock& clock) : clock_(&clock) {}
 
@@ -112,16 +112,17 @@ class ResolverCache : public DenialProofSource {
 
   // -- Unified denial lookup (DESIGN.md §4j) ---------------------------------
 
-  /// One entry point over all denial proofs: exact negatives, then the
-  /// private NSEC span index, then the shared store, then hash-gated NSEC3
-  /// synthesis — whichever classes `sources` enables. Counters:
-  /// "cache.negative_hit", "cache.nsec_hit", "cache.nsec_shared_hit",
-  /// "cache.synth_nsec3_hit".
+  /// The one denial entry point: the strongest available proof that
+  /// (qname, qtype) is absent under `zone_apex`, from already-validated
+  /// material, consulting only the proof classes `sources` enables.
+  /// Precedence on multiple hits: exact negative entry, then the private
+  /// NSEC span index, then the shared store, then hash-gated NSEC3
+  /// synthesis (cheapest-to-verify first). Exact-negative hits count
+  /// "cache.negative_hit".
   [[nodiscard]] ProofResult find_denial(const dns::Name& zone_apex,
                                         const dns::Name& qname,
                                         dns::RRType qtype,
-                                        unsigned sources =
-                                            DenialSources::kAll) override;
+                                        unsigned sources = DenialSources::kAll);
 
   // -- SERVFAIL cache (RFC 2308 §7) ------------------------------------------
 
@@ -185,17 +186,14 @@ class ResolverCache : public DenialProofSource {
 
   /// Attaches a striped shared NSEC/zone-cut store (nullable to detach).
   /// Afterwards this cache consults the store whenever its private NSEC
-  /// chain or zone-cut table misses ("cache.nsec_shared_hit" /
-  /// "cache.zone_cut_shared_hit"), and writes every validated NSEC span and
-  /// zone cut through so sibling shards can suppress the same upstream
+  /// chain or zone-cut table misses, and writes every validated NSEC span
+  /// and zone cut through so sibling shards can suppress the same upstream
   /// queries. `shard_id` labels published entries for the cross-shard
   /// suppressed-leak accounting.
   void attach_shared(SharedProofStore* store, std::uint32_t shard_id = 0) {
     shared_ = store;
     shard_id_ = shard_id;
   }
-  [[nodiscard]] SharedProofStore* shared_store() const { return shared_; }
-  [[nodiscard]] std::uint32_t shard_id() const { return shard_id_; }
 
   // -- Lifecycle (accounting / sweep / eviction) ------------------------------
 
@@ -206,7 +204,6 @@ class ResolverCache : public DenialProofSource {
 
   /// Installs the byte cap and sweep amortization step.
   void set_limits(const CacheLimits& limits) { limits_ = limits; }
-  [[nodiscard]] const CacheLimits& limits() const { return limits_; }
 
   /// Approximate current footprint in bytes across all five stores. The
   /// accounting formulas are frozen (they decide eviction order, which the
@@ -216,9 +213,6 @@ class ResolverCache : public DenialProofSource {
   /// High-water mark of bytes() since construction (or clear()).
   [[nodiscard]] std::uint64_t peak_bytes() const { return peak_bytes_; }
 
-  /// The cache's interning arena (DESIGN.md §4k). Ids handed out by it are
-  /// stable for the cache's lifetime (until clear()).
-  [[nodiscard]] const dns::NameArena& name_arena() const { return arena_; }
   /// True measured footprint of the arena backing the interned sections —
   /// what the duplicate name copies actually cost after interning.
   [[nodiscard]] std::uint64_t arena_bytes() const { return arena_.bytes(); }
@@ -241,8 +235,8 @@ class ResolverCache : public DenialProofSource {
   void clear();
 
   /// Counters: "cache.hit", "cache.miss", "cache.negative_hit",
-  /// "cache.nsec_hit", "cache.expired_swept", "cache.evicted",
-  /// "cache.evicted.positive|negative|servfail|nsec|zone_cut", ...
+  /// "cache.servfail_hit", "cache.expired_swept", "cache.evicted",
+  /// "cache.evicted.positive|negative|servfail|nsec|zone_cut".
   [[nodiscard]] const metrics::CounterSet& counters() const { return counters_; }
 
  private:
@@ -397,7 +391,7 @@ class ResolverCache : public DenialProofSource {
                                                  bool* stop_shared);
   static void rebuild_span_index(NsecZone& zone);
   /// L2 NSEC consult when the private chain has no proof: asks the shared
-  /// store (when attached) and counts "cache.nsec_shared_hit".
+  /// store (when attached).
   [[nodiscard]] NsecCoverage shared_nsec_check(const dns::Name& zone_apex,
                                                const dns::Name& qname,
                                                dns::RRType qtype,

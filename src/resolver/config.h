@@ -106,10 +106,7 @@ struct ResolverConfig {
   /// counts). Deterministic per-domain hash, not random.
   double ns_fetch_probability = 0.0;
 
-  /// Maximum CNAME chase depth.
-  int max_cname_depth = 8;
-
-  // -- Resilience (retry / failover / failure caching) ----------------------
+  // -- Resilience (retry / holddown / failure caching) ----------------------
 
   /// Retransmission schedule for authoritative exchanges. With no faults
   /// injected the first attempt always succeeds, so enabling retries is
@@ -166,11 +163,6 @@ struct ResolverConfig {
 
   /// Unbound's shipped default: 4 MiB message cache + 4 MiB RRset cache.
   static constexpr std::uint64_t kUnboundDefaultCacheBytes = 8ull << 20;
-
-  /// Cache slots examined per resolution by the amortized expiry sweep
-  /// (and per eviction clock step under memory pressure). 0 disables the
-  /// background sweep; expired entries are then reclaimed only on probe.
-  std::uint32_t cache_sweep_step = 32;
 
   // -- RFC 8198 synthesis + vState verdict caching (DESIGN.md §4j) ----------
 

@@ -1,11 +1,12 @@
-// Unified denial-of-existence lookup API (DESIGN.md §4j).
+// Unified denial-of-existence lookup types (DESIGN.md §4j).
 //
 // Every denial proof class — RFC 2308 exact negatives, aggressive NSEC
 // spans (RFC 8198 / RFC 5074 §5), the cross-shard shared store and NSEC3
-// closest-encloser evidence — answers through one call returning one
-// ProofResult, which carries everything the caller's policy, accounting
-// and leak-cause attribution need (what is denied, where the proof came
-// from, until when it holds, and how many NSEC3 hash ops it cost).
+// closest-encloser evidence — answers through one call,
+// ResolverCache::find_denial, returning one ProofResult, which carries
+// everything the caller's policy, accounting and leak-cause attribution
+// need (what is denied, where the proof came from, until when it holds,
+// and how many NSEC3 hash ops it cost).
 //
 // Callers express *policy* with the sources bitmask instead of choosing an
 // entry point: a paper-era resolver with aggressive_negative_caching off
@@ -14,9 +15,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include "dns/name.h"
-#include "dns/record.h"
 
 namespace lookaside::resolver {
 
@@ -62,21 +60,6 @@ struct DenialSources {
     kNsec3 = 1u << 2,     // NSEC3 closest-encloser evidence (hash-gated)
     kAll = kNegative | kSpans | kNsec3,
   };
-};
-
-/// Anything that can answer "is (qname, qtype) provably absent in
-/// zone_apex?" from already-validated material.
-class DenialProofSource {
- public:
-  virtual ~DenialProofSource() = default;
-
-  /// Strongest available denial for (qname, qtype) under `zone_apex`,
-  /// consulting only the proof classes enabled in `sources`. Precedence on
-  /// multiple hits: exact negative entry, then local span, then shared
-  /// span, then NSEC3 synthesis (cheapest-to-verify first).
-  [[nodiscard]] virtual ProofResult find_denial(
-      const dns::Name& zone_apex, const dns::Name& qname, dns::RRType qtype,
-      unsigned sources = DenialSources::kAll) = 0;
 };
 
 }  // namespace lookaside::resolver

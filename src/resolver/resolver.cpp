@@ -10,6 +10,7 @@ namespace {
 
 constexpr int kMaxFetchDepth = 12;
 constexpr int kMaxReferralHops = 16;
+constexpr int kMaxCnameDepth = 8;
 constexpr std::uint32_t kDefaultNegativeTtl = 3600;
 
 std::uint32_t soa_negative_ttl(const GroupedSection& authority) {
@@ -33,6 +34,16 @@ double hash_unit_interval(const dns::Name& name) {
 
 }  // namespace
 
+void strip_for_plain_stub(dns::Message& response) {
+  response.header.ad = false;
+  std::erase_if(response.answers, [](const dns::ResourceRecord& record) {
+    return record.type == dns::RRType::kRrsig ||
+           record.type == dns::RRType::kNsec ||
+           record.type == dns::RRType::kNsec3 ||
+           record.type == dns::RRType::kNsec3Param;
+  });
+}
+
 const char* status_name(ValidationStatus status) {
   switch (status) {
     case ValidationStatus::kSecure: return "secure";
@@ -51,7 +62,7 @@ RecursiveResolver::RecursiveResolver(sim::Network& network,
       config_(std::move(config)),
       cache_(network.clock()),
       validator_(network.clock()) {
-  CacheLimits limits{config_.max_cache_bytes, config_.cache_sweep_step};
+  CacheLimits limits{.max_bytes = config_.max_cache_bytes};
   // Under aggressive synthesis the spans answer (and elide) denials, so
   // the replacement policy protects hot spans harder than one clock pass.
   if (config_.aggressive_synthesis) limits.nsec_extra_chances = 2;
@@ -79,7 +90,7 @@ bool RecursiveResolver::ns_fetch_coin(const dns::Name& zone) const {
 }
 
 // ---------------------------------------------------------------------------
-// Retry / failover (robustness layer)
+// Retry / holddown (robustness layer)
 // ---------------------------------------------------------------------------
 
 bool RecursiveResolver::server_dead(const std::string& server_id) {
@@ -113,7 +124,6 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
   const dns::Question& question = query.question();
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (attempt > 0) {
-      stats_.add("retries");
       network_->counters().add("retries");
       trace_event(obs::EventKind::kRetry, question.name, question.type,
                   "attempt=" + std::to_string(attempt), server_id);
@@ -124,29 +134,10 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
     if (!response.has_value()) continue;
     // A truncated response is useless over simulated UDP: treat it like a
     // loss and re-ask (models the retry-over-TCP round trip as a re-query).
-    if (response->header.tc) {
-      stats_.add("truncated_responses");
-      continue;
-    }
+    if (response->header.tc) continue;
     return response;
   }
   mark_server_dead(server_id, question);
-  return std::nullopt;
-}
-
-std::optional<dns::Message> RecursiveResolver::exchange_zone(
-    const dns::Name& zone_apex, const dns::Message& query,
-    const RetryPolicy& policy) {
-  const std::vector<sim::Endpoint*> servers =
-      directory_->authorities_for_zone(zone_apex);
-  bool failed_over = false;
-  for (sim::Endpoint* server : servers) {
-    if (server == nullptr) continue;
-    if (failed_over) stats_.add("failover.used");
-    const auto response = exchange_with_retry(*server, query, policy);
-    if (response.has_value()) return response;
-    failed_over = true;
-  }
   return std::nullopt;
 }
 
@@ -261,7 +252,7 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
     const dns::Message query = dns::Message::make_query(
         next_id_++, send_name, send_type, /*recursion_desired=*/false,
         dnssec_ok);
-    const auto response = exchange_zone(zone_apex, query, config_.retry);
+    const auto response = exchange_with_retry(*endpoint, query, config_.retry);
     if (!response.has_value()) return Fetched{};
 
     out.answer = group_section(response->answers);
@@ -519,7 +510,6 @@ void RecursiveResolver::cache_validated_nsecs(const GroupedSection& section,
     }
     for (const dns::ResourceRecord& record : rrset.records()) {
       cache_.store_nsec(zone, record);
-      stats_.add("nsec.cached");
     }
   }
 }
@@ -537,22 +527,18 @@ RecursiveResolver::Nsec3Policy RecursiveResolver::handle_nsec3_denial(
   const dns::Nsec3Rdata* nsec3 = Validator::first_nsec3(authority);
   if (nsec3 == nullptr) return Nsec3Policy::kNone;
   nsec3_apexes_.get_or_insert(zone_apex) = true;
-  stats_.add("nsec3.denials");
 
   // RFC 9276 §3: the iteration cap is enforced before any hashing, so an
   // attacker-inflated count cannot bill the validator's CPU.
   if (config_.nsec3_iteration_cap > 0 &&
       nsec3->iterations > config_.nsec3_iteration_cap) {
-    stats_.add("nsec3.over_cap");
     if (config_.nsec3_strict) {
-      stats_.add("nsec3.over_cap.servfail");
       trace_event(obs::EventKind::kValidation, qname, dns::RRType::kNsec3,
                   "nsec3-over-cap-servfail");
       return Nsec3Policy::kRejected;
     }
     // Downgrade-to-insecure: accept the denial without verifying it, the
     // post-2021 BIND/Unbound behavior.
-    stats_.add("nsec3.over_cap.insecure");
     trace_event(obs::EventKind::kValidation, qname, dns::RRType::kNsec3,
                 "nsec3-over-cap-insecure");
     return Nsec3Policy::kDowngraded;
@@ -567,11 +553,7 @@ RecursiveResolver::Nsec3Policy RecursiveResolver::handle_nsec3_denial(
   const Nsec3Check check =
       validator_.check_nsec3_denial(authority, qname, zone_apex, *keys);
   charge_nsec3_cost(check.hash_ops);
-  if (!check.proven) {
-    stats_.add("nsec3.unproven");
-    return Nsec3Policy::kRejected;
-  }
-  stats_.add("nsec3.proven");
+  if (!check.proven) return Nsec3Policy::kRejected;
   if (config_.aggressive_synthesis && check.has_evidence) {
     // Cache the proof's verified material (closest encloser + hashed
     // spans) so later queries under the same encloser synthesize NXDOMAIN
@@ -662,7 +644,8 @@ const dns::RRset* RecursiveResolver::dlv_zone_keys(const dns::Name& apex,
       /*recursion_desired=*/false, /*dnssec_ok=*/true);
   // DLV traffic runs on its own bounded retry budget: a dead registry must
   // not cost the full upstream schedule on every resolution (§8.4).
-  const auto response = exchange_zone(apex, query, config_.dlv_retry);
+  const auto response =
+      exchange_with_retry(*registry, query, config_.dlv_retry);
   if (!response.has_value()) {
     if (current_ != nullptr) current_->dlv.timed_out = true;
     return nullptr;
@@ -725,7 +708,7 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
 
   for (const auto& [candidate, candidate_domain] : candidates) {
     // One lookup covers exact negatives and NSEC spans; the origin keeps
-    // the per-class counter/trace vocabulary intact so leak ledgers stay
+    // the per-class trace vocabulary intact so leak ledgers stay
     // comparable across versions.
     const ProofResult proof = cache_.find_denial(
         apex, candidate, dns::RRType::kDlv, denial_sources());
@@ -735,10 +718,8 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
       dlv_denial_deadline_.get_or_insert(candidate) = proof.expires_us;
       const char* detail = "nsec";
       if (proof.origin == ProofOrigin::kLocal) {
-        stats_.add("dlv.suppressed.negative");
         detail = "negative-cache";
       } else {
-        stats_.add("dlv.suppressed.nsec");
         if (proof.hash_ops > 0) detail = "nsec3-synthesized";
         if (config_.aggressive_synthesis) {
           // Synthesis metric: denials answered without an exact cached
@@ -783,10 +764,10 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
     const dns::Message query = dns::Message::make_query(
         next_id_++, candidate, dns::RRType::kDlv,
         /*recursion_desired=*/false, /*dnssec_ok=*/true);
-    const auto response = exchange_zone(apex, query, config_.dlv_retry);
+    const auto response =
+        exchange_with_retry(*registry, query, config_.dlv_retry);
     result.dlv.used = true;
     result.dlv.query_names.push_back(candidate);
-    stats_.add("dlv.queries");
     // Trace detail distinguishes the three registry outcomes: "timeout"
     // (outage / retries exhausted), "nxdomain" (definitive no-deposit) and
     // "query" (answered, record or NODATA).
@@ -815,7 +796,6 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
       if (dlv_keys != nullptr &&
           validator_.verify_rrset(*dlv_rrset, answer.rrsigs, *dlv_keys) !=
               SigCheck::kValid) {
-        stats_.add("dlv.bogus_answer");
         continue;
       }
       const auto* ds =
@@ -824,7 +804,6 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
       outcome.found = true;
       outcome.ds = *ds;
       outcome.matched_domain = candidate_domain;
-      stats_.add("dlv.found");
       trace_event(obs::EventKind::kDlvLookup, candidate, dns::RRType::kDlv,
                   "found", registry->endpoint_id());
       return outcome;
@@ -1005,7 +984,6 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
       if (config_.honor_z_bit_signal && !fetched.z_bit) {
         consult_dlv = false;
         result.dlv.suppressed_by_signal = true;
-        stats_.add("dlv.suppressed.zbit");
         trace_event(obs::EventKind::kDlvLookup, current_name, qtype,
                     "suppressed-zbit");
       }
@@ -1015,7 +993,6 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
         if (signal.has_value() && !*signal) {
           consult_dlv = false;
           result.dlv.suppressed_by_signal = true;
-          stats_.add("dlv.suppressed.txt");
           trace_event(obs::EventKind::kDlvLookup, current_name, qtype,
                       "suppressed-txt");
         }
@@ -1053,13 +1030,11 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
           // is not trusted, and with strict policy the resolution fails
           // closed instead of degrading to insecure.
           leg_status = ValidationStatus::kBogus;
-          stats_.add("nsec3.strict_servfail");
         } else if (result.dlv.timed_out && config_.dlv_must_be_secure) {
           // `dnssec-must-be-secure` semantics: an unreachable registry is
           // not proof of absence, so the resolution fails closed instead of
           // degrading to insecure (§8.4 availability trade-off).
           leg_status = ValidationStatus::kBogus;
-          stats_.add("dlv.must_be_secure_fail");
         }
       }
     }
@@ -1092,7 +1067,7 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
 
     if (cname_rrset != nullptr &&
         find_rrset(fetched.answer, current_name, qtype) == nullptr) {
-      if (++chased > config_.max_cname_depth) {
+      if (++chased > kMaxCnameDepth) {
         result.response.header.rcode = dns::RCode::kServFail;
         break;
       }
@@ -1112,35 +1087,20 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
           next_id_++, fetched.auth_zone, dns::RRType::kNs,
           /*recursion_desired=*/false,
           config_.validation_enabled() || config_.dlv_enabled());
-      (void)exchange_zone(fetched.auth_zone, ns_query, config_.retry);
+      if (sim::Endpoint* server =
+              directory_->authority_for_zone(fetched.auth_zone)) {
+        (void)exchange_with_retry(*server, ns_query, config_.retry);
+      }
     }
     break;
   }
 
   result.response.header.ad =
       result.status == ValidationStatus::kSecure;
-  if (!query.options.dnssec_ok) {
-    // Plain stub (DO=0): no AD bit and no DNSSEC records in the answer
-    // (paper §2.2: "If the DO bit is set in the initial query from a stub,
-    // AD will be set").
-    result.response.header.ad = false;
-    std::vector<dns::ResourceRecord> plain;
-    for (const dns::ResourceRecord& record : result.response.answers) {
-      if (record.type != dns::RRType::kRrsig &&
-          record.type != dns::RRType::kNsec &&
-          record.type != dns::RRType::kNsec3 &&
-          record.type != dns::RRType::kNsec3Param) {
-        plain.push_back(record);
-      }
-    }
-    result.response.answers = std::move(plain);
-  }
-  stats_.add(std::string("resolve.status.") + status_name(result.status));
-  if (result.dlv.used) stats_.add("resolve.dlv_used");
-  if (result.dlv.suppressed_by_nsec) stats_.add("resolve.dlv_suppressed_nsec");
-  if (result.dlv.suppressed_by_signal) {
-    stats_.add("resolve.dlv_suppressed_signal");
-  }
+  // Plain stub (DO=0): no AD bit and no DNSSEC records in the answer
+  // (paper §2.2: "If the DO bit is set in the initial query from a stub,
+  // AD will be set").
+  if (!query.options.dnssec_ok) strip_for_plain_stub(result.response);
 
   if (tracer_ != nullptr) {
     trace_event(obs::EventKind::kValidation, qname, qtype,
@@ -1157,16 +1117,15 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
     tracer_->end_span(span_id);
   }
 
-  last_result_ = std::move(result);
   current_ = nullptr;
   // Cache maintenance runs strictly between resolutions: eviction destroys
-  // boxed entries, and last_result_ holds copies, so nothing handed out
+  // boxed entries, and the result holds copies, so nothing handed out
   // during this resolution can dangle. The query context stays pushed so
   // eviction events are attributed to the resolution whose tick they ran
   // under, mirroring the serve frontend's still-open context.
   cache_.maintain();
   if (pushed_query_context) tracer_->pop_query();
-  return last_result_;
+  return result;
 }
 
 dns::Message RecursiveResolver::handle_query(const dns::Message& query) {
@@ -1174,10 +1133,10 @@ dns::Message RecursiveResolver::handle_query(const dns::Message& query) {
   // options.dnssec_ok (plain stubs get a stripped answer), CD becomes
   // options.checking_disabled.
   const dns::Question& question = query.question();
-  const ResolveResult result = resolve(
+  ResolveResult result = resolve(
       Query{question.name, question.type,
             QueryOptions{query.dnssec_ok, query.header.cd}});
-  dns::Message response = result.response;
+  dns::Message response = std::move(result.response);
   response.header.id = query.header.id;
   response.header.rd = query.header.rd;
   response.header.cd = query.header.cd;

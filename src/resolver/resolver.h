@@ -44,6 +44,12 @@ enum class ValidationStatus {
 
 [[nodiscard]] const char* status_name(ValidationStatus status);
 
+/// Plain-stub view of a response (DO=0, paper §2.2): clears AD and drops
+/// every DNSSEC record from the answer section. The resolver applies it to
+/// DO=0 resolutions and the serve frontend to each DO=0 client's copy of a
+/// shared answer, so both paths strip identically.
+void strip_for_plain_stub(dns::Message& response);
+
 /// Per-query knobs a caller sets alongside the (name, type) tuple. The
 /// defaults reproduce the historical resolve(name, type) behavior: a
 /// DNSSEC-aware caller that wants signatures and validation.
@@ -157,9 +163,12 @@ class RecursiveResolver : public sim::Endpoint {
     cache_.attach_shared(store, shard_id);
     validator_.attach_shared(store, shard_id);
   }
+  /// Counters: "servers.marked_dead", "servers.skipped_dead",
+  /// "servfail.cached", "servfail.cache_hit", "dlv.timeout",
+  /// "dlv.suppressed.synthesized", "cache.synth_answer",
+  /// "cache.negative_elided", "nsec3.hash_ops". Upstream retries are
+  /// counted on the network's set ("retries").
   [[nodiscard]] metrics::CounterSet& stats() { return stats_; }
-  /// Result of the most recent resolve() (valid until the next one).
-  [[nodiscard]] const ResolveResult& last_result() const { return last_result_; }
 
   /// Attaches a structured tracer (nullable; null disables tracing). The
   /// resolver opens one span per resolution and emits stub_query,
@@ -190,7 +199,7 @@ class RecursiveResolver : public sim::Endpoint {
   /// Translates a unified denial proof into a cache-sourced Fetched.
   [[nodiscard]] static Fetched fetched_denial(const ProofResult& proof);
 
-  // -- Retry / failover (robustness layer) -----------------------------------
+  // -- Retry / holddown (robustness layer) -----------------------------------
 
   /// One upstream exchange under `policy`: each attempt's timeout is that
   /// attempt's RTO (so a dead server costs exactly policy.total_wait_us()
@@ -200,13 +209,6 @@ class RecursiveResolver : public sim::Endpoint {
   std::optional<dns::Message> exchange_with_retry(sim::Endpoint& server,
                                                   const dns::Message& query,
                                                   const RetryPolicy& policy);
-
-  /// exchange_with_retry against every authority for `zone_apex` in
-  /// directory order (primary first, then replicas), failing over to the
-  /// next server when one is held down or exhausts its retry schedule.
-  std::optional<dns::Message> exchange_zone(const dns::Name& zone_apex,
-                                            const dns::Message& query,
-                                            const RetryPolicy& policy);
 
   /// True while `server` is inside its holddown window; a lapsed entry is
   /// erased (the virtual clock re-enables servers, never wall time).
@@ -313,7 +315,6 @@ class RecursiveResolver : public sim::Endpoint {
   Validator validator_;
   metrics::CounterSet stats_;
   obs::Tracer* tracer_ = nullptr;
-  ResolveResult last_result_;
   ResolveResult* current_ = nullptr;  // in-flight result for nested counting
   std::uint16_t next_id_ = 1;
   // Leak-cause memo: DLV candidate name -> expiry deadline of the last

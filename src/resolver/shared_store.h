@@ -147,14 +147,6 @@ class SharedProofStore {
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
-  /// Stripe index a name hashes to (exposed for the contention tests).
-  [[nodiscard]] std::size_t stripe_of(const dns::Name& name) const {
-    return name.hash() & stripe_mask_;
-  }
-  /// Distinct canonical names interned across all published spans, and the
-  /// arena's true heap footprint (exposed for the intern suite).
-  [[nodiscard]] std::size_t arena_size() const { return arena_.size(); }
-  [[nodiscard]] std::size_t arena_bytes() const { return arena_.bytes(); }
 
  private:
   struct CanonicalLess {

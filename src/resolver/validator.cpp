@@ -122,7 +122,7 @@ SigCheck Validator::verify_rrset(
       // rejected expired signatures, so a live verdict can never outlast
       // the signature it memoizes. RSA verification is host CPU, not
       // virtual-clock time, so the cache cannot perturb leak determinism.
-      const bool batching = batch_enabled_ && batch_.active();
+      const bool batching = batch_.active();
       std::uint64_t vkey = 0;
       if (verdict_capacity_ > 0 || batching) {
         vkey = verdict_key(signed_data, sig->signature, *key);
@@ -142,7 +142,6 @@ SigCheck Validator::verify_rrset(
       // contents are identical with batching on or off.
       if (batching) {
         if (const auto memo = batch_.lookup(vkey)) {
-          batch_.count_dedup();
           counters_.add("verify.batch_deduped");
           if (verdict_capacity_ > 0) {
             verdict_insert(vkey, *memo, sig_expires_us);

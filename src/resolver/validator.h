@@ -93,11 +93,6 @@ class Validator {
   /// miss the verdict cache run RSA once and answer repeats from the memo.
   [[nodiscard]] crypto::VerifyBatch& verify_batch() { return batch_; }
 
-  /// Disables (or re-enables) batch dedup without touching window scoping —
-  /// the A/B knob for tests and bench_micro; output is identical either
-  /// way, only the RSA work count changes.
-  void set_batch_enabled(bool enabled) { batch_enabled_ = enabled; }
-
   /// 64-bit content key for one verification: FNV-1a over the signed data,
   /// the signature bytes and the key material. Key rollover invalidates by
   /// construction — a new key (or new signature) hashes to a new verdict.
@@ -158,7 +153,6 @@ class Validator {
   std::unordered_map<std::uint64_t, Verdict> verdicts_;
   std::size_t verdict_capacity_ = 0;
   crypto::VerifyBatch batch_;
-  bool batch_enabled_ = true;
   SharedProofStore* shared_ = nullptr;  // nullable; not owned
   std::uint32_t shard_id_ = 0;
   metrics::CounterSet counters_;

@@ -25,18 +25,6 @@ obs::Labels with_shard(const std::string& shard, obs::Labels labels = {}) {
   return labels;
 }
 
-/// Plain-stub view (DO=0): no DNSSEC records, never an AD claim. Mirrors
-/// the resolver's own stub-facing strip so both paths agree byte-for-byte.
-void strip_for_plain_stub(dns::Message& response) {
-  response.header.ad = false;
-  std::erase_if(response.answers, [](const dns::ResourceRecord& record) {
-    return record.type == dns::RRType::kRrsig ||
-           record.type == dns::RRType::kNsec ||
-           record.type == dns::RRType::kNsec3 ||
-           record.type == dns::RRType::kNsec3Param;
-  });
-}
-
 }  // namespace
 
 FrontendServer::FrontendServer(sim::Network& network,
@@ -85,7 +73,6 @@ Served FrontendServer::make_formerr(const WireQuery& query) {
   served.response_bytes = served.response_wire.size();
 
   stats_.add("serve.formerr");
-  stats_.add("serve.bytes.response", served.response_bytes);
   if (metrics_ != nullptr) {
     metrics_->add("serve_formerr", with_shard(shard_label_));
   }
@@ -103,7 +90,6 @@ Served FrontendServer::make_shed(const WireQuery& query,
   served.rcode = dns::RCode::kServFail;
   served.response_wire = dns::encode_message(response);
   served.response_bytes = served.response_wire.size();
-  stats_.add("serve.bytes.response", served.response_bytes);
   return served;
 }
 
@@ -144,13 +130,12 @@ void FrontendServer::finish(Served& served, const dns::Message& request,
   response.header.cd = request.header.cd;
   response.edns = request.edns;
   response.dnssec_ok = request.dnssec_ok;
-  if (!request.dnssec_ok) strip_for_plain_stub(response);
+  if (!request.dnssec_ok) resolver::strip_for_plain_stub(response);
 
   served.rcode = response.header.rcode;
   served.response_wire = dns::encode_message(response);
   served.response_bytes = served.response_wire.size();
   stats_.add("serve.answered");
-  stats_.add("serve.bytes.response", served.response_bytes);
 
   ClientAccount& acct = account(served.client);
   acct.answered += 1;
@@ -239,7 +224,6 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
   served.from_cache = result.from_cache;
   served.case2_leaks = leaked;
   stats_.add("serve.coalesce.misses");
-  stats_.add("serve.case2.leaks", leaked);
   if (metrics_ != nullptr) {
     metrics_->add("serve_coalesce",
                   with_shard(shard_label_, {{"result", "miss"}}));
@@ -272,7 +256,6 @@ Served FrontendServer::submit(const WireQuery& query) {
 
   expire(arrival.time_us);
   stats_.add("serve.queries");
-  stats_.add("serve.bytes.query", arrival.wire.size());
   account(arrival.client).queries += 1;
 
   dns::Message message;

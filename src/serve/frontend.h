@@ -162,8 +162,7 @@ class FrontendServer : public sim::Endpoint {
 
   /// Counters: "serve.queries", "serve.answered", "serve.coalesce.hits",
   /// "serve.coalesce.misses", "serve.overload.drops", "serve.cpu.drops",
-  /// "serve.formerr", "serve.bytes.query", "serve.bytes.response",
-  /// "serve.case2.leaks".
+  /// "serve.formerr".
   [[nodiscard]] const metrics::CounterSet& stats() const { return stats_; }
 
   [[nodiscard]] const std::vector<ClientAccount>& clients() const {
@@ -172,9 +171,6 @@ class FrontendServer : public sim::Endpoint {
 
   /// High-water mark of outstanding client queries.
   [[nodiscard]] std::size_t max_queue_depth() const { return max_depth_; }
-
-  /// Outstanding client queries right now (live in-flight waiters).
-  [[nodiscard]] std::size_t queue_depth() const { return depth_; }
 
   // -- sim::Endpoint (single-stub convenience path) -------------------------
 

@@ -95,10 +95,7 @@ void ServeStack::fill_registry_side(ScenarioSummary& summary) const {
 ScenarioSummary summarize_served(const std::vector<Served>& served,
                                  const FrontendServer& frontend,
                                  std::uint32_t clients,
-                                 std::uint32_t attack_start,
-                                 std::vector<std::uint64_t>* latencies_out,
-                                 std::uint64_t* first_arrival_out,
-                                 std::uint64_t* last_completion_out) {
+                                 std::uint32_t attack_start) {
   ScenarioSummary summary;
   summary.served = served.size();
   summary.coalesce_hits = frontend.stats().value("serve.coalesce.hits");
@@ -140,9 +137,6 @@ ScenarioSummary summarize_served(const std::vector<Served>& served,
     }
     summary.validation_cpu_us += accounts[i].cpu_spent_us;
   }
-  if (latencies_out != nullptr) *latencies_out = std::move(latencies);
-  if (first_arrival_out != nullptr) *first_arrival_out = first_arrival;
-  if (last_completion_out != nullptr) *last_completion_out = last_completion;
   return summary;
 }
 
@@ -150,7 +144,7 @@ ScenarioSummary summarize_served(const std::vector<Served>& served,
 
 ServeScenario::ServeScenario(ScenarioOptions options)
     : options_(std::move(options)),
-      stack_(options_, options_.tracer, options_.metrics,
+      stack_(options_, options_.tracer, /*metrics=*/nullptr,
              /*shared_store=*/nullptr, /*shard_id=*/0, /*shard_label=*/{}) {}
 
 ServeScenario::~ServeScenario() = default;

@@ -50,8 +50,7 @@ struct ScenarioOptions {
   dlv::DlvRegistry::Options dlv;
   resolver::ResolverConfig resolver_config =
       resolver::ResolverConfig::bind_yum();
-  obs::Tracer* tracer = nullptr;            // nullable
-  obs::MetricsRegistry* metrics = nullptr;  // nullable
+  obs::Tracer* tracer = nullptr;  // nullable
 };
 
 /// Aggregates one run of a scenario (frontend or sequential reference).
@@ -124,16 +123,10 @@ struct ServeStack {
 /// Builds the frontend-side summary fields from one run's Served records.
 /// Shed queries (SERVFAIL at arrival, zero latency) are excluded from the
 /// latency sample — they would otherwise make an overloaded run look fast.
-/// When non-null, `latencies_out` receives the sorted answered-query
-/// latencies and `first_arrival_out`/`last_completion_out` the run's span
-/// endpoints, so the sharded runner can merge percentiles and makespans
-/// canonically. Registry-side fields are NOT filled here.
+/// Registry-side fields are NOT filled here.
 [[nodiscard]] ScenarioSummary summarize_served(
     const std::vector<Served>& served, const FrontendServer& frontend,
-    std::uint32_t clients, std::uint32_t attack_start,
-    std::vector<std::uint64_t>* latencies_out = nullptr,
-    std::uint64_t* first_arrival_out = nullptr,
-    std::uint64_t* last_completion_out = nullptr);
+    std::uint32_t clients, std::uint32_t attack_start);
 
 /// Owns one full serving stack for one run (single-shot: build, run, read).
 class ServeScenario {

@@ -22,6 +22,7 @@ double ms_since(WallClock::time_point start) {
 constexpr std::uint64_t kRingTag = 0xC0115157ULL;    // ring points
 constexpr std::uint64_t kClientTag = 0xC11E57ULL;    // client keys
 constexpr std::uint64_t kNameTag = 0x9A3EBA5EULL;    // qname keys
+constexpr std::uint32_t kVirtualNodes = 64;          // ring points per shard
 
 }  // namespace
 
@@ -37,18 +38,17 @@ std::optional<ShardRoute> parse_route(std::string_view text) {
 
 // -- ShardRouter --------------------------------------------------------------
 
-ShardRouter::ShardRouter(std::uint32_t shards, ShardRoute route,
-                         std::uint32_t virtual_nodes)
+ShardRouter::ShardRouter(std::uint32_t shards, ShardRoute route)
     : shards_(std::max<std::uint32_t>(shards, 1)), route_(route) {
-  ring_.reserve(static_cast<std::size_t>(shards_) * virtual_nodes);
+  ring_.reserve(static_cast<std::size_t>(shards_) * kVirtualNodes);
   for (std::uint32_t shard = 0; shard < shards_; ++shard) {
     const std::uint64_t shard_base = engine::shard_seed(kRingTag, shard);
-    for (std::uint32_t vnode = 0; vnode < virtual_nodes; ++vnode) {
+    for (std::uint32_t vnode = 0; vnode < kVirtualNodes; ++vnode) {
       ring_.emplace_back(engine::shard_seed(shard_base, vnode), shard);
     }
   }
   // Ties (astronomically unlikely) break by shard id so the ring is a pure
-  // function of (shards, virtual_nodes) regardless of insertion order.
+  // function of the shard count regardless of insertion order.
   std::sort(ring_.begin(), ring_.end());
 }
 
@@ -89,8 +89,7 @@ ShardedServeScenario::ShardedServeScenario(ShardedOptions options)
     throw std::invalid_argument("shard_metrics must be empty or per-shard");
   }
   if (options_.shared_store) {
-    store_ = std::make_unique<resolver::SharedProofStore>(
-        resolver::SharedProofStore::Options{options_.store_stripes});
+    store_ = std::make_unique<resolver::SharedProofStore>();
   }
   // World builds dominate setup cost and are shared-nothing, so build the
   // shard stacks on worker threads (write-through into the shared store
@@ -174,10 +173,8 @@ ShardedSummary ShardedServeScenario::run() {
         ++report.clients_routed;
       }
     }
-    std::vector<std::uint64_t> latencies;
     report.summary = summarize_served(served[s], *stacks_[s]->frontend,
-                                      options_.base.mix.clients, attack_start,
-                                      &latencies);
+                                      options_.base.mix.clients, attack_start);
     stacks_[s]->fill_registry_side(report.summary);
 
     for (const Served& one : served[s]) {

@@ -56,13 +56,12 @@ enum class ShardRoute {
 [[nodiscard]] const char* route_name(ShardRoute route);
 [[nodiscard]] std::optional<ShardRoute> parse_route(std::string_view text);
 
-/// Consistent-hash router: `virtual_nodes` ring points per shard, keyed by
+/// Consistent-hash router: 64 ring points per shard, keyed by
 /// SplitMix64-derived hashes, lookup = first ring point clockwise of the
 /// key's hash. Deterministic across platforms and runs.
 class ShardRouter {
  public:
-  ShardRouter(std::uint32_t shards, ShardRoute route,
-              std::uint32_t virtual_nodes = 64);
+  ShardRouter(std::uint32_t shards, ShardRoute route);
 
   [[nodiscard]] std::uint32_t shards() const { return shards_; }
   [[nodiscard]] ShardRoute route() const { return route_; }
@@ -84,15 +83,14 @@ class ShardRouter {
 struct ShardedOptions {
   /// Per-shard stack shape (universe, mix, frontend, resolver config). The
   /// mix describes the *whole* client population; the router partitions it.
-  /// base.tracer/base.metrics are ignored — per-shard tracers/metrics come
-  /// from the vectors below (worker threads must never share a sink).
+  /// base.tracer is ignored — per-shard tracers/metrics come from the
+  /// vectors below (worker threads must never share a sink).
   ScenarioOptions base;
   std::uint32_t shards = 1;
   ShardRoute route = ShardRoute::kClient;
   /// Attach one striped SharedProofStore across all shards (and switch to
   /// the deterministic global-order dispatch described above).
   bool shared_store = false;
-  std::size_t store_stripes = 16;
   /// Worker threads for shard-private parallel serving; 0 = one per shard.
   unsigned jobs = 0;
   /// Optional per-shard observability (empty, or exactly `shards` entries).
@@ -131,18 +129,6 @@ class ShardedServeScenario {
   ~ShardedServeScenario();
 
   [[nodiscard]] ShardedSummary run();
-
-  [[nodiscard]] const ShardRouter& router() const { return router_; }
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(stacks_.size());
-  }
-  [[nodiscard]] ServeStack& stack(std::uint32_t shard) {
-    return *stacks_[shard];
-  }
-  /// Null in shard-private mode.
-  [[nodiscard]] resolver::SharedProofStore* shared_store() {
-    return store_.get();
-  }
 
  private:
   ShardedOptions options_;

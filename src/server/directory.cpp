@@ -4,52 +4,14 @@ namespace lookaside::server {
 
 void ServerDirectory::register_zone(const dns::Name& apex,
                                     std::shared_ptr<sim::Endpoint> endpoint) {
-  zones_[apex] = {std::move(endpoint)};
-}
-
-void ServerDirectory::add_zone_replica(const dns::Name& apex,
-                                       std::shared_ptr<sim::Endpoint> endpoint) {
-  const auto it = zones_.find(apex);
-  if (it == zones_.end()) return;  // replicas require a registered primary
-  it->second.push_back(std::move(endpoint));
+  zones_[apex] = std::move(endpoint);
 }
 
 sim::Endpoint* ServerDirectory::authority_for_zone(
     const dns::Name& apex) const {
   const auto it = zones_.find(apex);
-  if (it != zones_.end() && !it->second.empty()) return it->second.front().get();
+  if (it != zones_.end()) return it->second.get();
   return fallback_ ? fallback_(apex) : nullptr;
-}
-
-std::vector<sim::Endpoint*> ServerDirectory::authorities_for_zone(
-    const dns::Name& apex) const {
-  std::vector<sim::Endpoint*> out;
-  const auto it = zones_.find(apex);
-  if (it != zones_.end()) {
-    out.reserve(it->second.size());
-    for (const auto& endpoint : it->second) out.push_back(endpoint.get());
-    return out;
-  }
-  if (fallback_) {
-    sim::Endpoint* endpoint = fallback_(apex);
-    if (endpoint != nullptr) out.push_back(endpoint);
-  }
-  return out;
-}
-
-sim::Endpoint* ServerDirectory::deepest_authority(
-    const dns::Name& qname, dns::Name* matched_apex) const {
-  // Walk suffixes of qname from deepest to the root.
-  dns::Name candidate = qname;
-  for (;;) {
-    const auto it = zones_.find(candidate);
-    if (it != zones_.end() && !it->second.empty()) {
-      if (matched_apex != nullptr) *matched_apex = candidate;
-      return it->second.front().get();
-    }
-    if (candidate.is_root()) return nullptr;
-    candidate = candidate.parent();
-  }
 }
 
 }  // namespace lookaside::server

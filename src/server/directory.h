@@ -10,50 +10,30 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "dns/name.h"
 #include "sim/network.h"
 
 namespace lookaside::server {
 
-/// Registry of authoritative endpoints by zone apex. A zone may have
-/// several endpoints (a primary plus failover replicas, like a real NS
-/// set); single-endpoint callers always get the primary.
+/// Registry of authoritative endpoints by zone apex, one endpoint per zone.
 class ServerDirectory {
  public:
   /// Registers `endpoint` as authoritative for `apex` (replacing any
-  /// previous registration, including replicas).
+  /// previous registration).
   void register_zone(const dns::Name& apex,
                      std::shared_ptr<sim::Endpoint> endpoint);
 
-  /// Appends a failover replica for `apex` (kept after the primary in
-  /// consultation order). The apex must already be registered.
-  void add_zone_replica(const dns::Name& apex,
-                        std::shared_ptr<sim::Endpoint> endpoint);
-
-  /// Primary endpoint for exactly `apex`, or nullptr. When a fallback is
-  /// installed it is consulted for apexes with no explicit registration
-  /// (this is how the synthetic million-domain universe serves SLD zones
-  /// without materializing a million registrations).
+  /// Endpoint for exactly `apex`, or nullptr. When a fallback is installed
+  /// it is consulted for apexes with no explicit registration (this is how
+  /// the synthetic million-domain universe serves SLD zones without
+  /// materializing a million registrations).
   [[nodiscard]] sim::Endpoint* authority_for_zone(const dns::Name& apex) const;
-
-  /// Every endpoint serving `apex` in consultation order (primary first,
-  /// then replicas); falls back to the fallback hook's single endpoint.
-  /// Empty when the apex is unknown.
-  [[nodiscard]] std::vector<sim::Endpoint*> authorities_for_zone(
-      const dns::Name& apex) const;
 
   /// Installs the fallback hook; it may return nullptr to decline.
   void set_fallback(std::function<sim::Endpoint*(const dns::Name&)> fallback) {
     fallback_ = std::move(fallback);
   }
-
-  /// Endpoint serving the deepest registered zone enclosing `qname`
-  /// (at most `max_labels` labels deep); the root must be registered.
-  /// Outputs the matched apex through `matched_apex` when non-null.
-  [[nodiscard]] sim::Endpoint* deepest_authority(
-      const dns::Name& qname, dns::Name* matched_apex = nullptr) const;
 
   [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
 
@@ -63,9 +43,7 @@ class ServerDirectory {
       return a.canonical_compare(b) < 0;
     }
   };
-  std::map<dns::Name, std::vector<std::shared_ptr<sim::Endpoint>>,
-           CanonicalLess>
-      zones_;
+  std::map<dns::Name, std::shared_ptr<sim::Endpoint>, CanonicalLess> zones_;
   std::function<sim::Endpoint*(const dns::Name&)> fallback_;
 };
 

@@ -45,7 +45,6 @@ class ZoneAuthority : public sim::Endpoint {
   /// the spare Z header bit, signaling "this zone has a DLV record
   /// deposited" to DLV-aware resolvers.
   void set_z_bit_signal(bool enabled) { z_bit_signal_ = enabled; }
-  [[nodiscard]] bool z_bit_signal() const { return z_bit_signal_; }
 
   /// Attaches a structured tracer (nullable). Each handled query emits one
   /// kAuthority event labeled answer / referral / nodata / nxdomain.

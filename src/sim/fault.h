@@ -90,11 +90,6 @@ struct FaultDecision {
   std::optional<dns::RCode> rewrite_rcode;
   bool corrupt_rrsigs = false;
   const char* cause = "";  // "unreachable", "outage", "loss", ...
-
-  [[nodiscard]] bool faulted() const {
-    return drop_query || drop_response || added_latency_us != 0 || truncate ||
-           rewrite_rcode.has_value() || corrupt_rrsigs;
-  }
 };
 
 /// Evaluates a FaultPlan deterministically. All randomness comes from one

@@ -9,6 +9,10 @@ namespace lookaside::workload {
 
 namespace {
 
+/// Probability a visit also asks AAAA for the same name (paper Table 4's
+/// per-type mix, reduced to the serve-relevant part).
+constexpr double kAaaaProbability = 0.25;
+
 /// Zipf(1)-like rank draw via the continuous inverse CDF: with u uniform in
 /// [0,1), floor(support^u) has mass ~ 1/rank over [1, support]. Integer
 /// clamping keeps the draw in range for every u.
@@ -55,7 +59,7 @@ std::vector<ClientQuery> ClientMix::generate(const Universe& universe) const {
                                      : zipf_rank(rng, support);
       const dns::Name name = universe.domain_at(rank);
       schedule.push_back({now_us, client, seq++, name, dns::RRType::kA});
-      if (rng.next_double() < options_.aaaa_probability) {
+      if (rng.next_double() < kAaaaProbability) {
         // The AAAA rides 1us behind its A, like a dual-stack stub's pair.
         schedule.push_back({now_us + 1, client, seq++, name, dns::RRType::kAaaa});
       }

@@ -44,10 +44,6 @@ struct ClientMixOptions {
   /// concurrent identical queries.
   std::uint64_t mean_gap_us = 2'000;
 
-  /// Probability a visit also asks AAAA for the same name (paper Table 4's
-  /// per-type mix, reduced to the serve-relevant part).
-  double aaaa_probability = 0.25;
-
   /// Fraction of clients (the highest-numbered ids) running the
   /// proof-of-nonexistence CPU-exhaustion attack: instead of the shared
   /// Zipf head they draw uniform ranks over the whole universe, so nearly

@@ -71,9 +71,6 @@ class SignedZone {
   /// queries are then answered by nsec3_*_proof instead of the NSEC pair.
   void enable_nsec3(Nsec3Params params);
   [[nodiscard]] bool nsec3_enabled() const { return nsec3_enabled_; }
-  [[nodiscard]] const Nsec3Params& nsec3_params() const {
-    return nsec3_params_;
-  }
 
   /// RFC 5155 §7.2.2 NXDOMAIN proof: matching NSEC3 for the closest
   /// encloser, covering NSEC3 for the next-closer name, covering NSEC3 for

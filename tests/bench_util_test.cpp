@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -39,14 +40,38 @@ TEST(ParseU64Flag, AcceptsPlainDecimals) {
 }
 
 TEST(ParseU64FlagDeathTest, RejectsMalformedValues) {
-  EXPECT_EXIT(parse_u64_flag("--ring-buffer", "abc"),
-              ::testing::ExitedWithCode(2), "--ring-buffer expects");
-  EXPECT_EXIT(parse_u64_flag("--ring-buffer", "12abc"),
-              ::testing::ExitedWithCode(2), "--ring-buffer expects");
-  EXPECT_EXIT(parse_u64_flag("--ring-buffer", ""),
-              ::testing::ExitedWithCode(2), "--ring-buffer expects");
-  EXPECT_EXIT(parse_u64_flag("--ring-buffer", "-3"),
-              ::testing::ExitedWithCode(2), "--ring-buffer expects");
+  EXPECT_EXIT(parse_u64_flag("--rounds", "abc"),
+              ::testing::ExitedWithCode(2), "--rounds expects");
+  EXPECT_EXIT(parse_u64_flag("--rounds", "12abc"),
+              ::testing::ExitedWithCode(2), "--rounds expects");
+  EXPECT_EXIT(parse_u64_flag("--rounds", ""),
+              ::testing::ExitedWithCode(2), "--rounds expects");
+  EXPECT_EXIT(parse_u64_flag("--rounds", "-3"),
+              ::testing::ExitedWithCode(2), "--rounds expects");
+}
+
+TEST(MaxScale, UnsetEmptyAndZeroMeanTheDefault) {
+  unsetenv("LOOKASIDE_SCALE");
+  EXPECT_EQ(max_scale(1'000'000), 1'000'000u);
+  setenv("LOOKASIDE_SCALE", "", 1);
+  EXPECT_EQ(max_scale(1'000'000), 1'000'000u);
+  setenv("LOOKASIDE_SCALE", "0", 1);
+  EXPECT_EQ(max_scale(1'000'000), 1'000'000u);
+  setenv("LOOKASIDE_SCALE", "2000", 1);
+  EXPECT_EQ(max_scale(1'000'000), 2'000u);
+  unsetenv("LOOKASIDE_SCALE");
+}
+
+TEST(MaxScaleDeathTest, MalformedScaleExitsInsteadOfShrinking) {
+  // Regression: "10k" used to cap N at 10 and "1e6" at 1, exiting 0.
+  for (const char* bad : {"10k", "1e6", "-5", " 100"}) {
+    EXPECT_EXIT(
+        {
+          setenv("LOOKASIDE_SCALE", bad, 1);
+          (void)max_scale(1'000'000);
+        },
+        ::testing::ExitedWithCode(2), "LOOKASIDE_SCALE expects");
+  }
 }
 
 TEST(ArgParserNumeric, ParsesAndFallsBack) {
@@ -95,18 +120,6 @@ TEST(ArgParserUnknownFlag, BuiltinsExtrasAndJobsValueAreAccepted) {
   ArgParser args(6, const_cast<char**>(argv), {"top"});
   EXPECT_TRUE(args.smoke());
   EXPECT_EQ(args.numeric("top", 1), 8u);
-}
-
-TEST(ParseObsArgsDeathTest, MalformedRingBufferAborts) {
-  const char* argv[] = {"bench", "--ring-buffer=abc"};
-  EXPECT_EXIT((void)parse_obs_args(2, const_cast<char**>(argv)),
-              ::testing::ExitedWithCode(2), "--ring-buffer expects");
-}
-
-TEST(ParseObsArgs, WellFormedRingBufferStillParses) {
-  const char* argv[] = {"bench", "--ring-buffer=1024"};
-  const ObsArgs obs = parse_obs_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(obs.ring_capacity, 1024u);
 }
 
 }  // namespace

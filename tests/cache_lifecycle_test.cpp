@@ -16,7 +16,7 @@
 namespace lookaside::resolver {
 namespace {
 
-// Legacy-shaped probe over the unified DenialProofSource API so the
+// Legacy-shaped probe over ResolverCache::find_denial so the
 // lifecycle assertions below keep their original vocabulary.
 NegativeEntry find_negative(ResolverCache& cache, const dns::Name& name,
                             dns::RRType type) {

@@ -131,10 +131,8 @@ TEST(ResolverRetryTest, RetryRecoversWhenOutageEndsMidSchedule) {
 
   const ResolveResult result = fixture.resolve("unsigned.com");
   EXPECT_EQ(result.response.header.rcode, dns::RCode::kNoError);
-  EXPECT_GE(fixture.resolver_->stats().value("retries"), 1u);
-  EXPECT_EQ(fixture.network_.counters().value("retries"),
-            fixture.resolver_->stats().value("retries"));
-  EXPECT_GE(fixture.network_.counters().value("faults.dropped"), 1u);
+  EXPECT_EQ(fixture.network_.counters().value("retries"), 1u);
+  EXPECT_EQ(fixture.network_.counters().value("faults.dropped"), 1u);
   EXPECT_EQ(fixture.resolver_->stats().value("servers.marked_dead"), 0u);
 }
 

@@ -20,70 +20,6 @@ TEST(CounterSetTest, AddAndRead) {
   EXPECT_EQ(counters.value("queries.a"), 5u);
 }
 
-TEST(CounterSetTest, PrefixTotals) {
-  CounterSet counters;
-  counters.add("queries.a", 3);
-  counters.add("queries.aaaa", 2);
-  counters.add("queries.ds", 7);
-  counters.add("bytes.total", 100);
-  EXPECT_EQ(counters.total_with_prefix("queries."), 12u);
-  EXPECT_EQ(counters.total_with_prefix("queries.a"), 5u);
-  EXPECT_EQ(counters.total_with_prefix("nothing."), 0u);
-}
-
-TEST(CounterSetTest, PrefixTotalEdgeCases) {
-  CounterSet counters;
-  counters.add("a", 1);
-  counters.add("ab", 2);
-  counters.add("b", 4);
-  // The empty prefix matches every counter.
-  EXPECT_EQ(counters.total_with_prefix(""), 7u);
-  // An exact counter name is its own prefix.
-  EXPECT_EQ(counters.total_with_prefix("ab"), 2u);
-  // A prefix longer than any name matches nothing.
-  EXPECT_EQ(counters.total_with_prefix("abc"), 0u);
-  // A prefix lexicographically past every name matches nothing.
-  EXPECT_EQ(counters.total_with_prefix("z"), 0u);
-  EXPECT_EQ(CounterSet{}.total_with_prefix("a"), 0u);
-}
-
-TEST(CounterSetTest, DeltaSince) {
-  CounterSet before;
-  before.add("x", 10);
-  CounterSet after = before;
-  after.add("x", 5);
-  after.add("y", 2);
-  const CounterSet delta = after.delta_since(before);
-  EXPECT_EQ(delta.value("x"), 5u);
-  EXPECT_EQ(delta.value("y"), 2u);
-  EXPECT_EQ(delta.value(CounterSet::kUnderflowCounter), 0u);
-}
-
-TEST(CounterSetTest, DeltaSinceFlagsUnderflow) {
-  CounterSet before;
-  before.add("x", 10);
-  before.add("gone", 4);
-  CounterSet after;
-  after.add("x", 7);  // went backwards by 3
-  const CounterSet delta = after.delta_since(before);
-  // Still clamped to zero rather than wrapping...
-  EXPECT_EQ(delta.value("x"), 0u);
-  // ...but the clamped magnitude (3 from x, 4 from the vanished counter)
-  // is surfaced instead of silently discarded.
-  EXPECT_EQ(delta.value(CounterSet::kUnderflowCounter), 7u);
-}
-
-TEST(CounterSetTest, MergeAdds) {
-  CounterSet a;
-  a.add("x", 1);
-  CounterSet b;
-  b.add("x", 2);
-  b.add("y", 3);
-  a.merge(b);
-  EXPECT_EQ(a.value("x"), 3u);
-  EXPECT_EQ(a.value("y"), 3u);
-}
-
 TEST(HistogramTest, BasicStats) {
   Histogram h;
   for (double v : {4.0, 1.0, 3.0, 2.0}) h.add(v);

@@ -156,14 +156,6 @@ TEST(ServerDirectoryTest, DeepestMatchAndFallback) {
   EXPECT_EQ(directory.authority_for_zone(dns::Name::parse("com")), com.get());
   EXPECT_EQ(directory.authority_for_zone(dns::Name::parse("net")), nullptr);
 
-  dns::Name matched;
-  EXPECT_EQ(directory.deepest_authority(dns::Name::parse("a.b.com"), &matched),
-            com.get());
-  EXPECT_EQ(matched, dns::Name::parse("com"));
-  EXPECT_EQ(directory.deepest_authority(dns::Name::parse("x.org"), &matched),
-            root.get());
-  EXPECT_EQ(matched, dns::Name::root());
-
   auto fallback = std::make_shared<Dummy>("auth:universe");
   directory.set_fallback(
       [&fallback](const dns::Name&) { return fallback.get(); });

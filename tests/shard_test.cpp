@@ -11,10 +11,15 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
+#include "obs/metrics_sink.h"
+#include "obs/tracer.h"
 #include "resolver/cache.h"
 #include "resolver/shared_store.h"
 #include "serve/sharded.h"
@@ -34,7 +39,7 @@ using serve::ShardRouter;
 
 dns::Name name_of(const std::string& text) { return dns::Name::parse(text); }
 
-// Legacy-shaped probe over the unified DenialProofSource API.
+// Legacy-shaped probe over ResolverCache::find_denial.
 NsecCoverage nsec_check(ResolverCache& cache, const dns::Name& apex,
                         const dns::Name& qname, dns::RRType qtype) {
   const resolver::ProofResult proof =
@@ -442,6 +447,82 @@ TEST(ShardedServe, QnameRoutingPreservesSharedModeIdentityToo) {
   EXPECT_EQ(result.merged.case2_total, reference.case2_total);
   EXPECT_EQ(result.merged.leaked_domains, reference.leaked_domains);
   EXPECT_TRUE(result.sums_consistent);
+}
+
+TEST(ShardedServe, FrontendRegistrySeriesMatchTraceCountsAndSummaries) {
+  // Three counting paths per shard: the frontend writes serve_* series
+  // straight into the shard's registry, the MetricsSink derives
+  // client_responses / dlv_observations from the shard's trace stream, and
+  // summarize_served reads the frontend's CounterSet plus the registry-side
+  // leak analyzer. A tight admission window and an NSEC3 registry whose
+  // proofs overdraw a validator-CPU budget make every series non-zero.
+  constexpr std::uint32_t kShards = 2;
+  ShardedOptions options;
+  options.base = small_mix();
+  options.base.mix.clients = 8;
+  options.base.mix.zipf_support = 20;
+  options.base.mix.attack_fraction = 0.25;
+  options.base.dlv.nsec3_enabled = true;
+  options.base.dlv.nsec3_iterations = 1'000;
+  options.base.dlv.nsec3_salt = {0xab, 0xcd, 0xef, 0x01};
+  options.base.resolver_config.nsec3_hash_cost_ns = 2'000;
+  options.base.frontend.max_pending = 4;
+  options.base.frontend.cpu_budget_us_per_s = 2'000;
+  options.base.frontend.cpu_burst_us = 10'000;
+  options.shards = kShards;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
+  std::vector<std::unique_ptr<obs::Tracer>> tracers;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    registries.push_back(std::make_unique<obs::MetricsRegistry>());
+    tracers.push_back(std::make_unique<obs::Tracer>());
+    tracers.back()->add_sink(
+        std::make_shared<obs::MetricsSink>(*registries.back()));
+    options.shard_tracers.push_back(tracers.back().get());
+    options.shard_metrics.push_back(registries.back().get());
+  }
+  ShardedServeScenario scenario(std::move(options));
+  const ShardedSummary result = scenario.run();
+
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    tracers[s]->flush();
+    const obs::MetricsRegistry& registry = *registries[s];
+    const serve::ScenarioSummary& summary = result.shards[s].summary;
+    const auto serve_series = [&](const char* name, obs::Labels labels) {
+      labels.emplace_back("shard", std::to_string(s));
+      return registry.value(name, labels);
+    };
+    const auto responses = [&](const char* outcome) {
+      return registry.value("client_responses", {{"result", outcome}});
+    };
+    const std::uint64_t hits =
+        serve_series("serve_coalesce", {{"result", "hit"}});
+    const std::uint64_t misses =
+        serve_series("serve_coalesce", {{"result", "miss"}});
+    const std::uint64_t leaks = serve_series("serve_case2_leaks", {});
+    const std::uint64_t overload = serve_series("serve_overload_drops", {});
+    const std::uint64_t cpu = serve_series("serve_cpu_drops", {});
+
+    EXPECT_EQ(hits, responses("coalesced")) << "shard " << s;
+    EXPECT_EQ(hits, summary.coalesce_hits) << "shard " << s;
+    EXPECT_EQ(misses, responses("cache") + responses("resolved"))
+        << "shard " << s;
+    EXPECT_EQ(misses, summary.coalesce_misses) << "shard " << s;
+    EXPECT_EQ(leaks, registry.value("dlv_observations", {{"case", "2"}}))
+        << "shard " << s;
+    EXPECT_EQ(leaks, summary.case2_total) << "shard " << s;
+    EXPECT_EQ(overload, responses("overload")) << "shard " << s;
+    EXPECT_EQ(overload, summary.overload_drops) << "shard " << s;
+    EXPECT_EQ(cpu, responses("cpu-overload")) << "shard " << s;
+    EXPECT_EQ(cpu, summary.cpu_drops) << "shard " << s;
+    EXPECT_EQ(serve_series("serve_formerr", {}), responses("formerr"))
+        << "shard " << s;
+
+    EXPECT_GT(hits, 0u) << "shard " << s;
+    EXPECT_GT(misses, 0u) << "shard " << s;
+    EXPECT_GT(leaks, 0u) << "shard " << s;
+    EXPECT_GT(overload, 0u) << "shard " << s;
+    EXPECT_GT(cpu, 0u) << "shard " << s;
+  }
 }
 
 TEST(ShardedServe, ParseRouteRoundTrips) {

@@ -1,5 +1,5 @@
 // RFC 8198 aggressive synthesis + vState verdict caching (DESIGN.md §4j):
-// the unified DenialProofSource API (origin attribution), the sorted span
+// the unified find_denial API (origin attribution), the sorted span
 // index against a linear reference model, hash-gated NSEC3 synthesis from
 // cached closest-encloser evidence, the validator's signature-verdict cache
 // (hit / expiry / key rollover / epoch flush / cross-shard sharing), and
