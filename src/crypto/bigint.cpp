@@ -1,159 +1,220 @@
 #include "crypto/bigint.h"
 
 #include <algorithm>
-#include <span>
+#include <bit>
 #include <stdexcept>
+#include <type_traits>
 
 namespace lookaside::crypto {
 
+namespace {
+
+using Wide = unsigned __int128;
+
+[[noreturn]] void throw_overflow(const char* what) {
+  throw std::overflow_error(what);
+}
+
+/// Knuth, TAOCP vol. 2, §4.3.1, Algorithm D on 64-bit limbs. Divides the
+/// m-limb u by the n-limb v (n >= 2, v[n - 1] != 0, m >= n); writes m - n + 1
+/// quotient limbs to q and n remainder limbs to r.
+void divide_limbs(const Limb* u_in, std::size_t m, const Limb* v_in,
+                  std::size_t n, Limb* q, Limb* r) {
+  // Normalize so the divisor's top bit is set; the quotient estimate from
+  // the top two dividend limbs is then at most two too large.
+  const int s = std::countl_zero(v_in[n - 1]);
+  const auto high = [s](Limb hi, Limb lo) {
+    return s == 0 ? hi : (hi << s) | (lo >> (64 - s));
+  };
+  std::array<Limb, BigUint::kCapacity> v{};
+  std::array<Limb, BigUint::kCapacity + 1> u{};
+  for (std::size_t i = n - 1; i > 0; --i) v[i] = high(v_in[i], v_in[i - 1]);
+  v[0] = v_in[0] << s;
+  u[m] = s == 0 ? 0 : u_in[m - 1] >> (64 - s);
+  for (std::size_t i = m - 1; i > 0; --i) u[i] = high(u_in[i], u_in[i - 1]);
+  u[0] = u_in[0] << s;
+
+  for (std::size_t j = m - n + 1; j-- > 0;) {
+    const Wide top = (static_cast<Wide>(u[j + n]) << 64) | u[j + n - 1];
+    Wide qhat = top / v[n - 1];
+    Wide rhat = top % v[n - 1];
+    while ((qhat >> 64) != 0 ||
+           qhat * v[n - 2] > ((rhat << 64) | u[j + n - 2])) {
+      --qhat;
+      rhat += v[n - 1];
+      if ((rhat >> 64) != 0) break;
+    }
+    // u[j, j + n] -= qhat * v.
+    Limb carry = 0;
+    Limb borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Wide product = qhat * v[i] + carry;
+      carry = static_cast<Limb>(product >> 64);
+      const Limb low = static_cast<Limb>(product);
+      const Limb x = u[i + j];
+      const Limb diff = x - low;
+      const Limb under = x < low ? 1 : 0;
+      u[i + j] = diff - borrow;
+      borrow = under | (diff < borrow ? 1 : 0);
+    }
+    const Limb x = u[j + n];
+    const Limb diff = x - carry;
+    const bool negative = x < carry || diff < borrow;
+    u[j + n] = diff - borrow;
+    if (negative) {  // qhat was one too large: add v back.
+      --qhat;
+      u[j + n] += add_limbs(u.data() + j, v.data(), u.data() + j, n);
+    }
+    q[j] = static_cast<Limb>(qhat);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = s == 0 ? u[i] : (u[i] >> s) | (u[i + 1] << (64 - s));
+  }
+}
+
+}  // namespace
+
+void load_be(std::span<const std::uint8_t> bytes, std::span<Limb> out) {
+  std::fill(out.begin(), out.end(), 0);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::size_t from_lsb = bytes.size() - 1 - i;
+    out[from_lsb / 8] |= static_cast<Limb>(bytes[i]) << (8 * (from_lsb % 8));
+  }
+}
+
+void store_be(std::span<const Limb> limbs, std::span<std::uint8_t> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::size_t limb = i / 8;
+    out[out.size() - 1 - i] =
+        limb < limbs.size()
+            ? static_cast<std::uint8_t>(limbs[limb] >> (8 * (i % 8)))
+            : 0;
+  }
+}
+
 BigUint::BigUint(std::uint64_t value) {
-  if (value != 0) limbs_.push_back(static_cast<std::uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<std::uint32_t>(value >> 32));
+  limbs_[0] = value;
+  size_ = value != 0 ? 1 : 0;
 }
 
 void BigUint::normalize() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+  while (size_ > 0 && limbs_[size_ - 1] == 0) --size_;
 }
 
 BigUint BigUint::from_bytes_be(const Bytes& bytes) {
-  BigUint out;
-  out.limbs_.assign((bytes.size() + 3) / 4, 0);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    // bytes[i] is the (bytes.size()-1-i)-th byte from the LSB end.
-    const std::size_t byte_index = bytes.size() - 1 - i;
-    out.limbs_[byte_index / 4] |= static_cast<std::uint32_t>(bytes[i])
-                                  << (8 * (byte_index % 4));
+  const auto first = std::find_if(bytes.begin(), bytes.end(),
+                                  [](std::uint8_t b) { return b != 0; });
+  const std::span<const std::uint8_t> significant(first, bytes.end());
+  if (significant.size() > 8 * kCapacity) {
+    throw_overflow("BigUint::from_bytes_be: value exceeds capacity");
   }
-  out.normalize();
+  BigUint out;
+  out.size_ = (significant.size() + 7) / 8;
+  load_be(significant, std::span<Limb>(out.limbs_.data(), out.size_));
+  return out;
+}
+
+BigUint BigUint::from_limbs(std::span<const Limb> limbs) {
+  std::size_t size = limbs.size();
+  while (size > 0 && limbs[size - 1] == 0) --size;
+  if (size > kCapacity) throw_overflow("BigUint::from_limbs: exceeds capacity");
+  BigUint out;
+  std::copy_n(limbs.begin(), size, out.limbs_.begin());
+  out.size_ = size;
   return out;
 }
 
 Bytes BigUint::to_bytes_be(std::size_t min_width) const {
   const std::size_t significant = (bit_length() + 7) / 8;
-  const std::size_t width = std::max(min_width, std::max<std::size_t>(significant, 1));
-  Bytes out(width, 0);
-  for (std::size_t i = 0; i < significant; ++i) {
-    out[width - 1 - i] =
-        static_cast<std::uint8_t>(limbs_[i / 4] >> (8 * (i % 4)));
-  }
+  Bytes out(std::max(min_width, std::max<std::size_t>(significant, 1)));
+  store_be(limbs(), out);
   return out;
 }
 
 std::size_t BigUint::bit_length() const {
-  if (limbs_.empty()) return 0;
-  std::uint32_t top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  if (size_ == 0) return 0;
+  return (size_ - 1) * 64 +
+         static_cast<std::size_t>(std::bit_width(limbs_[size_ - 1]));
 }
 
 bool BigUint::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
-  if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1u;
+  const std::size_t limb = i / 64;
+  if (limb >= size_) return false;
+  return ((limbs_[limb] >> (i % 64)) & 1u) != 0;
 }
 
 int BigUint::compare(const BigUint& other) const {
-  if (limbs_.size() != other.limbs_.size()) {
-    return limbs_.size() < other.limbs_.size() ? -1 : 1;
-  }
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    if (limbs_[i] != other.limbs_[i]) return limbs_[i] < other.limbs_[i] ? -1 : 1;
-  }
-  return 0;
+  if (size_ != other.size_) return size_ < other.size_ ? -1 : 1;
+  return compare_limbs(limbs_.data(), other.limbs_.data(), size_);
 }
 
 BigUint BigUint::add(const BigUint& a, const BigUint& b) {
   BigUint out;
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
-  out.limbs_.resize(n + 1, 0);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
-    if (i < a.limbs_.size()) sum += a.limbs_[i];
-    if (i < b.limbs_.size()) sum += b.limbs_[i];
-    out.limbs_[i] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+  const std::size_t n = std::max(a.size_, b.size_);
+  // Limbs past each operand's size are zero, so both read n limbs.
+  const Limb carry = add_limbs(a.limbs_.data(), b.limbs_.data(),
+                               out.limbs_.data(), n);
+  out.size_ = n;
+  if (carry != 0) {
+    if (n == kCapacity) throw_overflow("BigUint::add: result exceeds capacity");
+    out.limbs_[n] = carry;
+    out.size_ = n + 1;
   }
-  out.limbs_[n] = static_cast<std::uint32_t>(carry);
-  out.normalize();
   return out;
 }
 
 BigUint BigUint::sub(const BigUint& a, const BigUint& b) {
   if (a.compare(b) < 0) throw std::invalid_argument("BigUint::sub underflow");
   BigUint out;
-  out.limbs_.resize(a.limbs_.size(), 0);
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.limbs_[i]) - borrow;
-    if (i < b.limbs_.size()) diff -= b.limbs_[i];
-    if (diff < 0) {
-      diff += (1LL << 32);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<std::uint32_t>(diff);
-  }
+  sub_limbs(a.limbs_.data(), b.limbs_.data(), out.limbs_.data(), a.size_);
+  out.size_ = a.size_;
   out.normalize();
   return out;
 }
 
 BigUint BigUint::mul(const BigUint& a, const BigUint& b) {
   if (a.is_zero() || b.is_zero()) return BigUint{};
-  BigUint out;
-  out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < b.limbs_.size(); ++j) {
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(a.limbs_[i]) * b.limbs_[j] +
-          out.limbs_[i + j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    out.limbs_[i + b.limbs_.size()] += static_cast<std::uint32_t>(carry);
+  if (a.size_ + b.size_ - 1 > kCapacity) {
+    throw_overflow("BigUint::mul: result exceeds capacity");
   }
-  out.normalize();
-  return out;
+  std::array<Limb, kCapacity + 1> product{};
+  mul_limbs(a.limbs_.data(), a.size_, b.limbs_.data(), b.size_,
+            product.data());
+  return from_limbs(std::span<const Limb>(product.data(), a.size_ + b.size_));
 }
 
 BigUint BigUint::shifted_left(std::size_t bits) const {
-  if (is_zero() || bits == 0) {
-    BigUint out = *this;
-    return out;
+  if (is_zero() || bits == 0) return *this;
+  if (bits > kCapacity * 64 - bit_length()) {
+    throw_overflow("BigUint::shifted_left: result exceeds capacity");
   }
-  const std::size_t limb_shift = bits / 32;
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t limb_shift = bits / 64;
+  const std::size_t bit_shift = bits % 64;
   BigUint out;
-  out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint64_t value = static_cast<std::uint64_t>(limbs_[i])
-                                << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<std::uint32_t>(value);
-    out.limbs_[i + limb_shift + 1] |= static_cast<std::uint32_t>(value >> 32);
+  for (std::size_t i = 0; i < size_; ++i) {
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    // The capacity check above guarantees a spill past the top is zero.
+    if (bit_shift != 0 && i + limb_shift + 1 < kCapacity) {
+      out.limbs_[i + limb_shift + 1] = limbs_[i] >> (64 - bit_shift);
+    }
   }
+  out.size_ = std::min(kCapacity, size_ + limb_shift + 1);
   out.normalize();
   return out;
 }
 
 BigUint BigUint::shifted_right(std::size_t bits) const {
-  const std::size_t limb_shift = bits / 32;
-  if (limb_shift >= limbs_.size()) return BigUint{};
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t limb_shift = bits / 64;
+  if (limb_shift >= size_) return BigUint{};
+  const std::size_t bit_shift = bits % 64;
   BigUint out;
-  out.limbs_.assign(limbs_.size() - limb_shift, 0);
-  for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    std::uint64_t value = limbs_[i + limb_shift] >> bit_shift;
-    if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      value |= static_cast<std::uint64_t>(limbs_[i + limb_shift + 1])
-               << (32 - bit_shift);
+  out.size_ = size_ - limb_shift;
+  for (std::size_t i = 0; i < out.size_; ++i) {
+    Limb value = limbs_[i + limb_shift] >> bit_shift;
+    if (bit_shift != 0 && i + limb_shift + 1 < size_) {
+      value |= limbs_[i + limb_shift + 1] << (64 - bit_shift);
     }
-    out.limbs_[i] = static_cast<std::uint32_t>(value);
+    out.limbs_[i] = value;
   }
   out.normalize();
   return out;
@@ -163,30 +224,33 @@ void BigUint::divmod(const BigUint& a, const BigUint& b, BigUint& quotient,
                      BigUint& remainder) {
   if (b.is_zero()) throw std::invalid_argument("BigUint division by zero");
   if (a.compare(b) < 0) {
-    quotient = BigUint{};
     remainder = a;
+    quotient = BigUint{};
     return;
   }
-  // Binary long division: O(bits(a) * limbs(b)); plenty for key generation.
   BigUint q;
   BigUint r;
-  const std::size_t total_bits = a.bit_length();
-  q.limbs_.assign((total_bits + 31) / 32, 0);
-  for (std::size_t i = total_bits; i-- > 0;) {
-    r = r.shifted_left(1);
-    if (a.bit(i)) {
-      if (r.limbs_.empty()) r.limbs_.push_back(1);
-      else r.limbs_[0] |= 1u;
+  if (b.size_ == 1) {
+    const Limb d = b.limbs_[0];
+    Limb rem = 0;
+    for (std::size_t i = a.size_; i-- > 0;) {
+      const Wide cur = (static_cast<Wide>(rem) << 64) | a.limbs_[i];
+      q.limbs_[i] = static_cast<Limb>(cur / d);
+      rem = static_cast<Limb>(cur % d);
     }
-    if (r.compare(b) >= 0) {
-      r = sub(r, b);
-      q.limbs_[i / 32] |= 1u << (i % 32);
-    }
+    q.size_ = a.size_;
+    r.limbs_[0] = rem;
+    r.size_ = 1;
+  } else {
+    divide_limbs(a.limbs_.data(), a.size_, b.limbs_.data(), b.size_,
+                 q.limbs_.data(), r.limbs_.data());
+    q.size_ = a.size_ - b.size_ + 1;
+    r.size_ = b.size_;
   }
   q.normalize();
   r.normalize();
-  quotient = std::move(q);
-  remainder = std::move(r);
+  quotient = q;
+  remainder = r;
 }
 
 BigUint BigUint::mod(const BigUint& a, const BigUint& m) {
@@ -198,25 +262,21 @@ BigUint BigUint::mod(const BigUint& a, const BigUint& m) {
 BigUint BigUint::gcd(BigUint a, BigUint b) {
   while (!b.is_zero()) {
     BigUint r = mod(a, b);
-    a = std::move(b);
-    b = std::move(r);
+    a = b;
+    b = r;
   }
   return a;
 }
 
 std::uint32_t BigUint::mod_u32(std::uint32_t divisor) const {
   if (divisor == 0) throw std::invalid_argument("mod_u32 by zero");
+  // Half a limb at a time, so every step is a plain 64-bit division.
   std::uint64_t remainder = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    remainder = ((remainder << 32) | limbs_[i]) % divisor;
+  for (std::size_t i = size_; i-- > 0;) {
+    remainder = ((remainder << 32) | (limbs_[i] >> 32)) % divisor;
+    remainder = ((remainder << 32) | (limbs_[i] & 0xFFFFFFFFu)) % divisor;
   }
   return static_cast<std::uint32_t>(remainder);
-}
-
-std::uint64_t BigUint::low_u64() const {
-  std::uint64_t value = limbs_.empty() ? 0 : limbs_[0];
-  if (limbs_.size() > 1) value |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  return value;
 }
 
 namespace {
@@ -254,11 +314,11 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
   while (!r1.is_zero()) {
     BigUint q, rem;
     divmod(r0, r1, q, rem);
-    r0 = std::move(r1);
-    r1 = std::move(rem);
+    r0 = r1;
+    r1 = rem;
     SignedBig s_next = SignedBig::sub(s0, SignedBig::mul(s1, q));
-    s0 = std::move(s1);
-    s1 = std::move(s_next);
+    s0 = s1;
+    s1 = s_next;
   }
   if (r0 != BigUint(1)) throw std::domain_error("mod_inverse: not coprime");
   if (s0.negative) {
@@ -272,148 +332,219 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
 // Montgomery arithmetic
 // ---------------------------------------------------------------------------
 
-Montgomery::Montgomery(const BigUint& modulus) : modulus_(modulus) {
+Montgomery::Montgomery(const BigUint& modulus) {
   if (!modulus.is_odd() || modulus.bit_length() < 2) {
     throw std::invalid_argument("Montgomery modulus must be odd and > 1");
   }
-  if (modulus.limbs().size() > 64) {
-    throw std::invalid_argument("Montgomery modulus wider than 2048 bits");
+  if (modulus.limbs().size() > kMaxModulusLimbs) {
+    throw std::invalid_argument("Montgomery modulus wider than 1024 bits");
   }
   k_ = modulus.limbs().size();
-  n_limbs_ = modulus.limbs();
+  std::copy(modulus.limbs().begin(), modulus.limbs().end(), n_.begin());
 
-  // n0_inv = -n^{-1} mod 2^32 via Newton-Hensel lifting.
-  const std::uint32_t n0 = n_limbs_[0];
-  std::uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) inv *= 2u - n0 * inv;  // inv = n0^{-1} mod 2^32
-  n0_inv_ = ~inv + 1u;                               // -inv mod 2^32
+  // n0_inv = -n^-1 mod 2^64 by Newton-Hensel lifting: n0 is its own inverse
+  // mod 2^3, and each step doubles the correct low bits (3 -> 96).
+  const Limb n0 = n_[0];
+  Limb inv = n0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
+  n0_inv_ = 0 - inv;
 
-  // R^2 mod n where R = 2^(32k).
-  const BigUint r = BigUint(1).shifted_left(32 * k_);
-  const BigUint r_mod_n = BigUint::mod(r, modulus_);
-  r2_ = to_limbs(BigUint::mod(BigUint::mul(r_mod_n, r_mod_n), modulus_));
+  const BigUint r1 = BigUint::mod(BigUint(1).shifted_left(64 * k_), modulus);
+  const BigUint r2 = BigUint::mod(BigUint::mul(r1, r1), modulus);
+  const BigUint r3 = BigUint::mod(BigUint::mul(r2, r1), modulus);
+  std::copy(r1.limbs().begin(), r1.limbs().end(), r1_.begin());
+  std::copy(r2.limbs().begin(), r2.limbs().end(), r2_.begin());
+  std::copy(r3.limbs().begin(), r3.limbs().end(), r3_.begin());
 }
 
-Montgomery::Limbs Montgomery::to_limbs(const BigUint& value) const {
-  Limbs out = value.limbs();
-  out.resize(k_, 0);
+BigUint Montgomery::modulus() const {
+  return BigUint::from_limbs(std::span<const Limb>(n_.data(), k_));
+}
+
+// Every kernel is written once over K: a nonzero K is the limb count as a
+// compile-time constant (loops unroll, scratch fits exactly), and K == 0 is
+// the generic loop over the run-time k_.
+
+template <typename Kernel>
+void Montgomery::dispatch(Kernel&& kernel) const {
+  // The key sizes in use: the default 256-bit keys have 2-limb CRT primes
+  // and 4-limb public moduli, the 512-bit testbed and registry keys 4 and 8.
+  switch (k_) {
+    case 2: return kernel(std::integral_constant<std::size_t, 2>{});
+    case 4: return kernel(std::integral_constant<std::size_t, 4>{});
+    case 8: return kernel(std::integral_constant<std::size_t, 8>{});
+    default: return kernel(std::integral_constant<std::size_t, 0>{});
+  }
+}
+
+template <std::size_t K>
+void Montgomery::subtract_if_ge_k(const Limb* t, Limb top, Limb* out) const {
+  // The value is top * R + t < 2n, so one subtraction of n reduces it.
+  constexpr std::size_t kWidth = K != 0 ? K : kMaxModulusLimbs;
+  const std::size_t k = K != 0 ? K : k_;
+  std::array<Limb, kWidth> diff{};
+  const Limb borrow = sub_limbs(t, n_.data(), diff.data(), k);
+  const Limb* result = (top != 0 || borrow == 0) ? diff.data() : t;
+  std::copy_n(result, k, out);
+}
+
+template <std::size_t K>
+void Montgomery::mul_k(const Limb* a, const Limb* b, Limb* out) const {
+  // CIOS (coarsely integrated operand scanning): interleave one row of a*b
+  // with one limb of reduction, so the accumulator stays k + 2 limbs.
+  constexpr std::size_t kWidth = K != 0 ? K : kMaxModulusLimbs;
+  const std::size_t k = K != 0 ? K : k_;
+  const Limb* n = n_.data();
+  std::array<Limb, kWidth + 2> t{};
+  for (std::size_t i = 0; i < k; ++i) {
+    // t += a * b[i]
+    const Limb bi = b[i];
+    Limb carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Wide cur = static_cast<Wide>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    Wide cur = static_cast<Wide>(t[k]) + carry;
+    t[k] = static_cast<Limb>(cur);
+    t[k + 1] = static_cast<Limb>(cur >> 64);
+
+    // t = (t + m*n) / 2^64 with m chosen so the low limb cancels.
+    const Limb m = t[0] * n0_inv_;
+    cur = static_cast<Wide>(m) * n[0] + t[0];
+    carry = static_cast<Limb>(cur >> 64);
+    for (std::size_t j = 1; j < k; ++j) {
+      cur = static_cast<Wide>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    cur = static_cast<Wide>(t[k]) + carry;
+    t[k - 1] = static_cast<Limb>(cur);
+    t[k] = t[k + 1] + static_cast<Limb>(cur >> 64);
+  }
+  subtract_if_ge_k<K>(t.data(), t[k], out);
+}
+
+template <std::size_t K>
+void Montgomery::redc_k(const Limb* wide, Limb* out) const {
+  // Separated REDC of a 2k-limb value: clear one low limb per step; the
+  // carry out of limb i + k rides into the next step.
+  constexpr std::size_t kWidth = K != 0 ? K : kMaxModulusLimbs;
+  const std::size_t k = K != 0 ? K : k_;
+  const Limb* n = n_.data();
+  std::array<Limb, 2 * kWidth> t{};
+  std::copy_n(wide, 2 * k, t.begin());
+  Limb spill = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Limb m = t[i] * n0_inv_;
+    Limb carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Wide cur = static_cast<Wide>(m) * n[j] + t[i + j] + carry;
+      t[i + j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    const Wide cur = static_cast<Wide>(t[i + k]) + carry + spill;
+    t[i + k] = static_cast<Limb>(cur);
+    spill = static_cast<Limb>(cur >> 64);
+  }
+  subtract_if_ge_k<K>(t.data() + k, spill, out);
+}
+
+template <std::size_t K>
+void Montgomery::exp_k(const Limb* base, const BigUint& exponent,
+                       Limb* out) const {
+  constexpr std::size_t kWidth = K != 0 ? K : kMaxModulusLimbs;
+  const std::size_t k = K != 0 ? K : k_;
+  const std::size_t bits = exponent.bit_length();
+  if (bits == 0) {
+    std::copy_n(r1_.begin(), k, out);
+    return;
+  }
+  std::array<Limb, kWidth> acc{};
+  if (bits <= 64) {
+    // Left-to-right square-and-multiply: short public exponents.
+    std::array<Limb, kWidth> b{};
+    std::copy_n(base, k, b.begin());
+    acc = b;
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      mul_k<K>(acc.data(), acc.data(), acc.data());
+      if (exponent.bit(i)) mul_k<K>(acc.data(), b.data(), acc.data());
+    }
+  } else {
+    // Fixed 4-bit window: table[d] = base^d. A 64-bit limb holds exactly
+    // 16 windows, so a window never straddles limbs.
+    std::array<std::array<Limb, kWidth>, 16> table{};
+    std::copy_n(r1_.begin(), k, table[0].begin());
+    std::copy_n(base, k, table[1].begin());
+    for (std::size_t d = 2; d < 16; ++d) {
+      mul_k<K>(table[d - 1].data(), table[1].data(), table[d].data());
+    }
+    const std::span<const Limb> e = exponent.limbs();
+    const auto window = [&e](std::size_t w) {
+      return static_cast<std::size_t>((e[w / 16] >> (4 * (w % 16))) & 0xF);
+    };
+    std::size_t w = (bits + 3) / 4 - 1;
+    acc = table[window(w)];
+    while (w-- > 0) {
+      for (int s = 0; s < 4; ++s) {
+        mul_k<K>(acc.data(), acc.data(), acc.data());
+      }
+      const std::size_t d = window(w);
+      if (d != 0) mul_k<K>(acc.data(), table[d].data(), acc.data());
+    }
+  }
+  std::copy_n(acc.begin(), k, out);
+}
+
+void Montgomery::mont_mul(const Limb* a, const Limb* b, Limb* out) const {
+  dispatch([&](auto width) { mul_k<decltype(width)::value>(a, b, out); });
+}
+
+void Montgomery::to_mont(const Limb* a, Limb* out) const {
+  mont_mul(a, r2_.data(), out);
+}
+
+void Montgomery::to_mont_wide(const Limb* wide, Limb* out) const {
+  dispatch([&](auto width) {
+    constexpr std::size_t kWidth = decltype(width)::value;
+    redc_k<kWidth>(wide, out);                // wide * R^-1
+    mul_k<kWidth>(out, r3_.data(), out);      // * R^3 * R^-1 = wide * R
+  });
+}
+
+void Montgomery::from_mont(const Limb* a, Limb* out) const {
+  Residue one{};
+  one[0] = 1;
+  mont_mul(a, one.data(), out);
+}
+
+void Montgomery::mont_exp(const Limb* base, const BigUint& exponent,
+                          Limb* out) const {
+  dispatch(
+      [&](auto width) { exp_k<decltype(width)::value>(base, exponent, out); });
+}
+
+Montgomery::Residue Montgomery::reduce(const BigUint& value) const {
+  const BigUint reduced = BigUint::mod(value, modulus());
+  Residue out{};
+  std::copy(reduced.limbs().begin(), reduced.limbs().end(), out.begin());
   return out;
 }
 
-BigUint Montgomery::from_limbs(const Limbs& limbs) {
-  Bytes be;  // Build via bytes to reuse normalization.
-  be.resize(limbs.size() * 4);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    const std::uint32_t limb = limbs[i];
-    const std::size_t base = (limbs.size() - 1 - i) * 4;
-    be[base] = static_cast<std::uint8_t>(limb >> 24);
-    be[base + 1] = static_cast<std::uint8_t>(limb >> 16);
-    be[base + 2] = static_cast<std::uint8_t>(limb >> 8);
-    be[base + 3] = static_cast<std::uint8_t>(limb);
-  }
-  return BigUint::from_bytes_be(be);
-}
-
-void Montgomery::mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  // Stack scratch: moduli are <= 2048 bits (64 limbs); constructor enforces.
-  std::uint32_t t_storage[66] = {0};
-  const std::span<std::uint32_t> t(t_storage, k_ + 2);
-  for (std::size_t i = 0; i < k_; ++i) {
-    // t += a * b[i]
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(t[j]) +
-          static_cast<std::uint64_t>(a[j]) * b[i] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = static_cast<std::uint64_t>(t[k_]) + carry;
-    t[k_] = static_cast<std::uint32_t>(cur);
-    t[k_ + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    // t = (t + m*n) / 2^32 with m chosen so the low limb cancels.
-    const std::uint32_t m =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(t[0]) * n0_inv_);
-    carry = (static_cast<std::uint64_t>(t[0]) +
-             static_cast<std::uint64_t>(m) * n_limbs_[0]) >>
-            32;
-    for (std::size_t j = 1; j < k_; ++j) {
-      const std::uint64_t cur2 =
-          static_cast<std::uint64_t>(t[j]) +
-          static_cast<std::uint64_t>(m) * n_limbs_[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur2);
-      carry = cur2 >> 32;
-    }
-    cur = static_cast<std::uint64_t>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<std::uint32_t>(cur);
-    t[k_] = t[k_ + 1] + static_cast<std::uint32_t>(cur >> 32);
-    t[k_ + 1] = 0;
-  }
-
-  // Conditional final subtraction so the result is < n.
-  bool geq = t[k_] != 0;
-  if (!geq) {
-    geq = true;
-    for (std::size_t i = k_; i-- > 0;) {
-      if (t[i] != n_limbs_[i]) {
-        geq = t[i] > n_limbs_[i];
-        break;
-      }
-    }
-  }
-  out.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k_));
-  if (geq) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      std::int64_t diff =
-          static_cast<std::int64_t>(out[i]) - n_limbs_[i] - borrow;
-      if (diff < 0) {
-        diff += (1LL << 32);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<std::uint32_t>(diff);
-    }
-  }
-}
-
 BigUint Montgomery::mul(const BigUint& a, const BigUint& b) const {
-  const Limbs a_mont_in = to_limbs(BigUint::mod(a, modulus_));
-  const Limbs b_plain = to_limbs(BigUint::mod(b, modulus_));
-  Limbs a_mont;
-  mont_mul(a_mont_in, r2_, a_mont);  // a*R mod n
-  Limbs product;
-  mont_mul(a_mont, b_plain, product);  // a*R*b*R^{-1} = a*b mod n
-  return from_limbs(product);
+  Residue x = reduce(a);
+  const Residue y = reduce(b);
+  to_mont(x.data(), x.data());            // a * R
+  mont_mul(x.data(), y.data(), x.data());  // a * R * b * R^-1 = a * b
+  return BigUint::from_limbs(std::span<const Limb>(x.data(), k_));
 }
 
 BigUint Montgomery::exp(const BigUint& base, const BigUint& exponent) const {
-  const Limbs base_plain = to_limbs(BigUint::mod(base, modulus_));
-  Limbs base_mont;
-  mont_mul(base_plain, r2_, base_mont);
-
-  // one in Montgomery form: R mod n = mont_mul(R^2 mod n, 1).
-  Limbs one_plain(k_, 0);
-  one_plain[0] = 1;
-  Limbs acc;
-  mont_mul(r2_, one_plain, acc);
-
-  Limbs tmp;
-  const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    mont_mul(acc, acc, tmp);
-    acc.swap(tmp);
-    if (exponent.bit(i)) {
-      mont_mul(acc, base_mont, tmp);
-      acc.swap(tmp);
-    }
-  }
-  // Convert out of Montgomery form.
-  mont_mul(acc, one_plain, tmp);
-  return from_limbs(tmp);
+  Residue x = reduce(base);
+  to_mont(x.data(), x.data());
+  mont_exp(x.data(), exponent, x.data());
+  from_mont(x.data(), x.data());
+  return BigUint::from_limbs(std::span<const Limb>(x.data(), k_));
 }
 
 }  // namespace lookaside::crypto

@@ -1,5 +1,8 @@
 #include "crypto/rsa.h"
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "crypto/sha256.h"
@@ -21,6 +24,25 @@ constexpr std::uint32_t kSmallPrimes[] = {
     719, 727, 733, 739, 743, 751, 757, 761, 769, 773, 787, 797, 809, 811,
     821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887, 907,
     911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997};
+
+// Full PKCS#1 v1.5 needs digest + 11 bytes; below this width not even a
+// truncated digest fits (simulation shortcut for small keys, see header).
+constexpr std::size_t kMinEmsaBytes = 16;
+
+/// Writes the EMSA block for `digest` into `em` (the modulus width, at
+/// least kMinEmsaBytes), truncating the digest when the full layout does
+/// not fit.
+void emsa_encode(const Bytes& digest, std::span<std::uint8_t> em) {
+  const std::size_t width = em.size();
+  const std::size_t digest_len = std::min(digest.size(), width - 11);
+  const auto digest_at =
+      em.begin() + static_cast<std::ptrdiff_t>(width - digest_len);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  std::fill(em.begin() + 2, digest_at - 1, 0xFF);
+  *(digest_at - 1) = 0x00;
+  std::copy_n(digest.begin(), digest_len, digest_at);
+}
 
 BigUint random_odd_with_top_bits(std::size_t bits, SplitMix64& rng) {
   Bytes bytes((bits + 7) / 8);
@@ -96,26 +118,18 @@ bool is_probable_prime(const BigUint& candidate, SplitMix64& rng, int rounds) {
 }
 
 Bytes emsa_pad(const Bytes& digest, std::size_t modulus_bytes) {
-  if (modulus_bytes < 16) {
+  if (modulus_bytes < kMinEmsaBytes) {
     throw std::invalid_argument("modulus too small for EMSA padding");
   }
-  // Full PKCS#1 v1.5 layout needs digest + 11 bytes; otherwise truncate the
-  // digest to fit (simulation shortcut for small keys, see header).
-  const std::size_t digest_len =
-      std::min(digest.size(), modulus_bytes - 11);
-  Bytes em(modulus_bytes, 0xFF);
-  em[0] = 0x00;
-  em[1] = 0x01;
-  em[modulus_bytes - digest_len - 1] = 0x00;
-  for (std::size_t i = 0; i < digest_len; ++i) {
-    em[modulus_bytes - digest_len + i] = digest[i];
-  }
+  Bytes em(modulus_bytes);
+  emsa_encode(digest, em);
   return em;
 }
 
-RsaPublicKey::RsaPublicKey(BigUint modulus, BigUint public_exponent)
-    : n_(std::move(modulus)),
-      e_(std::move(public_exponent)),
+RsaPublicKey::RsaPublicKey(const BigUint& modulus,
+                           const BigUint& public_exponent)
+    : n_(modulus),
+      e_(public_exponent),
       modulus_bytes_((n_.bit_length() + 7) / 8),
       mont_(n_) {}
 
@@ -136,64 +150,119 @@ std::optional<RsaPublicKey> RsaPublicKey::from_wire(const Bytes& wire) {
   if (wire.size() < 2) return std::nullopt;
   const std::size_t exp_len = wire[0];
   if (exp_len == 0 || wire.size() < 1 + exp_len + 1) return std::nullopt;
-  const Bytes exp_bytes(wire.begin() + 1, wire.begin() + 1 + static_cast<std::ptrdiff_t>(exp_len));
-  const Bytes mod_bytes(wire.begin() + 1 + static_cast<std::ptrdiff_t>(exp_len), wire.end());
-  BigUint n = BigUint::from_bytes_be(mod_bytes);
-  if (!n.is_odd()) return std::nullopt;  // RSA modulus is odd
-  return RsaPublicKey(std::move(n), BigUint::from_bytes_be(exp_bytes));
+  const auto mod_begin =
+      wire.begin() + 1 + static_cast<std::ptrdiff_t>(exp_len);
+  const auto mod_significant = std::find_if(
+      mod_begin, wire.end(), [](std::uint8_t b) { return b != 0; });
+  if (static_cast<std::size_t>(wire.end() - mod_significant) >
+      kMaxModulusBits / 8) {
+    return std::nullopt;  // wider than any key the library handles
+  }
+  const BigUint n = BigUint::from_bytes_be(Bytes(mod_significant, wire.end()));
+  if (!n.is_odd() || n < BigUint(3)) return std::nullopt;
+  // At most 255 bytes, so the exponent always fits the capacity.
+  const BigUint e = BigUint::from_bytes_be(Bytes(wire.begin() + 1, mod_begin));
+  if (e.is_zero() || e.bit_length() > n.bit_length()) return std::nullopt;
+  return RsaPublicKey(n, e);
 }
 
 bool RsaPublicKey::verify_digest(const Bytes& digest,
                                  const Bytes& signature) const {
   if (signature.size() != modulus_bytes_) return false;
-  const BigUint sig_int = BigUint::from_bytes_be(signature);
-  if (sig_int >= n_) return false;
-  const BigUint em_int = mont_.exp(sig_int, e_);
-  return em_int.to_bytes_be(modulus_bytes_) == emsa_pad(digest, modulus_bytes_);
+  if (modulus_bytes_ < kMinEmsaBytes) return false;  // no EMSA layout fits
+  const std::size_t k = mont_.limb_count();
+  Montgomery::Residue s{};
+  load_be(signature, std::span<Limb>(s.data(), k));
+  if (compare_limbs(s.data(), mont_.modulus_limbs(), k) >= 0) return false;
+  mont_.to_mont(s.data(), s.data());
+  mont_.mont_exp(s.data(), e_, s.data());
+  mont_.from_mont(s.data(), s.data());
+
+  std::array<std::uint8_t, kMaxModulusBits / 8> em{};
+  std::array<std::uint8_t, kMaxModulusBits / 8> expected{};
+  const std::span<std::uint8_t> em_view(em.data(), modulus_bytes_);
+  const std::span<std::uint8_t> expected_view(expected.data(), modulus_bytes_);
+  store_be(std::span<const Limb>(s.data(), k), em_view);
+  emsa_encode(digest, expected_view);
+  return std::equal(em_view.begin(), em_view.end(), expected_view.begin());
 }
 
-RsaPrivateKey::RsaPrivateKey(RsaPublicKey public_key, BigUint private_exponent)
-    : public_(std::move(public_key)), d_(std::move(private_exponent)) {}
-
-RsaPrivateKey::RsaPrivateKey(RsaPublicKey public_key, BigUint private_exponent,
-                             BigUint p, BigUint q)
-    : public_(std::move(public_key)), d_(std::move(private_exponent)) {
-  const BigUint p_minus_1 = BigUint::sub(p, BigUint(1));
-  const BigUint q_minus_1 = BigUint::sub(q, BigUint(1));
+RsaPrivateKey::RsaPrivateKey(RsaPublicKey public_key,
+                             const BigUint& private_exponent, const BigUint& p,
+                             const BigUint& q)
+    : public_(std::move(public_key)) {
+  // Equal widths give both primes the same limb count k, so n < p * 2^64k
+  // (the wide-REDC bound) and q < 2p (one subtraction reduces m2 mod p).
+  if (p.bit_length() != q.bit_length()) {
+    throw std::invalid_argument("RSA primes must have equal bit lengths");
+  }
+  if (BigUint::mul(p, q) != public_.modulus()) {
+    throw std::invalid_argument("RSA primes do not multiply to the modulus");
+  }
+  const Montgomery mont_p(p);
+  Montgomery::Residue q_inv = mont_p.reduce(BigUint::mod_inverse(q, p));
+  mont_p.to_mont(q_inv.data(), q_inv.data());
   crt_ = std::make_shared<const CrtState>(CrtState{
-      p,
-      q,
-      BigUint::mod(d_, p_minus_1),
-      BigUint::mod(d_, q_minus_1),
-      BigUint::mod_inverse(q, p),
-      Montgomery(p),
+      mont_p,
       Montgomery(q),
+      BigUint::mod(private_exponent, BigUint::sub(p, BigUint(1))),
+      BigUint::mod(private_exponent, BigUint::sub(q, BigUint(1))),
+      q_inv,
   });
 }
 
 Bytes RsaPrivateKey::sign_digest(const Bytes& digest) const {
-  const Bytes em = emsa_pad(digest, public_.modulus_bytes());
-  const BigUint em_int = BigUint::from_bytes_be(em);
-  if (crt_ == nullptr) {
-    const BigUint sig = public_.mont_.exp(em_int, d_);
-    return sig.to_bytes_be(public_.modulus_bytes());
+  const std::size_t width = public_.modulus_bytes();
+  const Montgomery& mont_p = crt_->mont_p;
+  const Montgomery& mont_q = crt_->mont_q;
+  const std::size_t k = mont_p.limb_count();
+  const Limb* p = mont_p.modulus_limbs();
+  const Limb* q = mont_q.modulus_limbs();
+
+  std::array<std::uint8_t, kMaxModulusBits / 8> em_bytes{};
+  const std::span<std::uint8_t> em_view(em_bytes.data(), width);
+  emsa_encode(digest, em_view);
+  std::array<Limb, 2 * kMaxModulusLimbs> em{};
+  load_be(em_view, std::span<Limb>(em.data(), 2 * k));
+
+  // m1 = EM^dp mod p and m2 = EM^dq mod q. EM < n < p * R, so one REDC and
+  // one multiply by R^3 bring it into Montgomery form without dividing.
+  Montgomery::Residue m1{};
+  Montgomery::Residue m2{};
+  mont_p.to_mont_wide(em.data(), m1.data());
+  mont_p.mont_exp(m1.data(), crt_->dp, m1.data());
+  mont_p.from_mont(m1.data(), m1.data());
+  mont_q.to_mont_wide(em.data(), m2.data());
+  mont_q.mont_exp(m2.data(), crt_->dq, m2.data());
+  mont_q.from_mont(m2.data(), m2.data());
+
+  // Garner: sig = m2 + q * ((m1 - m2) * q^-1 mod p). m2 < q < 2p, so one
+  // conditional subtraction reduces it mod p.
+  Montgomery::Residue h{};
+  std::copy_n(m2.begin(), k, h.begin());
+  if (compare_limbs(h.data(), p, k) >= 0) sub_limbs(h.data(), p, h.data(), k);
+  if (sub_limbs(m1.data(), h.data(), h.data(), k) != 0) {
+    add_limbs(h.data(), p, h.data(), k);
   }
-  // Garner's CRT recombination: sig = m2 + q * ((m1 - m2) * q^-1 mod p).
-  const BigUint m1 = crt_->mont_p.exp(em_int, crt_->dp);
-  const BigUint m2 = crt_->mont_q.exp(em_int, crt_->dq);
-  const BigUint m2_mod_p = BigUint::mod(m2, crt_->p);
-  const BigUint diff = m1 >= m2_mod_p
-                           ? BigUint::sub(m1, m2_mod_p)
-                           : BigUint::sub(BigUint::add(m1, crt_->p), m2_mod_p);
-  const BigUint h = crt_->mont_p.mul(diff, crt_->q_inv_mod_p);
-  const BigUint sig = BigUint::add(m2, BigUint::mul(crt_->q, h));
-  return sig.to_bytes_be(public_.modulus_bytes());
+  // The Montgomery-form inverse cancels the multiply's R^-1.
+  mont_p.mont_mul(h.data(), crt_->q_inv_mont_p.data(), h.data());
+
+  std::array<Limb, 2 * kMaxModulusLimbs> sig{};
+  mul_limbs(q, k, h.data(), k, sig.data());
+  std::array<Limb, 2 * kMaxModulusLimbs> m2_wide{};
+  std::copy_n(m2.begin(), k, m2_wide.begin());
+  add_limbs(sig.data(), m2_wide.data(), sig.data(), 2 * k);  // < n: no carry
+
+  Bytes out(width);
+  store_be(std::span<const Limb>(sig.data(), 2 * k), out);
+  return out;
 }
 
 RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, SplitMix64& rng) {
-  if (modulus_bits < 256 || modulus_bits % 32 != 0) {
+  if (modulus_bits < 256 || modulus_bits > kMaxModulusBits ||
+      modulus_bits % 32 != 0) {
     throw std::invalid_argument(
-        "modulus_bits must be >= 256 and a multiple of 32");
+        "modulus_bits must be 256 to 1024 and a multiple of 32");
   }
   const BigUint e(65537);
   for (;;) {
@@ -205,9 +274,9 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, SplitMix64& rng) {
     const BigUint phi = BigUint::mul(BigUint::sub(p, BigUint(1)),
                                      BigUint::sub(q, BigUint(1)));
     if (BigUint::gcd(e, phi) != BigUint(1)) continue;
-    BigUint d = BigUint::mod_inverse(e, phi);
+    const BigUint d = BigUint::mod_inverse(e, phi);
     RsaPublicKey pub(n, e);
-    RsaPrivateKey priv(pub, std::move(d), p, q);
+    RsaPrivateKey priv(pub, d, p, q);
     return RsaKeyPair{std::move(pub), std::move(priv)};
   }
 }

@@ -19,7 +19,9 @@ namespace lookaside::crypto {
 /// RSA public key (n, e) plus a cached Montgomery context for fast verify.
 class RsaPublicKey {
  public:
-  RsaPublicKey(BigUint modulus, BigUint public_exponent);
+  /// Throws std::invalid_argument for a modulus Montgomery rejects (even,
+  /// below 3 or wider than kMaxModulusBits).
+  RsaPublicKey(const BigUint& modulus, const BigUint& public_exponent);
 
   [[nodiscard]] const BigUint& modulus() const { return n_; }
   [[nodiscard]] const BigUint& exponent() const { return e_; }
@@ -27,42 +29,47 @@ class RsaPublicKey {
 
   /// RFC 3110-style wire form: explen(1) | exponent | modulus.
   [[nodiscard]] Bytes to_wire() const;
+  /// Parses the wire form; nullopt for malformed input, a modulus that is
+  /// even, below 3 or wider than kMaxModulusBits, or an exponent that is
+  /// zero or wider than the modulus.
   [[nodiscard]] static std::optional<RsaPublicKey> from_wire(const Bytes& wire);
 
-  /// Verifies `signature` over `digest` (already hashed message).
+  /// Verifies `signature` over `digest` (already hashed message). Never
+  /// allocates.
   [[nodiscard]] bool verify_digest(const Bytes& digest,
                                    const Bytes& signature) const;
 
  private:
-  friend class RsaPrivateKey;
   BigUint n_;
   BigUint e_;
   std::size_t modulus_bytes_;
   Montgomery mont_;
 };
 
-/// RSA private key; holds the matching public key. When constructed with
-/// the prime factorization, signing uses the CRT (about 4x faster — the
-/// simulator signs on-line, so this matters at the million-domain scale).
+/// RSA private key; holds the matching public key and signs through the
+/// CRT with per-prime Montgomery contexts computed once at construction.
 class RsaPrivateKey {
  public:
-  RsaPrivateKey(RsaPublicKey public_key, BigUint private_exponent);
-  RsaPrivateKey(RsaPublicKey public_key, BigUint private_exponent, BigUint p,
-                BigUint q);
+  /// p and q must be the primes of the public modulus, of equal bit length
+  /// (as generate_rsa_keypair makes them); either may be the larger. Throws
+  /// std::invalid_argument otherwise.
+  RsaPrivateKey(RsaPublicKey public_key, const BigUint& private_exponent,
+                const BigUint& p, const BigUint& q);
 
   [[nodiscard]] const RsaPublicKey& public_key() const { return public_; }
 
-  /// Signs an already-hashed message; output is modulus-width bytes.
+  /// Signs an already-hashed message; output is modulus-width bytes and is
+  /// the only allocation.
   [[nodiscard]] Bytes sign_digest(const Bytes& digest) const;
 
  private:
   struct CrtState {
-    BigUint p, q, dp, dq, q_inv_mod_p;
     Montgomery mont_p, mont_q;
+    BigUint dp, dq;                     // d mod (p-1), d mod (q-1)
+    Montgomery::Residue q_inv_mont_p;   // q^-1 mod p, Montgomery form
   };
 
   RsaPublicKey public_;
-  BigUint d_;
   std::shared_ptr<const CrtState> crt_;  // shared: keys are copied freely
 };
 
@@ -72,8 +79,9 @@ struct RsaKeyPair {
   RsaPrivateKey private_key;
 };
 
-/// Generates an RSA key pair with an n of `modulus_bits` (>= 256, multiple of
-/// 32) and e = 65537, using the caller's deterministic RNG.
+/// Generates an RSA key pair with an n of `modulus_bits` (256 to
+/// kMaxModulusBits, multiple of 32) and e = 65537, using the caller's
+/// deterministic RNG.
 [[nodiscard]] RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits,
                                               SplitMix64& rng);
 

@@ -98,17 +98,20 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
 }
 
 Bytes Sha256::finish() {
+  // Pad in the block buffer: 0x80, zeros up to byte 56 (spilling into a
+  // second block when fewer than 8 bytes remain), then the bit length.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  // The length bytes exactly fill the final block; update() processes it.
-  update(length_bytes, 8);
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
 
   Bytes digest(kDigestSize);
   for (int i = 0; i < 8; ++i) {

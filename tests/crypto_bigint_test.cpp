@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "crypto/bigint.h"
 #include "crypto/rng.h"
@@ -141,6 +142,12 @@ TEST(BigUintTest, ModInverseNotCoprimeThrows) {
 TEST(MontgomeryTest, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigUint(10)), std::invalid_argument);
   EXPECT_THROW(Montgomery(BigUint(1)), std::invalid_argument);
+  // Odd, but wider than the 1024-bit ceiling; the ceiling itself is fine.
+  const BigUint at_ceiling =
+      BigUint::sub(BigUint(1).shifted_left(kMaxModulusBits), BigUint(1));
+  EXPECT_NO_THROW(Montgomery{at_ceiling});
+  EXPECT_THROW(Montgomery{BigUint::add(at_ceiling, BigUint(2))},
+               std::invalid_argument);
 }
 
 TEST(MontgomeryTest, MulMatchesDivmod) {
@@ -190,6 +197,174 @@ TEST(MontgomeryTest, MultiLimbModulus) {
       expect = BigUint::mod(BigUint::mul(expect, base), m);
     }
     EXPECT_EQ(mont.exp(base, exponent), expect);
+  }
+}
+
+TEST(BigUintTest, CapacityOverflowThrows) {
+  const Bytes widest(8 * BigUint::kCapacity, 0xFF);
+  const BigUint max = BigUint::from_bytes_be(widest);
+  EXPECT_EQ(max.bit_length(), 64 * BigUint::kCapacity);
+  Bytes too_wide = widest;
+  too_wide.insert(too_wide.begin(), 0x01);
+  EXPECT_THROW((void)BigUint::from_bytes_be(too_wide), std::overflow_error);
+  too_wide[0] = 0x00;  // leading zeros do not count
+  EXPECT_EQ(BigUint::from_bytes_be(too_wide), max);
+  EXPECT_THROW((void)BigUint::add(max, BigUint(1)), std::overflow_error);
+  EXPECT_THROW((void)max.shifted_left(1), std::overflow_error);
+  EXPECT_THROW((void)BigUint::mul(max, BigUint(2)), std::overflow_error);
+  EXPECT_EQ(BigUint::sub(max, max), BigUint{});
+  EXPECT_EQ(max.shifted_right(64 * BigUint::kCapacity - 1), BigUint(1));
+}
+
+BigUint random_value(std::size_t limbs, SplitMix64& rng) {
+  std::vector<Limb> raw(limbs);
+  for (Limb& limb : raw) limb = rng.next();
+  return BigUint::from_limbs(raw);
+}
+
+BigUint reference_pow(const BigUint& base, const BigUint& exponent,
+                      const BigUint& m) {
+  const BigUint b = BigUint::mod(base, m);
+  BigUint result = BigUint::mod(BigUint(1), m);
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    result = BigUint::mod(BigUint::mul(result, result), m);
+    if (exponent.bit(i)) result = BigUint::mod(BigUint::mul(result, b), m);
+  }
+  return result;
+}
+
+TEST(MontgomeryPropertyTest, MatchesSquareAndMultiplyAtEveryWidth) {
+  // Every limb count up to the ceiling: the specialised widths (2, 4, 8)
+  // and the generic loop (the rest). Top limbs of 1 and all-ones exercise
+  // the division's normalisation shifts of 63 and 0.
+  SplitMix64 rng(0x5eed);
+  for (std::size_t limbs = 1; limbs <= kMaxModulusLimbs; ++limbs) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<Limb> raw(limbs);
+      for (Limb& limb : raw) limb = rng.next();
+      if (trial == 0) raw.back() = 1;
+      if (trial == 1) raw.back() = ~Limb{0};
+      raw.back() |= 1;  // nonzero top limb
+      raw.front() |= 1;  // odd
+      if (limbs == 1 && raw.front() == 1) raw.front() = 3;
+      const BigUint n = BigUint::from_limbs(raw);
+      const Montgomery mont(n);
+      ASSERT_EQ(mont.limb_count(), limbs);
+      ASSERT_EQ(mont.modulus(), n);
+
+      const BigUint n_minus_1 = BigUint::sub(n, BigUint(1));
+      const std::vector<BigUint> bases = {
+          BigUint{},         BigUint(1),
+          n_minus_1,         n,
+          BigUint::add(n, BigUint(1)),
+          random_value(limbs, rng),
+          random_value(2 * limbs, rng),
+      };
+      const std::vector<BigUint> exponents = {
+          BigUint{},
+          BigUint(1),
+          BigUint(2),
+          BigUint(65537),
+          BigUint(~std::uint64_t{0}),  // 64 bits: square-and-multiply
+          BigUint::add(BigUint(1).shifted_left(64), BigUint(1)),  // window
+          random_value(2, rng),
+          random_value(limbs, rng),
+      };
+      for (const BigUint& base : bases) {
+        for (const BigUint& exponent : exponents) {
+          ASSERT_EQ(mont.exp(base, exponent), reference_pow(base, exponent, n))
+              << "limbs=" << limbs << " trial=" << trial;
+        }
+        for (const BigUint& other : bases) {
+          // Reduce first: two 2k-limb bases overflow the capacity.
+          const BigUint expect = BigUint::mod(
+              BigUint::mul(BigUint::mod(base, n), BigUint::mod(other, n)), n);
+          ASSERT_EQ(mont.mul(base, other), expect)
+              << "limbs=" << limbs << " trial=" << trial;
+        }
+      }
+      // (n - 1)^2 = n^2 - 2n + 1 = 1 (mod n) for every modulus.
+      EXPECT_EQ(mont.exp(n_minus_1, BigUint(2)), BigUint(1));
+    }
+  }
+}
+
+TEST(MontgomeryPropertyTest, WideReductionMatchesDivision) {
+  // to_mont_wide is how RSA signing brings a 2k-limb EM into the CRT
+  // primes' Montgomery form: any value below n * R must land on value mod n.
+  SplitMix64 rng(77);
+  for (std::size_t limbs = 1; limbs <= kMaxModulusLimbs / 2; ++limbs) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Limb> raw(limbs);
+      for (Limb& limb : raw) limb = rng.next();
+      raw.back() |= Limb{1} << 63;
+      raw.front() |= 1;
+      const BigUint n = BigUint::from_limbs(raw);
+      const Montgomery mont(n);
+      // wide = x * n + y with x < R and y < n, so wide < n * R.
+      const BigUint wide =
+          BigUint::add(BigUint::mul(random_value(limbs, rng), n),
+                       BigUint::mod(random_value(limbs, rng), n));
+      std::vector<Limb> wide_limbs(2 * limbs, 0);
+      std::copy(wide.limbs().begin(), wide.limbs().end(), wide_limbs.begin());
+      Montgomery::Residue out{};
+      mont.to_mont_wide(wide_limbs.data(), out.data());
+      mont.from_mont(out.data(), out.data());
+      EXPECT_EQ(BigUint::from_limbs(std::span<const Limb>(out.data(), limbs)),
+                BigUint::mod(wide, n))
+          << "limbs=" << limbs << " trial=" << trial;
+    }
+  }
+}
+
+TEST(BigUintPropertyTest, DivisionReconstructsAtEveryWidth) {
+  // Knuth D against its own identity: a == q*b + r with r < b, for divisors
+  // of every limb count, including the qhat-correction edge where the top
+  // divisor limb is all ones.
+  SplitMix64 rng(0xd1u);
+  for (std::size_t b_limbs = 1; b_limbs <= kMaxModulusLimbs; ++b_limbs) {
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<Limb> raw(b_limbs);
+      for (Limb& limb : raw) limb = rng.next();
+      if (trial % 5 == 0) raw.back() = ~Limb{0};
+      if (trial % 5 == 1) raw.back() = 1;
+      if (raw.back() == 0) raw.back() = 1;
+      const BigUint b = BigUint::from_limbs(raw);
+      const BigUint a =
+          random_value(b_limbs + 1 + rng.next_below(b_limbs + 1), rng);
+      BigUint q, r;
+      BigUint::divmod(a, b, q, r);
+      EXPECT_LT(r, b);
+      EXPECT_EQ(BigUint::add(BigUint::mul(q, b), r), a)
+          << "b_limbs=" << b_limbs << " trial=" << trial;
+    }
+  }
+  // Random operands almost never take the rare add-back step (qhat still
+  // one too large after the two-limb correction); these do.
+  struct AddBack {
+    std::vector<Limb> u, v;
+    const char* quotient;
+    const char* remainder;
+  };
+  const std::vector<AddBack> add_back = {
+      {{0, 0, Limb{1} << 63, ~Limb{0} >> 1},
+       {1, 0, Limb{1} << 63},
+       "fffffffffffffffe",
+       "7fffffffffffffffffffffffffffffff0000000000000002"},
+      {{3, 0, Limb{1} << 63},
+       {1, 0, Limb{1} << 61},
+       "03",
+       "200000000000000000000000000000000000000000000000"},
+      {{0, ~Limb{0} - 1, 0, Limb{1} << 63},
+       {~Limb{0}, 0, Limb{1} << 63},
+       "ffffffffffffffff",
+       "7fffffffffffffffffffffffffffffffffffffffffffffff"},
+  };
+  for (const AddBack& c : add_back) {
+    BigUint q, r;
+    BigUint::divmod(BigUint::from_limbs(c.u), BigUint::from_limbs(c.v), q, r);
+    EXPECT_EQ(to_hex(q.to_bytes_be()), c.quotient);
+    EXPECT_EQ(to_hex(r.to_bytes_be()), c.remainder);
   }
 }
 

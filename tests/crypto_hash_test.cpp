@@ -58,6 +58,49 @@ TEST(Sha256Test, ExactBlockBoundaryLengths) {
   }
 }
 
+// 'x' * len across the padding edges: 55 is the longest message whose
+// length fits the first block, 56..63 spill the length into a second block,
+// and 64/119/120/128 repeat the pattern one block later. Digests computed
+// with Python's hashlib.
+struct PaddingVector {
+  std::size_t len;
+  const char* sha256;
+  const char* sha1;
+};
+
+constexpr PaddingVector kPaddingVectors[] = {
+    {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072",
+     "cef734ba81a024479e09eb5a75b6ddae62e6abf1"},
+    {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e",
+     "901305367c259952f4e7af8323f480d59f81335b"},
+    {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2",
+     "0ddc4e0cccd9a12850deb5abb0853a4425559fec"},
+    {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c",
+     "bb2fa3ee7afb9f54c6dfb5d021f14b1ffe40c163"},
+    {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9",
+     "78c741ddc482e4cdf8c474a0876347a0905b6233"},
+    {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c",
+     "4300320394f7ee239bcdce7d3b8bcee173a0cd5c"},
+    {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98",
+     "ceb2821639c4b6dcb10bce0e522ca2e608ce056d"},
+    {128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464",
+     "150fa3fbdc899bd0b8f95a9fb6027f564d953762"},
+};
+
+TEST(Sha256Test, PaddingBoundaryKnownAnswers) {
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(to_hex(Sha256::digest(std::string(v.len, 'x'))), v.sha256)
+        << "len=" << v.len;
+  }
+}
+
+TEST(Sha1Test, PaddingBoundaryKnownAnswers) {
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(to_hex(Sha1::digest(std::string(v.len, 'x'))), v.sha1)
+        << "len=" << v.len;
+  }
+}
+
 TEST(Sha1Test, EmptyMessage) {
   EXPECT_EQ(to_hex(Sha1::digest("")),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");

@@ -140,6 +140,32 @@ TEST_F(ValidatorTest, ParseKeyCachesAndRejectsGarbage) {
   EXPECT_EQ(validator_.parse_key(garbage), nullptr);
 }
 
+TEST_F(ValidatorTest, DegenerateKeyIsInvalidNotAnException) {
+  // An RRSIG whose key tag selects a malformed DNSKEY: modulus 1 (with and
+  // without leading zeros), an even modulus, one wider than the 1024-bit
+  // ceiling, and a zero exponent. The key fails to parse; nothing throws.
+  std::vector<dns::Bytes> bad_keys = {
+      {0x01, 0x03, 0x01},
+      {0x01, 0x03, 0x00, 0x00, 0x01},
+      {0x01, 0x03, 0x0A},
+      {0x01, 0x00, 0xC5},
+  };
+  dns::Bytes wide = {0x01, 0x03};
+  wide.resize(2 + 300, 0xFF);
+  bad_keys.push_back(wide);
+  for (const dns::Bytes& public_key : bad_keys) {
+    const dns::DnskeyRdata bad{dns::DnskeyRdata::kFlagZoneKey, 3, 8,
+                               public_key};
+    dns::RRset keys(owner_, dns::RRType::kDnskey);
+    keys.add(dns::ResourceRecord::make(owner_, 3600, dns::Rdata{bad}));
+    dns::ResourceRecord record = make_signature();
+    std::get<dns::RrsigRdata>(record.rdata).key_tag = bad.key_tag();
+    SigCheck result = SigCheck::kValid;
+    EXPECT_NO_THROW(result = validator_.verify_rrset(rrset_, {record}, keys));
+    EXPECT_NE(result, SigCheck::kValid);
+  }
+}
+
 TEST(GroupSectionTest, GroupsByNameAndType) {
   const dns::Name a = dns::Name::parse("a.com");
   const dns::Name b = dns::Name::parse("b.com");
