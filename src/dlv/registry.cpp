@@ -63,10 +63,10 @@ dns::Name DlvRegistry::dlv_name_for(const dns::Name& domain) const {
              : clear_dlv_name(domain, options_.apex);
 }
 
-void DlvRegistry::deposit(const dns::Name& domain, const dns::DsRdata& ds) {
-  const dns::Name owner = dlv_name_for(domain);
+void DlvRegistry::deposit(const dns::Name& domain, dns::DsRdata ds) {
   zone_->zone().add(dns::ResourceRecord::make_typed(
-      owner, dns::RRType::kDlv, options_.record_ttl, dns::Rdata{ds}));
+      dlv_name_for(domain), dns::RRType::kDlv, options_.record_ttl,
+      dns::Rdata{std::move(ds)}));
   zone_->invalidate_signature_cache();
   ++record_count_;
 }

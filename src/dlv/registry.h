@@ -71,7 +71,7 @@ class DlvRegistry : public sim::Endpoint {
 
   /// Deposits `ds` for `domain`. In hashed mode the owner label becomes
   /// hex(SHA-256(domain)) truncated to 32 hex chars.
-  void deposit(const dns::Name& domain, const dns::DsRdata& ds);
+  void deposit(const dns::Name& domain, dns::DsRdata ds);
 
   /// True when a DLV record for `domain` is registered.
   [[nodiscard]] bool has_record(const dns::Name& domain) const;

@@ -93,7 +93,22 @@ Name Name::with_prefix_label(std::string_view label) const {
 Name Name::concat(const Name& suffix) const {
   if (is_root()) return suffix;
   if (suffix.is_root()) return *this;
-  return parse(text_ + "." + suffix.text_);
+  // Both label lists are already validated and lowercase: splice them
+  // instead of re-parsing the joined text.
+  Name out;
+  out.text_.reserve(text_.size() + 1 + suffix.text_.size());
+  out.text_.append(text_).append(1, '.').append(suffix.text_);
+  if (out.wire_length() > 255) {
+    throw std::invalid_argument("DNS name > 255 octets");
+  }
+  const std::size_t shift = text_.size() + 1;
+  out.label_starts_.reserve(label_starts_.size() + suffix.label_starts_.size());
+  out.label_starts_.assign(label_starts_.begin(), label_starts_.end());
+  for (const std::uint16_t start : suffix.label_starts_) {
+    out.label_starts_.push_back(static_cast<std::uint16_t>(start + shift));
+  }
+  out.hash_ = hash_text(out.text_);
+  return out;
 }
 
 bool Name::is_subdomain_of(const Name& ancestor) const {

@@ -44,9 +44,6 @@ ServeStack::ServeStack(const ScenarioOptions& options, obs::Tracer* tracer,
   world_options.universe.seed = options.seed;
   world_options.seed = crypto::derive_seed(options.seed, 0x0F0F);
   world_options.dlv = options.dlv;
-  // Deposits beyond the sampled head never get queried; capping the scan
-  // keeps small scenario builds fast without changing any observable.
-  world_options.deposit_scan_limit = options.universe_size;
 
   world = std::make_unique<workload::UniverseWorld>(world_options);
   world->registry().attach_clock(clock);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "crypto/rng.h"
@@ -10,19 +11,25 @@ namespace lookaside::workload {
 
 namespace {
 
-// Approximate Alexa TLD mix (share of ranked sites).
-struct TldShare {
-  const char* tld;
-  double share;
-};
-constexpr TldShare kTldMix[] = {
-    {"com", 0.52}, {"net", 0.13}, {"org", 0.10}, {"ru", 0.05},
-    {"de", 0.04},  {"jp", 0.03},  {"uk", 0.03},  {"br", 0.02},
-    {"info", 0.02}, {"fr", 0.015}, {"it", 0.015}, {"nl", 0.01},
-    {"pl", 0.01},  {"in", 0.01},  {"cn", 0.01},  {"edu", 0.01},
-};
+// Calibrated model constants (DESIGN.md "Calibrated model constants").
+// P(chained to root | rank): signed with DS in parent. ~2% flat.
+constexpr double kChainSecureProbability = 0.02;
+// Extra islands that never deposited anywhere (signed, no DS, no DLV).
+constexpr double kOrphanIslandProbability = 0.01;
+// P(nameservers in-bailiwick, glue served by the TLD).
+constexpr double kGlueProbability = 0.40;
+// Number of distinct out-of-bailiwick hosting providers.
+constexpr std::uint64_t kProviderCount = 2000;
+// Deposit model: each TLD's "top" rate applies up to kDepositTopBand ranks
+// (driving §5.3's Case-1 utility) and its "tail" rate from
+// kDepositTailBand on (driving the DLV zone's NSEC gap density and hence
+// Fig. 9's decay); the rates log-interpolate in between. Deposited domains
+// are signed islands (signed, no DS in parent, DS in the DLV registry).
+constexpr std::uint64_t kDepositTopBand = 10'000;
+constexpr std::uint64_t kDepositTailBand = 100'000;
 
-// DLV adoption skew across TLDs: per-TLD (top-rank rate, tail rate).
+// Approximate Alexa TLD mix (share of ranked sites) and each TLD's DLV
+// adoption skew (deposit rate at the top ranks and in the tail).
 //
 // The tail deposit density varies by orders of magnitude between TLDs,
 // which is what makes Fig. 9's decay log-linear: a DLV-zone region with
@@ -31,17 +38,42 @@ constexpr TldShare kTldMix[] = {
 // producing fresh ranges until N is large. The suppression crossover for a
 // TLD sits near share_tld * N ~ gap count, so spreading gap counts across
 // decades spreads crossovers across decades of N.
-struct DepositRates {
-  double top;
-  double tail;
+struct TldProfile {
+  const char* tld;
+  double share;
+  double top_rate;
+  double tail_rate;
 };
-DepositRates tld_deposit_rates(const std::string& tld) {
-  if (tld == "com") return {0.14, 0.10};          // dense: suppresses last
-  if (tld == "net" || tld == "org") return {0.10, 0.010};
-  if (tld == "de") return {0.010, 0.0008};
-  if (tld == "ru") return {0.008, 0.0004};
-  return {0.002, 0.00005};  // minor TLDs: a few ranges cover everything early
-}
+// Minor TLDs: a few NSEC ranges cover everything early.
+constexpr double kMinorTop = 0.002;
+constexpr double kMinorTail = 0.00005;
+constexpr TldProfile kTlds[] = {
+    {"com", 0.52, 0.14, 0.10},  // dense: suppresses last
+    {"net", 0.13, 0.10, 0.010},
+    {"org", 0.10, 0.10, 0.010},
+    {"ru", 0.05, 0.008, 0.0004},
+    {"de", 0.04, 0.010, 0.0008},
+    {"jp", 0.03, kMinorTop, kMinorTail},
+    {"uk", 0.03, kMinorTop, kMinorTail},
+    {"br", 0.02, kMinorTop, kMinorTail},
+    {"info", 0.02, kMinorTop, kMinorTail},
+    {"fr", 0.015, kMinorTop, kMinorTail},
+    {"it", 0.015, kMinorTop, kMinorTail},
+    {"nl", 0.01, kMinorTop, kMinorTail},
+    {"pl", 0.01, kMinorTop, kMinorTail},
+    {"in", 0.01, kMinorTop, kMinorTail},
+    {"cn", 0.01, kMinorTop, kMinorTail},
+    {"edu", 0.01, kMinorTop, kMinorTail},
+};
+
+// The highest deposit rate any TLD reaches at any rank.
+constexpr double kMaxDepositRate = [] {
+  double out = 0;
+  for (const TldProfile& entry : kTlds) {
+    out = std::max({out, entry.top_rate, entry.tail_rate});
+  }
+  return out;
+}();
 
 std::string base36(std::uint64_t value) {
   static constexpr char kDigits[] = "0123456789abcdefghijklmnopqrstuvwxyz";
@@ -72,9 +104,14 @@ constexpr std::string_view kProviderPrefix = "hostprov";
 
 }  // namespace
 
-Universe::Universe(UniverseOptions options) : options_(options) {
+Universe::Universe(UniverseOptions options)
+    : options_(options),
+      top_band_(std::min(kDepositTopBand, options_.size)),
+      tail_band_(std::max(kDepositTailBand, top_band_ + 1)),
+      log_top_band_(std::log10(static_cast<double>(top_band_))),
+      log_tail_band_(std::log10(static_cast<double>(tail_band_))) {
   double cumulative = 0;
-  for (const TldShare& entry : kTldMix) {
+  for (const TldProfile& entry : kTlds) {
     tlds_.emplace_back(entry.tld);
     cumulative += entry.share;
     tld_cumulative_.push_back(cumulative);
@@ -92,29 +129,36 @@ double Universe::unit(std::uint64_t rank, std::uint64_t salt) const {
   return static_cast<double>(mix(rank, salt) >> 11) * 0x1.0p-53;
 }
 
-const std::string& Universe::tld_for(std::uint64_t rank) const {
+std::size_t Universe::tld_index(std::uint64_t rank) const {
   const double u = unit(rank, 1);
   for (std::size_t i = 0; i < tld_cumulative_.size(); ++i) {
-    if (u < tld_cumulative_[i]) return tlds_[i];
+    if (u < tld_cumulative_[i]) return i;
   }
-  return tlds_.back();
+  return tlds_.size() - 1;
+}
+
+std::string Universe::domain_text(std::uint64_t rank, std::size_t tld) const {
+  // Label: "site-<rank36>-<2 hash chars>" — rank recoverable, names vary.
+  const std::uint64_t h = mix(rank, 2);
+  std::string text(kDomainPrefix);
+  text += base36(rank);
+  text += '-';
+  text += static_cast<char>('a' + h % 26);
+  text += static_cast<char>('a' + (h / 26) % 26);
+  text += '.';
+  text += tlds_[tld];
+  return text;
 }
 
 dns::Name Universe::domain_at(std::uint64_t rank) const {
   if (rank == 0 || rank > options_.size) {
     throw std::invalid_argument("rank outside universe");
   }
-  // Label: "site-<rank36>-<2 hash chars>" — rank recoverable, names vary.
-  const std::uint64_t h = mix(rank, 2);
-  std::string label(kDomainPrefix);
-  label += base36(rank);
-  label += '-';
-  label += static_cast<char>('a' + h % 26);
-  label += static_cast<char>('a' + (h / 26) % 26);
-  return dns::Name::parse(label + "." + tld_for(rank));
+  return dns::Name::parse(domain_text(rank, tld_index(rank)));
 }
 
-std::optional<std::uint64_t> Universe::rank_of(const dns::Name& name) const {
+std::optional<Universe::Parsed> Universe::parse_domain(
+    const dns::Name& name) const {
   if (name.label_count() < 2) return std::nullopt;
   // The SLD label is the second-from-last.
   const std::string_view label = name.label(name.label_count() - 2);
@@ -129,68 +173,126 @@ std::optional<std::uint64_t> Universe::rank_of(const dns::Name& name) const {
     return std::nullopt;
   }
   // Verify the checksum characters and TLD so foreign names are rejected.
-  if (domain_at(*rank).internal_text() !=
-      std::string(label) + "." +
-          std::string(name.label(name.label_count() - 1))) {
+  const std::size_t tld = tld_index(*rank);
+  std::string text = domain_text(*rank, tld);
+  const std::string_view expected(text);
+  const std::size_t dot = expected.find('.');
+  if (expected.substr(0, dot) != label ||
+      expected.substr(dot + 1) != name.label(name.label_count() - 1)) {
     return std::nullopt;
   }
-  return rank;
+  return Parsed{*rank, tld, std::move(text)};
+}
+
+std::optional<std::uint64_t> Universe::rank_of(const dns::Name& name) const {
+  const auto parsed = parse_domain(name);
+  if (!parsed.has_value()) return std::nullopt;
+  return parsed->rank;
 }
 
 double Universe::deposit_probability(std::uint64_t rank,
-                                     const std::string& tld) const {
-  const DepositRates rates = tld_deposit_rates(tld);
-  const double top = rates.top * options_.deposit_top_scale;
-  const double tail = rates.tail * options_.deposit_tail_scale;
-  const std::uint64_t top_band =
-      std::min(options_.deposit_top_band, options_.size);
-  const std::uint64_t tail_band =
-      std::max(options_.deposit_tail_band, top_band + 1);
+                                     std::size_t tld) const {
+  const double top = kTlds[tld].top_rate;
+  const double tail = kTlds[tld].tail_rate;
   double p;
-  if (rank <= top_band) {
+  if (rank <= top_band_) {
     p = top;
-  } else if (rank >= tail_band) {
+  } else if (rank >= tail_band_) {
     p = tail;
   } else {
     // Log-space interpolation between the bands.
-    const double t = (std::log10(static_cast<double>(rank)) -
-                      std::log10(static_cast<double>(top_band))) /
-                     (std::log10(static_cast<double>(tail_band)) -
-                      std::log10(static_cast<double>(top_band)));
+    const double t = (std::log10(static_cast<double>(rank)) - log_top_band_) /
+                     (log_tail_band_ - log_top_band_);
     p = top + t * (tail - top);
   }
   return std::clamp(p, 0.0, 1.0);
 }
 
-DomainInfo Universe::info(std::uint64_t rank) const {
-  DomainInfo out;
-  out.rank = rank;
-  out.name = domain_at(rank);
-  out.tld = tld_for(rank);
-
+Universe::Deployment Universe::deployment(std::uint64_t rank,
+                                          std::size_t tld) const {
   const double roll = unit(rank, 3);
-  const double p_chain = options_.chain_secure_probability;
-  const double p_deposit = deposit_probability(rank, out.tld);
-  const double p_orphan = options_.orphan_island_probability;
-  if (roll < p_chain) {
-    out.dnssec_signed = true;
-    out.ds_in_parent = true;
-  } else if (roll < p_chain + p_deposit) {
-    out.dnssec_signed = true;
-    out.dlv_deposited = true;  // island with a DLV record
-  } else if (roll < p_chain + p_deposit + p_orphan) {
-    out.dnssec_signed = true;  // orphan island
-  }
+  const double p_chain = kChainSecureProbability;
+  const double p_deposit = deposit_probability(rank, tld);
+  const double p_orphan = kOrphanIslandProbability;
+  if (roll < p_chain) return Deployment::kChained;
+  if (roll < p_chain + p_deposit) return Deployment::kDeposited;
+  if (roll < p_chain + p_deposit + p_orphan) return Deployment::kOrphan;
+  return Deployment::kUnsigned;
+}
 
-  out.glue = unit(rank, 4) < options_.glue_probability;
-  out.provider = mix(rank, 5) % std::max<std::uint64_t>(1, options_.provider_count);
+bool Universe::deposited(std::uint64_t rank) const {
+  // No TLD's rate exceeds kMaxDepositRate, so a roll at or past
+  // p_chain + kMaxDepositRate rules a deposit out without the TLD.
+  if (unit(rank, 3) >= kChainSecureProbability + kMaxDepositRate) {
+    return false;
+  }
+  return deployment(rank, tld_index(rank)) == Deployment::kDeposited;
+}
+
+std::vector<std::uint64_t> Universe::deposits() const {
+  // A name is "site-<rank in base 36>-<2 letters>.<tld>", so canonical
+  // order is the TLD label's text, then the base-36 digits' text: '-' sorts
+  // below every digit, so a rank whose digits prefix another's comes first
+  // and the letters never decide. Visiting ranks in digit-text order and
+  // appending each deposit to its TLD's list leaves every list sorted.
+  std::vector<std::vector<std::uint64_t>> by_tld(tlds_.size());
+  std::uint64_t rank = 1;
+  for (std::uint64_t visited = 0; visited < options_.size; ++visited) {
+    if (deposited(rank)) by_tld[tld_index(rank)].push_back(rank);
+    // Next in digit-text order: the first child (append digit 0) if it is
+    // in range, else the next sibling of the nearest level that has one.
+    if (rank <= options_.size / 36) {
+      rank *= 36;
+    } else {
+      while (rank % 36 == 35 || rank >= options_.size) rank /= 36;
+      ++rank;
+    }
+  }
+  std::vector<std::size_t> tld_order(tlds_.size());
+  std::iota(tld_order.begin(), tld_order.end(), 0);
+  std::sort(tld_order.begin(), tld_order.end(),
+            [&](std::size_t a, std::size_t b) { return tlds_[a] < tlds_[b]; });
+  std::vector<std::uint64_t> out;
+  for (const std::size_t tld : tld_order) {
+    out.insert(out.end(), by_tld[tld].begin(), by_tld[tld].end());
+  }
   return out;
 }
 
+DomainInfo Universe::describe(std::uint64_t rank, std::size_t tld,
+                              dns::Name name) const {
+  DomainInfo out;
+  out.rank = rank;
+  out.name = std::move(name);
+  out.tld = tlds_[tld];
+  switch (deployment(rank, tld)) {
+    case Deployment::kChained:
+      out.dnssec_signed = true;
+      out.ds_in_parent = true;
+      break;
+    case Deployment::kDeposited:
+      out.dnssec_signed = true;
+      out.dlv_deposited = true;  // island with a DLV record
+      break;
+    case Deployment::kOrphan:
+      out.dnssec_signed = true;  // orphan island
+      break;
+    case Deployment::kUnsigned:
+      break;
+  }
+  out.glue = unit(rank, 4) < kGlueProbability;
+  out.provider = mix(rank, 5) % kProviderCount;
+  return out;
+}
+
+DomainInfo Universe::info(std::uint64_t rank) const {
+  return describe(rank, tld_index(rank), domain_at(rank));
+}
+
 std::optional<DomainInfo> Universe::info_by_name(const dns::Name& name) const {
-  const auto rank = rank_of(name);
-  if (!rank.has_value()) return std::nullopt;
-  return info(*rank);
+  const auto parsed = parse_domain(name);
+  if (!parsed.has_value()) return std::nullopt;
+  return describe(parsed->rank, parsed->tld, dns::Name::parse(parsed->text));
 }
 
 dns::Name Universe::provider_ns_host(std::uint64_t provider) const {
@@ -207,7 +309,7 @@ std::optional<std::uint64_t> Universe::provider_of(
   }
   if (name.label(name.label_count() - 1) != "net") return std::nullopt;
   const auto provider = parse_base36(label.substr(kProviderPrefix.size()));
-  if (!provider.has_value() || *provider >= options_.provider_count) {
+  if (!provider.has_value() || *provider >= kProviderCount) {
     return std::nullopt;
   }
   return provider;

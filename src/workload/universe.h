@@ -28,35 +28,12 @@
 
 namespace lookaside::workload {
 
-/// Universe tuning knobs; defaults reproduce the paper's aggregate rates
-/// (see DESIGN.md "Calibrated model constants").
+/// The universe's seed and size. Every rate of the deployment model is a
+/// calibrated constant in universe.cpp (DESIGN.md "Calibrated model
+/// constants").
 struct UniverseOptions {
   std::uint64_t seed = 42;
   std::uint64_t size = 1'000'000;  // total ranks
-
-  /// P(chained to root | rank) — signed with DS in parent. ~2% flat.
-  double chain_secure_probability = 0.02;
-
-  /// Deposit model: each TLD has a "top" rate (applied up to
-  /// `deposit_top_band` ranks, driving §5.3's Case-1 utility) and a "tail"
-  /// rate (beyond `deposit_tail_band`, driving the DLV zone's NSEC gap
-  /// density and hence Fig. 9's decay); the rates log-interpolate in
-  /// between. These scales multiply the built-in per-TLD table. Deposited
-  /// domains are signed islands (signed, no DS in parent, DS in the DLV
-  /// registry).
-  double deposit_top_scale = 1.0;
-  double deposit_tail_scale = 1.0;
-  std::uint64_t deposit_top_band = 10'000;
-  std::uint64_t deposit_tail_band = 100'000;
-
-  /// Extra islands that never deposited anywhere (signed, no DS, no DLV).
-  double orphan_island_probability = 0.01;
-
-  /// P(nameservers in-bailiwick, glue served by the TLD).
-  double glue_probability = 0.40;
-
-  /// Number of distinct out-of-bailiwick hosting providers.
-  std::uint64_t provider_count = 2000;
 };
 
 /// Everything the simulator needs to know about one domain.
@@ -76,11 +53,18 @@ class Universe {
  public:
   explicit Universe(UniverseOptions options);
 
-  [[nodiscard]] const UniverseOptions& options() const { return options_; }
   [[nodiscard]] std::uint64_t size() const { return options_.size; }
 
   /// Domain profile at `rank` (1-based; rank must be in [1, size]).
   [[nodiscard]] DomainInfo info(std::uint64_t rank) const;
+
+  /// True when the owner of `rank` deposited a DLV record; equals
+  /// info(rank).dlv_deposited, decided from the rank alone (no name).
+  [[nodiscard]] bool deposited(std::uint64_t rank) const;
+
+  /// Every deposited rank, ordered by the canonical (RFC 4034) order of
+  /// its domain name. Builds no names.
+  [[nodiscard]] std::vector<std::uint64_t> deposits() const;
 
   /// Just the name at `rank` (cheaper than info()).
   [[nodiscard]] dns::Name domain_at(std::uint64_t rank) const;
@@ -106,16 +90,40 @@ class Universe {
   [[nodiscard]] const std::vector<std::string>& tlds() const { return tlds_; }
 
  private:
+  /// How a rank's owner deployed DNSSEC (DomainInfo's three flags).
+  enum class Deployment { kUnsigned, kChained, kDeposited, kOrphan };
+
   [[nodiscard]] std::uint64_t mix(std::uint64_t rank,
                                   std::uint64_t salt) const;
   [[nodiscard]] double unit(std::uint64_t rank, std::uint64_t salt) const;
-  [[nodiscard]] const std::string& tld_for(std::uint64_t rank) const;
+  /// Index into tlds() of the TLD at `rank`.
+  [[nodiscard]] std::size_t tld_index(std::uint64_t rank) const;
   [[nodiscard]] double deposit_probability(std::uint64_t rank,
-                                           const std::string& tld) const;
+                                           std::size_t tld) const;
+  [[nodiscard]] Deployment deployment(std::uint64_t rank,
+                                      std::size_t tld) const;
+  /// Dotted text of the domain at `rank` under TLD `tld`.
+  [[nodiscard]] std::string domain_text(std::uint64_t rank,
+                                        std::size_t tld) const;
+  [[nodiscard]] DomainInfo describe(std::uint64_t rank, std::size_t tld,
+                                    dns::Name name) const;
+
+  /// A universe domain (or a name under one), verified.
+  struct Parsed {
+    std::uint64_t rank;
+    std::size_t tld;
+    std::string text;  // domain_text(rank, tld)
+  };
+  [[nodiscard]] std::optional<Parsed> parse_domain(const dns::Name& name) const;
 
   UniverseOptions options_;
   std::vector<std::string> tlds_;
   std::vector<double> tld_cumulative_;
+  // Deposit-rate bands for this size and their log10 (deposit_probability).
+  std::uint64_t top_band_ = 0;
+  std::uint64_t tail_band_ = 0;
+  double log_top_band_ = 0;
+  double log_tail_band_ = 0;
 };
 
 }  // namespace lookaside::workload

@@ -8,7 +8,13 @@ namespace lookaside::workload {
 
 namespace {
 
-dns::SoaRdata synthetic_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
+// TTLs of every synthetic record and of negative answers (SOA minimum).
+constexpr std::uint32_t kRecordTtl = 3600;
+constexpr std::uint32_t kNegativeTtl = 3600;
+// SLD zones draw their keys from a pool of this many pairs.
+constexpr std::size_t kKeyPoolSize = 8;
+
+dns::SoaRdata synthetic_soa(const dns::Name& apex) {
   dns::SoaRdata soa;
   soa.primary_ns = apex.is_root() ? dns::Name::parse("a.root-servers.net")
                                   : apex.with_prefix_label("ns1");
@@ -18,7 +24,7 @@ dns::SoaRdata synthetic_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
   soa.refresh = 7200;
   soa.retry = 3600;
   soa.expire = 1209600;
-  soa.minimum_ttl = negative_ttl;
+  soa.minimum_ttl = kNegativeTtl;
   return soa;
 }
 
@@ -106,14 +112,12 @@ namespace {
 class TldAuthority : public sim::Endpoint {
  public:
   TldAuthority(std::string tld, const Universe& universe,
-               const zone::KeyPool& sld_keys, zone::ZoneKeys keys,
-               const WorldOptions& options)
+               const zone::KeyPool& sld_keys, zone::ZoneKeys keys)
       : tld_(std::move(tld)),
         apex_(dns::Name::parse(tld_)),
         universe_(&universe),
         sld_keys_(&sld_keys),
-        signer_(apex_, std::move(keys)),
-        options_(&options) {}
+        signer_(apex_, std::move(keys)) {}
 
   [[nodiscard]] std::string endpoint_id() const override {
     return "tld:" + tld_;
@@ -184,7 +188,7 @@ class TldAuthority : public sim::Endpoint {
     if (in_bailiwick) {
       const dns::Name host = sld.with_prefix_label("ns1");
       response.additionals.push_back(dns::ResourceRecord::make(
-          host, options_->record_ttl, dns::ARdata{synthetic_v4(host)}));
+          host, kRecordTtl, dns::ARdata{synthetic_v4(host)}));
     }
     return response;
   }
@@ -198,17 +202,14 @@ class TldAuthority : public sim::Endpoint {
 
   [[nodiscard]] dns::RRset soa_rrset() const {
     dns::RRset out(apex_, dns::RRType::kSoa);
-    out.add(dns::ResourceRecord::make(
-        apex_, options_->record_ttl,
-        synthetic_soa(apex_, options_->negative_ttl)));
+    out.add(dns::ResourceRecord::make(apex_, kRecordTtl, synthetic_soa(apex_)));
     return out;
   }
 
   [[nodiscard]] dns::RRset apex_ns_rrset() const {
     dns::RRset out(apex_, dns::RRType::kNs);
     out.add(dns::ResourceRecord::make(
-        apex_, options_->record_ttl,
-        dns::NsRdata{apex_.with_prefix_label("ns1")}));
+        apex_, kRecordTtl, dns::NsRdata{apex_.with_prefix_label("ns1")}));
     return out;
   }
 
@@ -222,15 +223,14 @@ class TldAuthority : public sim::Endpoint {
     } else {
       host = universe_->provider_ns_host(info->provider);
     }
-    out.add(dns::ResourceRecord::make(sld, options_->record_ttl,
-                                      dns::NsRdata{host}));
+    out.add(dns::ResourceRecord::make(sld, kRecordTtl, dns::NsRdata{host}));
     return out;
   }
 
   [[nodiscard]] dns::RRset ds_rrset(const DomainInfo& info) const {
     dns::RRset out(info.name, dns::RRType::kDs);
     out.add(dns::ResourceRecord::make(
-        info.name, options_->record_ttl,
+        info.name, kRecordTtl,
         dns::Rdata{zone::make_ds(
             info.name, sld_keys_->keys_for(info.rank).ksk_record())}));
     return out;
@@ -250,8 +250,8 @@ class TldAuthority : public sim::Endpoint {
     nsec.next = cut.with_prefix_label("0");  // first canonical successor
     nsec.types = {dns::RRType::kNs, dns::RRType::kRrsig, dns::RRType::kNsec};
     dns::RRset rrset(cut, dns::RRType::kNsec);
-    rrset.add(dns::ResourceRecord::make(cut, options_->negative_ttl,
-                                        dns::Rdata{nsec}));
+    rrset.add(
+        dns::ResourceRecord::make(cut, kNegativeTtl, dns::Rdata{nsec}));
     append(response.authorities, rrset, true);
   }
 
@@ -274,8 +274,8 @@ class TldAuthority : public sim::Endpoint {
     nsec.types = {dns::RRType::kNs, dns::RRType::kRrsig, dns::RRType::kNsec};
     const dns::Name owner = apex_.with_prefix_label(label_before(label));
     dns::RRset rrset(owner, dns::RRType::kNsec);
-    rrset.add(dns::ResourceRecord::make(owner, options_->negative_ttl,
-                                        dns::Rdata{nsec}));
+    rrset.add(
+        dns::ResourceRecord::make(owner, kNegativeTtl, dns::Rdata{nsec}));
     append(response.authorities, rrset, true);
   }
 
@@ -284,7 +284,6 @@ class TldAuthority : public sim::Endpoint {
   const Universe* universe_;
   const zone::KeyPool* sld_keys_;
   SyntheticSigner signer_;
-  const WorldOptions* options_;
 };
 
 /// One shared endpoint impersonating every SLD authoritative server (and
@@ -318,9 +317,9 @@ class SldAuthority : public sim::Endpoint {
       (void)provider;
       if (question.type == dns::RRType::kA &&
           (question.name == sld || question.name.label(0) == "ns1")) {
-        response.answers.push_back(dns::ResourceRecord::make(
-            question.name, options_->record_ttl,
-            dns::ARdata{synthetic_v4(question.name)}));
+        response.answers.push_back(
+            dns::ResourceRecord::make(question.name, kRecordTtl,
+                                      dns::ARdata{synthetic_v4(question.name)}));
       } else {
         append_plain_soa(response, sld);
       }
@@ -352,13 +351,13 @@ class SldAuthority : public sim::Endpoint {
 
     switch (question.type) {
       case dns::RRType::kA: {
-        answer_rrset(response, question.name, options_->record_ttl,
+        answer_rrset(response, question.name, kRecordTtl,
                      dns::Rdata{dns::ARdata{synthetic_v4(question.name)}},
                      signer, want_dnssec);
         return response;
       }
       case dns::RRType::kAaaa: {
-        answer_rrset(response, question.name, options_->record_ttl,
+        answer_rrset(response, question.name, kRecordTtl,
                      dns::Rdata{synthetic_v6(question.name)}, signer,
                      want_dnssec);
         return response;
@@ -368,13 +367,13 @@ class SldAuthority : public sim::Endpoint {
         const dns::Name host = info->glue
                                    ? sld.with_prefix_label("ns1")
                                    : universe_->provider_ns_host(info->provider);
-        answer_rrset(response, sld, options_->record_ttl,
+        answer_rrset(response, sld, kRecordTtl,
                      dns::Rdata{dns::NsRdata{host}}, signer, want_dnssec);
         return response;
       }
       case dns::RRType::kTxt: {
         if (!apex || !options_->txt_signaling) break;
-        answer_rrset(response, sld, options_->record_ttl,
+        answer_rrset(response, sld, kRecordTtl,
                      dns::Rdata{dns::TxtRdata{
                          {info->dlv_deposited ? "dlv=1" : "dlv=0"}}},
                      signer, want_dnssec);
@@ -382,9 +381,8 @@ class SldAuthority : public sim::Endpoint {
       }
       case dns::RRType::kSoa: {
         if (!apex) break;
-        answer_rrset(response, sld, options_->record_ttl,
-                     dns::Rdata{synthetic_soa(sld, options_->negative_ttl)},
-                     signer, want_dnssec);
+        answer_rrset(response, sld, kRecordTtl,
+                     dns::Rdata{synthetic_soa(sld)}, signer, want_dnssec);
         return response;
       }
       case dns::RRType::kDnskey: {
@@ -437,18 +435,16 @@ class SldAuthority : public sim::Endpoint {
   }
 
   void append_plain_soa(dns::Message& response, const dns::Name& sld) {
-    response.authorities.push_back(dns::ResourceRecord::make(
-        sld, options_->record_ttl,
-        synthetic_soa(sld, options_->negative_ttl)));
+    response.authorities.push_back(
+        dns::ResourceRecord::make(sld, kRecordTtl, synthetic_soa(sld)));
   }
 
   void append_signed_negative(dns::Message& response, const DomainInfo& info,
                               const dns::Name& qname, SyntheticSigner* signer,
                               bool want_dnssec, bool nxdomain) {
     dns::RRset soa(info.name, dns::RRType::kSoa);
-    soa.add(dns::ResourceRecord::make(
-        info.name, options_->record_ttl,
-        synthetic_soa(info.name, options_->negative_ttl)));
+    soa.add(dns::ResourceRecord::make(info.name, kRecordTtl,
+                                      synthetic_soa(info.name)));
     for (const auto& record : soa.records()) {
       response.authorities.push_back(record);
     }
@@ -477,8 +473,8 @@ class SldAuthority : public sim::Endpoint {
       nsec.types.push_back(dns::RRType::kNsec);
     }
     dns::RRset nsec_set(owner, dns::RRType::kNsec);
-    nsec_set.add(dns::ResourceRecord::make(owner, options_->negative_ttl,
-                                           dns::Rdata{nsec}));
+    nsec_set.add(
+        dns::ResourceRecord::make(owner, kNegativeTtl, dns::Rdata{nsec}));
     for (const auto& record : nsec_set.records()) {
       response.authorities.push_back(record);
     }
@@ -509,8 +505,6 @@ class SldAuthority : public sim::Endpoint {
 /// Unsigned reverse-lookup authority for in-addr.arpa.
 class PtrAuthority : public sim::Endpoint {
  public:
-  explicit PtrAuthority(const WorldOptions& options) : options_(&options) {}
-
   [[nodiscard]] std::string endpoint_id() const override { return "arpa"; }
 
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
@@ -520,20 +514,16 @@ class PtrAuthority : public sim::Endpoint {
     if (question.type == dns::RRType::kPtr) {
       const std::uint64_t hash = fnv1a(question.name.internal_text());
       response.answers.push_back(dns::ResourceRecord::make(
-          question.name, options_->record_ttl,
+          question.name, kRecordTtl,
           dns::PtrRdata{dns::Name::parse(
               "host-" + std::to_string(hash % 100000) + ".access.example")}));
     } else {
       response.authorities.push_back(dns::ResourceRecord::make(
-          dns::Name::parse("in-addr.arpa"), options_->record_ttl,
-          synthetic_soa(dns::Name::parse("in-addr.arpa"),
-                        options_->negative_ttl)));
+          dns::Name::parse("in-addr.arpa"), kRecordTtl,
+          synthetic_soa(dns::Name::parse("in-addr.arpa"))));
     }
     return response;
   }
-
- private:
-  const WorldOptions* options_;
 };
 
 }  // namespace
@@ -545,22 +535,19 @@ class PtrAuthority : public sim::Endpoint {
 UniverseWorld::UniverseWorld(WorldOptions options)
     : options_(std::move(options)), universe_(options_.universe) {
   sld_keys_ = std::make_unique<zone::KeyPool>(
-      options_.key_pool_size, options_.key_bits,
+      kKeyPoolSize, options_.key_bits,
       crypto::derive_seed(options_.seed, 0xE11));
 
   // --- DLV registry populated from the deposit model. ---
+  // Deposits arrive in the canonical order of their names; in clear-name
+  // mode that is also the registry zone's order, so each lands at its end.
   dlv::DlvRegistry::Options dlv_options = options_.dlv;
   dlv_options.key_bits = options_.key_bits;
   registry_ = std::make_unique<dlv::DlvRegistry>(dlv_options);
-  const std::uint64_t scan_limit = options_.deposit_scan_limit == 0
-                                       ? universe_.size()
-                                       : options_.deposit_scan_limit;
-  for (std::uint64_t rank = 1; rank <= scan_limit; ++rank) {
-    const DomainInfo info = universe_.info(rank);
-    if (!info.dlv_deposited) continue;
+  for (const std::uint64_t rank : universe_.deposits()) {
+    const dns::Name domain = universe_.domain_at(rank);
     registry_->deposit(
-        info.name,
-        zone::make_ds(info.name, sld_keys_->keys_for(rank).ksk_record()));
+        domain, zone::make_ds(domain, sld_keys_->keys_for(rank).ksk_record()));
   }
 
   // --- Root zone (real, signed). ---
@@ -568,9 +555,8 @@ UniverseWorld::UniverseWorld(WorldOptions options)
   zone::ZoneKeys root_keys =
       zone::ZoneKeys::generate(options_.key_bits, root_rng);
   root_anchor_ = root_keys.ksk_record();
-  zone::Zone root_zone(dns::Name::root(),
-                       synthetic_soa(dns::Name::root(), options_.negative_ttl),
-                       options_.record_ttl);
+  zone::Zone root_zone(dns::Name::root(), synthetic_soa(dns::Name::root()),
+                       kRecordTtl);
 
   // --- TLD authorities. ---
   std::uint64_t label = 100;
@@ -578,15 +564,15 @@ UniverseWorld::UniverseWorld(WorldOptions options)
     crypto::SplitMix64 rng(crypto::derive_seed(options_.seed, ++label));
     auto authority = std::make_shared<TldAuthority>(
         tld, universe_, *sld_keys_,
-        zone::ZoneKeys::generate(options_.key_bits, rng), options_);
+        zone::ZoneKeys::generate(options_.key_bits, rng));
     const dns::Name tld_name = dns::Name::parse(tld);
     const dns::Name ns_host = tld_name.with_prefix_label("ns1");
-    root_zone.add(dns::ResourceRecord::make(tld_name, options_.record_ttl,
+    root_zone.add(dns::ResourceRecord::make(tld_name, kRecordTtl,
                                             dns::NsRdata{ns_host}));
     root_zone.add(dns::ResourceRecord::make(
-        ns_host, options_.record_ttl, dns::ARdata{synthetic_v4(ns_host)}));
+        ns_host, kRecordTtl, dns::ARdata{synthetic_v4(ns_host)}));
     root_zone.add(dns::ResourceRecord::make(
-        tld_name, options_.record_ttl, dns::Rdata{authority->ds_for_parent()}));
+        tld_name, kRecordTtl, dns::Rdata{authority->ds_for_parent()}));
     directory_.register_zone(tld_name, authority);
     tld_authorities_.push_back(std::move(authority));
   }
@@ -594,8 +580,8 @@ UniverseWorld::UniverseWorld(WorldOptions options)
   // in-addr.arpa: unsigned delegation from the root.
   const dns::Name arpa = dns::Name::parse("in-addr.arpa");
   root_zone.add(dns::ResourceRecord::make(
-      arpa, options_.record_ttl, dns::NsRdata{arpa.with_prefix_label("ns1")}));
-  ptr_authority_ = std::make_shared<PtrAuthority>(options_);
+      arpa, kRecordTtl, dns::NsRdata{arpa.with_prefix_label("ns1")}));
+  ptr_authority_ = std::make_shared<PtrAuthority>();
   directory_.register_zone(arpa, ptr_authority_);
 
   auto signed_root = std::make_shared<zone::SignedZone>(std::move(root_zone),

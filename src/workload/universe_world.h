@@ -50,15 +50,9 @@ struct WorldOptions {
   UniverseOptions universe;
   std::uint64_t seed = 7;
   std::size_t key_bits = 256;    // fast-simulation default (DESIGN.md)
-  std::size_t key_pool_size = 8; // shared SLD key pool
-  std::uint32_t record_ttl = 3600;
-  std::uint32_t negative_ttl = 3600;
   bool txt_signaling = false;    // §6.2.1 TXT remedy served by SLDs
   bool z_bit_signaling = false;  // §6.2.1 Z-bit remedy
   dlv::DlvRegistry::Options dlv;
-  /// Deposit scan cap: only ranks <= this are registered in the DLV zone
-  /// (use the universe size for full-fidelity runs).
-  std::uint64_t deposit_scan_limit = 0;  // 0 => universe size
 };
 
 /// Owns every server-side object of a universe experiment.

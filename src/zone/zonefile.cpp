@@ -1,6 +1,7 @@
 #include "zone/zonefile.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 #include "crypto/bytes.h"
@@ -64,6 +65,22 @@ bool is_number(const std::string& text) {
                      [](char c) { return std::isdigit(static_cast<unsigned char>(c)); });
 }
 
+// Largest value of each numeric field's wire width.
+constexpr std::uint64_t kMax8 = 0xFF;
+constexpr std::uint64_t kMax16 = 0xFFFF;
+constexpr std::uint64_t kMax32 = 0xFFFFFFFF;
+
+/// A decimal field that fits `max`, its wire width; nullopt for anything
+/// else, including digit strings past 64 bits.
+std::optional<std::uint64_t> parse_number(std::string_view text,
+                                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [next, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || next != end || value > max) return std::nullopt;
+  return value;
+}
+
 std::optional<dns::Name> resolve_name(const std::string& token,
                                       const dns::Name& origin) {
   try {
@@ -81,10 +98,10 @@ std::optional<std::uint32_t> parse_ipv4(const std::string& text) {
   std::istringstream stream(text);
   std::string part;
   while (std::getline(stream, part, '.')) {
-    if (!is_number(part) || part.size() > 3) return std::nullopt;
-    const unsigned long value = std::stoul(part);
-    if (value > 255) return std::nullopt;
-    out = (out << 8) | static_cast<std::uint32_t>(value);
+    if (part.size() > 3) return std::nullopt;
+    const auto octet = parse_number(part, kMax8);
+    if (!octet) return std::nullopt;
+    out = (out << 8) | static_cast<std::uint32_t>(*octet);
     ++octets;
   }
   if (octets != 4) return std::nullopt;
@@ -187,11 +204,13 @@ ZoneFileResult parse_zone_file(std::string_view text,
       continue;
     }
     if (fields[0] == "$TTL") {
-      if (fields.size() < 2 || !is_number(fields[1])) {
-        fail(line_number, "$TTL needs a number");
+      const auto value =
+          fields.size() < 2 ? std::nullopt : parse_number(fields[1], kMax32);
+      if (!value) {
+        fail(line_number, "$TTL needs a 32-bit number");
         continue;
       }
-      default_ttl = static_cast<std::uint32_t>(std::stoul(fields[1]));
+      default_ttl = static_cast<std::uint32_t>(*value);
       continue;
     }
 
@@ -219,7 +238,12 @@ ZoneFileResult parse_zone_file(std::string_view text,
     // Optional TTL and class.
     std::uint32_t ttl = default_ttl;
     if (index < fields.size() && is_number(fields[index])) {
-      ttl = static_cast<std::uint32_t>(std::stoul(fields[index]));
+      const auto value = parse_number(fields[index], kMax32);
+      if (!value) {
+        fail(line_number, "TTL out of range: " + fields[index]);
+        continue;
+      }
+      ttl = static_cast<std::uint32_t>(*value);
       ++index;
     }
     if (index < fields.size() && (fields[index] == "IN")) ++index;
@@ -249,13 +273,13 @@ ZoneFileResult parse_zone_file(std::string_view text,
       rdata.responsible = *responsible;
       bool numbers_ok = true;
       std::uint32_t values[5] = {0, 0, 0, 0, 0};
-      for (int i = 0; i < 5; ++i) {
-        if (!is_number(fields[index + 2 + static_cast<std::size_t>(i)])) {
+      for (std::size_t i = 0; i < 5; ++i) {
+        const auto value = parse_number(fields[index + 2 + i], kMax32);
+        if (!value) {
           numbers_ok = false;
           break;
         }
-        values[i] = static_cast<std::uint32_t>(
-            std::stoul(fields[index + 2 + static_cast<std::size_t>(i)]));
+        values[i] = static_cast<std::uint32_t>(*value);
       }
       if (!numbers_ok) {
         fail(line_number, "bad SOA numeric fields");
@@ -315,7 +339,8 @@ ZoneFileResult parse_zone_file(std::string_view text,
       }
     } else if (type == "MX") {
       if (!need(2)) continue;
-      if (!is_number(fields[index])) {
+      const auto preference = parse_number(fields[index], kMax16);
+      if (!preference) {
         fail(line_number, "bad MX preference");
         continue;
       }
@@ -324,8 +349,7 @@ ZoneFileResult parse_zone_file(std::string_view text,
         fail(line_number, "bad MX exchanger");
         continue;
       }
-      rdata = dns::MxRdata{
-          static_cast<std::uint16_t>(std::stoul(fields[index])), *exchanger};
+      rdata = dns::MxRdata{static_cast<std::uint16_t>(*preference), *exchanger};
       rr_type = dns::RRType::kMx;
     } else if (type == "TXT") {
       if (!need(1)) continue;
@@ -337,16 +361,17 @@ ZoneFileResult parse_zone_file(std::string_view text,
       rr_type = dns::RRType::kTxt;
     } else if (type == "DS" || type == "DLV") {
       if (!need(4)) continue;
-      if (!is_number(fields[index]) || !is_number(fields[index + 1]) ||
-          !is_number(fields[index + 2])) {
+      const auto key_tag = parse_number(fields[index], kMax16);
+      const auto algorithm = parse_number(fields[index + 1], kMax8);
+      const auto digest_type = parse_number(fields[index + 2], kMax8);
+      if (!key_tag || !algorithm || !digest_type) {
         fail(line_number, "bad " + type + " numeric fields");
         continue;
       }
       dns::DsRdata ds;
-      ds.key_tag = static_cast<std::uint16_t>(std::stoul(fields[index]));
-      ds.algorithm = static_cast<std::uint8_t>(std::stoul(fields[index + 1]));
-      ds.digest_type =
-          static_cast<std::uint8_t>(std::stoul(fields[index + 2]));
+      ds.key_tag = static_cast<std::uint16_t>(*key_tag);
+      ds.algorithm = static_cast<std::uint8_t>(*algorithm);
+      ds.digest_type = static_cast<std::uint8_t>(*digest_type);
       try {
         ds.digest = crypto::from_hex(fields[index + 3]);
       } catch (const std::invalid_argument&) {

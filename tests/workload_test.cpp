@@ -2,8 +2,11 @@
 // the stub driver, the 45-domain dataset and the DITL trace generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
+#include "dns/codec.h"
 #include "resolver/resolver.h"
 #include "workload/ditl.h"
 #include "workload/secured45.h"
@@ -88,6 +91,45 @@ TEST(UniverseTest, DepositRateDecreasesWithRank) {
   const double top = deposit_rate(1, 5'000);
   const double bottom = deposit_rate(900'000, 905'000);
   EXPECT_GT(top, bottom);
+}
+
+TEST(UniverseTest, RankProfileMatchesInfo) {
+  // 150k ranks span all three deposit bands: the top rate up to 10k, the
+  // log interpolation up to 100k and the tail rate beyond.
+  const Universe universe(small_universe(150'000));
+  const auto fields = [](const DomainInfo& d) {
+    return std::tie(d.rank, d.name, d.tld, d.dnssec_signed, d.ds_in_parent,
+                    d.dlv_deposited, d.glue, d.provider);
+  };
+  for (std::uint64_t rank = 1; rank <= universe.size(); ++rank) {
+    const DomainInfo info = universe.info(rank);
+    ASSERT_EQ(universe.deposited(rank), info.dlv_deposited) << rank;
+    const std::optional<DomainInfo> by_name = universe.info_by_name(info.name);
+    ASSERT_TRUE(by_name.has_value()) << rank;
+    ASSERT_TRUE(fields(*by_name) == fields(info)) << rank;
+  }
+}
+
+TEST(UniverseTest, DepositsComeInCanonicalNameOrder) {
+  // Sizes at and around powers of 36 take every turn of the walk over
+  // ranks in base-36 digit-text order.
+  for (const std::uint64_t size :
+       {1ull, 35ull, 36ull, 37ull, 1'296ull, 1'297ull, 150'000ull}) {
+    const Universe universe(small_universe(size));
+    const std::vector<std::uint64_t> deposits = universe.deposits();
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t rank = 1; rank <= size; ++rank) {
+      if (universe.deposited(rank)) expected.push_back(rank);
+    }
+    std::vector<std::uint64_t> sorted = deposits;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, expected) << size;
+    for (std::size_t i = 1; i < deposits.size(); ++i) {
+      ASSERT_LT(universe.domain_at(deposits[i - 1]),
+                universe.domain_at(deposits[i]))
+          << size;
+    }
+  }
 }
 
 TEST(UniverseTest, ProviderHostsRoundTrip) {
@@ -297,6 +339,54 @@ TEST(UniverseWorldTest, ZBitSignalingWorldSuppressesLeaks) {
 
   const auto allowed = resolver.resolve({world.universe().domain_at(deposited_rank), dns::RRType::kA});
   EXPECT_TRUE(allowed.dlv.secured);
+}
+
+// The registry zone a world builds, pinned to the byte: which ranks hold a
+// DLV record, and the registry's signed DO-bit answer (records, NSEC
+// denials and RRSIGs) to the DLV query of every 101st rank, folded into
+// one FNV-1a 64. Denials name the canonical neighbours of the query, so
+// the digest also pins the zone's canonical order.
+struct RegistryDigest {
+  std::size_t records = 0;
+  std::uint64_t fnv = 0;
+};
+
+RegistryDigest registry_digest(std::uint64_t universe_size, bool hashed) {
+  WorldOptions options;
+  options.universe.size = universe_size;
+  options.dlv.hashed_registration = hashed;
+  UniverseWorld world(options);
+  dlv::DlvRegistry& registry = world.registry();
+  registry.set_store_observations(false);
+
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  const auto fold = [&fnv](std::uint8_t byte) {
+    fnv ^= byte;
+    fnv *= 0x100000001b3ULL;
+  };
+  for (std::uint64_t rank = 1; rank <= universe_size; ++rank) {
+    const dns::Name domain = world.universe().domain_at(rank);
+    fold(registry.has_record(domain) ? 1 : 0);
+    if (rank % 101 != 0) continue;
+    const dns::Message query = dns::Message::make_query(
+        static_cast<std::uint16_t>(rank), registry.dlv_name_for(domain),
+        dns::RRType::kDlv, /*recursion_desired=*/false, /*dnssec_ok=*/true);
+    for (const std::uint8_t byte :
+         dns::encode_message(registry.handle_query(query))) {
+      fold(byte);
+    }
+  }
+  return {registry.record_count(), fnv};
+}
+
+TEST(UniverseWorldTest, RegistryKnownAnswer) {
+  // 150k ranks reach past the tail band that starts at rank 100k.
+  const RegistryDigest clear = registry_digest(150'000, /*hashed=*/false);
+  EXPECT_EQ(clear.records, 9835u);
+  EXPECT_EQ(clear.fnv, 15675172981805434272ULL);
+  const RegistryDigest hashed = registry_digest(20'000, /*hashed=*/true);
+  EXPECT_EQ(hashed.records, 1908u);
+  EXPECT_EQ(hashed.fnv, 6015721227775695897ULL);
 }
 
 TEST(UniverseWorldTest, PtrLookupsAnswered) {

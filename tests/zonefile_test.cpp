@@ -101,6 +101,69 @@ unknown IN SPF "x"
   EXPECT_EQ(result.errors[2].line, 5);
 }
 
+TEST(ZoneFileTest, OutOfRangeNumbersAreLineErrors) {
+  // Each line overflows its field's wire width: 32 bits for TTLs and SOA
+  // fields, 16 for the MX preference and DS key tag, 8 for the DS
+  // algorithm and digest type. Some values do not fit 64 bits either.
+  const char* const kBadLines[] = {
+      "$TTL 99999999999999999999",
+      "$TTL 4294967296",
+      "www 99999999999999999999 IN A 1.2.3.4",
+      "www 4294967296 IN A 1.2.3.4",
+      "@ IN SOA ns1 admin 99999999999999999999 2 3 4 5",
+      "@ IN SOA ns1 admin 1 2 3 4 4294967296",
+      "mail IN MX 70000 mx",
+      "sub IN DS 70000 300 2 abcd",
+      "sub IN DS 1 256 2 abcd",
+      "sub IN DS 1 8 256 abcd",
+      "ns1 IN A 256.1.2.3",
+  };
+  for (const char* line : kBadLines) {
+    const std::string text =
+        std::string("$ORIGIN r.test.\n@ IN SOA ns1 admin 1 2 3 4 5\n") +
+        line + "\n";
+    ZoneFileResult result;
+    ASSERT_NO_THROW(result = parse_zone_file(text)) << line;
+    ASSERT_EQ(result.errors.size(), 1u) << line;
+    EXPECT_EQ(result.errors[0].line, 3) << line;
+  }
+}
+
+TEST(ZoneFileTest, NumbersAtTheirWidthParse) {
+  const char* text = R"($ORIGIN r.test.
+$TTL 4294967295
+@ IN SOA ns1 admin 4294967295 4294967295 4294967295 4294967295 4294967295
+www 4294967295 IN A 255.255.255.255
+mail IN MX 65535 mx
+sub IN DS 65535 255 255 abcd
+)";
+  const ZoneFileResult result = parse_zone_file(text);
+  ASSERT_TRUE(result.ok()) << (result.errors.empty()
+                                   ? "no zone"
+                                   : result.errors[0].message);
+  const Zone& zone = *result.zone;
+  EXPECT_EQ(zone.soa().serial, 4294967295u);
+  EXPECT_EQ(zone.negative_ttl(), 4294967295u);
+  const dns::RRset* www =
+      zone.find(dns::Name::parse("www.r.test"), dns::RRType::kA);
+  ASSERT_NE(www, nullptr);
+  EXPECT_EQ(www->ttl(), 4294967295u);
+  EXPECT_EQ(std::get<dns::ARdata>(www->records()[0].rdata).to_text(),
+            "255.255.255.255");
+  const dns::RRset* mx =
+      zone.find(dns::Name::parse("mail.r.test"), dns::RRType::kMx);
+  ASSERT_NE(mx, nullptr);
+  EXPECT_EQ(mx->ttl(), 4294967295u);  // $TTL applies
+  EXPECT_EQ(std::get<dns::MxRdata>(mx->records()[0].rdata).preference, 65535);
+  const dns::RRset* ds =
+      zone.find(dns::Name::parse("sub.r.test"), dns::RRType::kDs);
+  ASSERT_NE(ds, nullptr);
+  const auto& ds_rdata = std::get<dns::DsRdata>(ds->records()[0].rdata);
+  EXPECT_EQ(ds_rdata.key_tag, 65535);
+  EXPECT_EQ(ds_rdata.algorithm, 255);
+  EXPECT_EQ(ds_rdata.digest_type, 255);
+}
+
 TEST(ZoneFileTest, RequiresSoa) {
   const ZoneFileResult result =
       parse_zone_file("$ORIGIN x.test.\nwww IN A 1.2.3.4\n");
