@@ -23,11 +23,10 @@
 // can `cmp` the files from --shards=1 and --shards=4.
 //
 // Host-time measurements (wall-clock scaling of the private mode) never
-// touch stdout or BENCH_serve.json; they go to --host-out, and
-// --expect-scaling=P enforces mean speedup >= (P/100)*min(shards, cores).
+// touch the stdout table or BENCH_serve.json; they go to --host-out.
 //
 // Flags: --shards=N, --route=client|qname, --jobs N, --smoke, --out=PATH,
-// --merged-out=PATH, --host-out=PATH, --expect-scaling=P.
+// --merged-out=PATH, --host-out=PATH.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -103,18 +102,12 @@ ModeRun run_mode(const serve::ScenarioOptions& base, std::uint32_t shards,
   options.route = route;
   options.shared_store = shared;
   options.jobs = jobs;
-  bool any_tracer = false;
-  bool any_metrics = false;
   for (std::uint32_t s = 0; s < shards; ++s) {
     run.obs.push_back(std::make_unique<bench::ShardObs>(
         session, /*primary=*/primary && s == 0));
     options.shard_tracers.push_back(run.obs.back()->tracer());
     options.shard_metrics.push_back(run.obs.back()->metrics());
-    any_tracer = any_tracer || options.shard_tracers.back() != nullptr;
-    any_metrics = any_metrics || options.shard_metrics.back() != nullptr;
   }
-  if (!any_tracer) options.shard_tracers.clear();
-  if (!any_metrics) options.shard_metrics.clear();
   serve::ShardedServeScenario scenario(std::move(options));
   run.summary = scenario.run();
   return run;
@@ -276,13 +269,11 @@ int main(int argc, char** argv) {
 
   const bench::ArgParser args(
       argc, argv,
-      {"shards", "route", "merged-out", "host-out", "expect-scaling"});
+      {"shards", "route", "merged-out", "host-out"});
   const bool smoke = args.smoke();
   const std::string out_path = args.out("BENCH_serve.json");
   const std::string merged_path = args.value("merged-out");
   const std::string host_path = args.value("host-out");
-  const std::uint64_t expect_scaling = args.numeric("expect-scaling", 0);
-  const bool host_mode = !host_path.empty() || expect_scaling > 0;
   const unsigned jobs = args.jobs();
   const auto shards =
       static_cast<std::uint32_t>(args.numeric("shards", 1));
@@ -344,8 +335,7 @@ int main(int argc, char** argv) {
     cell.priv = run_mode(base, shards, *route, /*shared=*/false, jobs,
                          obs_session, /*primary=*/false);
     // Sequential reference on a fresh identical world, untraced.
-    serve::ServeScenario reference(base);
-    cell.reference = reference.run_sequential_reference();
+    cell.reference = serve::sequential_reference(base);
 
     obs::LeakLedger cell_ledger;
     cell.ledger_ok =
@@ -369,7 +359,7 @@ int main(int argc, char** argv) {
         (priv.case2_total == cell.reference.case2_total ||
          shared.case2_total < priv.case2_total);
 
-    if (host_mode) {
+    if (!host_path.empty()) {
       // Untraced timing legs: same private-mode config serially (one
       // worker) and fully parallel, so the speedup compares identical
       // virtual work and no tracer overhead skews either side.
@@ -453,9 +443,9 @@ int main(int argc, char** argv) {
               << (merged_out.good() ? "" : " (WRITE FAILED)") << "\n";
   }
 
-  double mean_speedup = 0.0;
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (host_mode) {
+  if (!host_path.empty()) {
+    const unsigned cores = std::thread::hardware_concurrency();
+    double mean_speedup = 0.0;
     std::string host = "{\n  \"schema\": \"lookaside.bench_serve.host.v1\",\n";
     host += "  \"hardware_concurrency\": " + std::to_string(cores) + ",\n";
     host += "  \"shards\": " + std::to_string(shards) + ",\n  \"cells\": [\n";
@@ -478,12 +468,10 @@ int main(int argc, char** argv) {
     }
     mean_speedup = counted == 0 ? 0.0 : mean_speedup / counted;
     host += "  ],\n  \"mean_speedup\": " + fixed(mean_speedup, 3) + "\n}\n";
-    if (!host_path.empty()) {
-      std::ofstream host_out(host_path);
-      host_out << host;
-      std::cout << "[serve] wrote " << host_path
-                << (host_out.good() ? "" : " (WRITE FAILED)") << "\n";
-    }
+    std::ofstream host_out(host_path);
+    host_out << host;
+    std::cout << "[serve] wrote " << host_path
+              << (host_out.good() ? "" : " (WRITE FAILED)") << "\n";
     std::cout << "[serve] host: " << cores << " cores, mean private-mode "
               << "speedup " << fixed(mean_speedup, 2) << "x over " << shards
               << " shard(s)\n";
@@ -520,26 +508,6 @@ int main(int argc, char** argv) {
     std::cout << "[serve] FAIL: private sharding never re-leaked — the "
                  "workload no longer overlaps across shards\n";
     return 1;
-  }
-  if (expect_scaling > 0) {
-    if (cores < 2) {
-      std::cout << "[serve] NOTE: --expect-scaling skipped; only " << cores
-                << " core(s) — wall-clock speedup is not authoritative here\n";
-    } else {
-      const double effective =
-          static_cast<double>(std::min<unsigned>(shards, cores));
-      const double floor_speedup =
-          (static_cast<double>(expect_scaling) / 100.0) * effective;
-      if (mean_speedup < floor_speedup) {
-        std::cout << "[serve] FAIL: mean speedup " << fixed(mean_speedup, 2)
-                  << "x < required " << fixed(floor_speedup, 2) << "x ("
-                  << expect_scaling << "% of " << fixed(effective, 0)
-                  << " effective cores)\n";
-        return 1;
-      }
-      std::cout << "[serve] scaling ok: " << fixed(mean_speedup, 2)
-                << "x >= " << fixed(floor_speedup, 2) << "x\n";
-    }
   }
   std::cout << "[serve] leak identity holds across all cells (" << total_hits
             << " coalesced hits, " << total_private_case2 - total_reference_case2

@@ -70,12 +70,6 @@ Served FrontendServer::make_formerr(const WireQuery& query) {
   response.header.qr = true;
   response.header.rcode = dns::RCode::kFormErr;
   served.response_wire = dns::encode_message(response);
-  served.response_bytes = served.response_wire.size();
-
-  stats_.add("serve.formerr");
-  if (metrics_ != nullptr) {
-    metrics_->add("serve_formerr", with_shard(shard_label_));
-  }
   account(query.client).formerr += 1;
   return served;
 }
@@ -89,7 +83,6 @@ Served FrontendServer::make_shed(const WireQuery& query,
   response.dnssec_ok = message.dnssec_ok;
   served.rcode = dns::RCode::kServFail;
   served.response_wire = dns::encode_message(response);
-  served.response_bytes = served.response_wire.size();
   return served;
 }
 
@@ -134,12 +127,8 @@ void FrontendServer::finish(Served& served, const dns::Message& request,
 
   served.rcode = response.header.rcode;
   served.response_wire = dns::encode_message(response);
-  served.response_bytes = served.response_wire.size();
-  stats_.add("serve.answered");
 
-  ClientAccount& acct = account(served.client);
-  acct.answered += 1;
-  acct.latency_sum_us += served.latency_us();
+  account(served.client).answered += 1;
 }
 
 Served FrontendServer::serve_decoded(const WireQuery& query,
@@ -173,11 +162,6 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
       join.qtype = served.qtype;
       tracer_->emit(std::move(join));
     }
-    stats_.add("serve.coalesce.hits");
-    if (metrics_ != nullptr) {
-      metrics_->add("serve_coalesce",
-                    with_shard(shard_label_, {{"result", "hit"}}));
-    }
     account(query.client).coalesce_hits += 1;
     finish(served, message, entry.result);
     return served;
@@ -187,10 +171,6 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
     // Admission control: shed with SERVFAIL immediately and charge the
     // client that pushed the frontend over its quota.
     served.overload_drop = true;
-    stats_.add("serve.overload.drops");
-    if (metrics_ != nullptr) {
-      metrics_->add("serve_overload_drops", with_shard(shard_label_));
-    }
     account(query.client).overload_drops += 1;
     return make_shed(query, message, served);
   }
@@ -200,10 +180,6 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
     // budget (NSEC3 iteration flood); shed before any upstream work so the
     // attacker can no longer rent the resolver's hash loop.
     served.cpu_drop = true;
-    stats_.add("serve.cpu.drops");
-    if (metrics_ != nullptr) {
-      metrics_->add("serve_cpu_drops", with_shard(shard_label_));
-    }
     account(query.client).cpu_drops += 1;
     return make_shed(query, message, served);
   }
@@ -223,13 +199,7 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
   served.completion_us = query.time_us + cost_us;
   served.from_cache = result.from_cache;
   served.case2_leaks = leaked;
-  stats_.add("serve.coalesce.misses");
   if (metrics_ != nullptr) {
-    metrics_->add("serve_coalesce",
-                  with_shard(shard_label_, {{"result", "miss"}}));
-    if (leaked > 0) {
-      metrics_->add("serve_case2_leaks", with_shard(shard_label_), leaked);
-    }
     // High-water footprint of the shared resolver cache every client
     // behind this frontend populates; under a configured cap this is the
     // number the eviction clock holds down.
@@ -255,7 +225,6 @@ Served FrontendServer::submit(const WireQuery& query) {
   last_arrival_us_ = arrival.time_us;
 
   expire(arrival.time_us);
-  stats_.add("serve.queries");
   account(arrival.client).queries += 1;
 
   dns::Message message;
@@ -304,7 +273,7 @@ Served FrontendServer::submit(const WireQuery& query) {
     done.qtype = served.qtype;
   }
   done.rcode = served.rcode;
-  done.bytes = served.response_bytes;
+  done.bytes = served.response_wire.size();
   done.latency_us = served.latency_us();
   done.detail = served.overload_drop ? "overload"
                 : served.cpu_drop    ? "cpu-overload"
@@ -333,11 +302,53 @@ std::vector<Served> FrontendServer::run(std::vector<WireQuery> arrivals) {
   return served;
 }
 
-dns::Message FrontendServer::handle_query(const dns::Message& query) {
-  const WireQuery wire{network_->clock().now_us(), 0, 0,
-                       dns::encode_message(query)};
-  const Served served = submit(wire);
-  return dns::decode_message(served.response_wire);
+ClientAccount FrontendServer::totals() const {
+  ClientAccount sum;
+  for (const ClientAccount& one : clients_) {
+    sum.queries += one.queries;
+    sum.answered += one.answered;
+    sum.coalesce_hits += one.coalesce_hits;
+    sum.overload_drops += one.overload_drops;
+    sum.cpu_drops += one.cpu_drops;
+    sum.formerr += one.formerr;
+    sum.case2_leaks += one.case2_leaks;
+    sum.cpu_spent_us += one.cpu_spent_us;
+  }
+  return sum;
+}
+
+metrics::CounterSet FrontendServer::stats() const {
+  const ClientAccount sum = totals();
+  metrics::CounterSet stats;
+  const auto put = [&](std::string_view name, std::uint64_t value) {
+    if (value != 0) stats.add(name, value);
+  };
+  put("serve.queries", sum.queries);
+  put("serve.answered", sum.answered);
+  put("serve.coalesce.hits", sum.coalesce_hits);
+  put("serve.coalesce.misses", sum.answered - sum.coalesce_hits);
+  put("serve.overload.drops", sum.overload_drops);
+  put("serve.cpu.drops", sum.cpu_drops);
+  put("serve.formerr", sum.formerr);
+  return stats;
+}
+
+void FrontendServer::export_counts(obs::MetricsRegistry& metrics) const {
+  const ClientAccount sum = totals();
+  const auto put = [&](const char* name, obs::Labels labels,
+                       std::uint64_t value) {
+    // add() with delta 0 would create a zero-valued series.
+    if (value != 0) {
+      metrics.add(name, with_shard(shard_label_, std::move(labels)), value);
+    }
+  };
+  put("serve_coalesce", {{"result", "hit"}}, sum.coalesce_hits);
+  put("serve_coalesce", {{"result", "miss"}},
+      sum.answered - sum.coalesce_hits);
+  put("serve_overload_drops", {}, sum.overload_drops);
+  put("serve_cpu_drops", {}, sum.cpu_drops);
+  put("serve_formerr", {}, sum.formerr);
+  put("serve_case2_leaks", {}, sum.case2_leaks);
 }
 
 }  // namespace lookaside::serve

@@ -94,7 +94,6 @@ struct Served {
   bool cpu_drop = false;       // shed by the per-client CPU budget
   bool formerr = false;        // undecodable or question-less wire
   std::uint64_t case2_leaks = 0;  // Case-2 DLV queries this query caused
-  std::size_t response_bytes = 0;
   dns::Bytes response_wire;
 
   [[nodiscard]] std::uint64_t latency_us() const {
@@ -111,14 +110,12 @@ struct ClientAccount {
   std::uint64_t cpu_drops = 0;        // shed by the CPU budget
   std::uint64_t formerr = 0;
   std::uint64_t case2_leaks = 0;  // leaks attributed to this client
-  std::uint64_t latency_sum_us = 0;
   std::uint64_t cpu_spent_us = 0;     // validation CPU billed to this client
 };
 
-/// The serving frontend. Also a sim::Endpoint ("frontend") so a single
-/// interactive stub can reach it through Network::exchange; the multi-client
-/// path is run()/submit().
-class FrontendServer : public sim::Endpoint {
+/// The serving frontend: wire queries in through submit()/run(), one
+/// ClientAccount per client as the only tally of what happened to them.
+class FrontendServer {
  public:
   FrontendServer(sim::Network& network, resolver::RecursiveResolver& resolver,
                  FrontendOptions options = {});
@@ -127,10 +124,9 @@ class FrontendServer : public sim::Endpoint {
   /// initiating clients (nullable; null disables attribution).
   void set_registry(const dlv::DlvRegistry* registry) { registry_ = registry; }
 
-  /// Mirrors the frontend's counters into a labeled registry as they
-  /// happen: serve_coalesce{result=hit|miss}, serve_overload_drops,
-  /// serve_formerr, and a serve_queue_depth histogram sampled per arrival
-  /// (the queue-depth gauge). Nullable.
+  /// Samples serve_queue_depth per arrival and the resolver_cache_bytes
+  /// high-water gauge per resolution into a labeled registry (nullable).
+  /// Counts go through export_counts().
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Tags every emitted metric with {shard=<label>} when non-empty, so a
@@ -160,10 +156,19 @@ class FrontendServer : public sim::Endpoint {
   /// Sorts `arrivals` into the canonical order and serves them all.
   std::vector<Served> run(std::vector<WireQuery> arrivals);
 
-  /// Counters: "serve.queries", "serve.answered", "serve.coalesce.hits",
-  /// "serve.coalesce.misses", "serve.overload.drops", "serve.cpu.drops",
-  /// "serve.formerr".
-  [[nodiscard]] const metrics::CounterSet& stats() const { return stats_; }
+  /// The per-client accounts summed over every client.
+  [[nodiscard]] ClientAccount totals() const;
+
+  /// totals() as counters: "serve.queries", "serve.answered",
+  /// "serve.coalesce.hits", "serve.coalesce.misses" (answered minus hits),
+  /// "serve.overload.drops", "serve.cpu.drops", "serve.formerr"; zeros
+  /// absent.
+  [[nodiscard]] metrics::CounterSet stats() const;
+
+  /// Adds totals() to `metrics` once, after the run, as shard-labeled
+  /// serve_coalesce{result=hit|miss}, serve_overload_drops,
+  /// serve_cpu_drops, serve_formerr and serve_case2_leaks; zeros absent.
+  void export_counts(obs::MetricsRegistry& metrics) const;
 
   [[nodiscard]] const std::vector<ClientAccount>& clients() const {
     return clients_;
@@ -171,11 +176,6 @@ class FrontendServer : public sim::Endpoint {
 
   /// High-water mark of outstanding client queries.
   [[nodiscard]] std::size_t max_queue_depth() const { return max_depth_; }
-
-  // -- sim::Endpoint (single-stub convenience path) -------------------------
-
-  [[nodiscard]] std::string endpoint_id() const override { return "frontend"; }
-  [[nodiscard]] dns::Message handle_query(const dns::Message& query) override;
 
  private:
   /// One upstream resolution shared by every coalesced waiter.
@@ -235,7 +235,6 @@ class FrontendServer : public sim::Endpoint {
   std::vector<CpuBucket> cpu_buckets_;
   std::size_t depth_ = 0;      // outstanding client queries across entries
   std::size_t max_depth_ = 0;
-  metrics::CounterSet stats_;
   std::vector<ClientAccount> clients_;
   std::uint64_t last_arrival_us_ = 0;
 };

@@ -1,7 +1,8 @@
-// One-stop wiring for multi-client serving experiments: clock, network,
-// UniverseWorld, validating resolver, LeakageAnalyzer, FrontendServer and a
-// ClientMix schedule, plus the sequential reference model the frontend's
-// leak totals are checked against.
+// One-stop wiring for multi-client serving experiments: the ServeStack
+// (clock, network, UniverseWorld, validating resolver, LeakageAnalyzer,
+// FrontendServer), the one summary every run reduces to, and the
+// sequential reference model the frontend's leak totals are checked
+// against. Runs go through serve/sharded.h; one shard is one resolver.
 //
 // The reference model is the falsifier for coalescing: it replays the exact
 // same arrival-ordered schedule through a fresh identical world with one
@@ -10,10 +11,6 @@
 // in the sequential world, and neither path reaches the DLV registry — so
 // the Case-2 totals and the leaked-domain sets of the two runs must be
 // identical. bench_serve_throughput exits nonzero when they are not.
-//
-// The stack itself (ServeStack) is a standalone building block so the
-// sharded runner (serve/sharded.h) can own N of them — one per resolver
-// shard — without duplicating the wiring.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +47,6 @@ struct ScenarioOptions {
   dlv::DlvRegistry::Options dlv;
   resolver::ResolverConfig resolver_config =
       resolver::ResolverConfig::bind_yum();
-  obs::Tracer* tracer = nullptr;  // nullable
 };
 
 /// Aggregates one run of a scenario (frontend or sequential reference).
@@ -79,11 +75,28 @@ struct ScenarioSummary {
   }
 };
 
-/// Deterministic quantile over sorted virtual latencies (nearest-rank;
-/// integer inputs, so no float-order sensitivity). Exposed so the sharded
-/// runner computes merged percentiles with the same estimator.
-[[nodiscard]] double quantile_ms(const std::vector<std::uint64_t>& sorted,
-                                 double q);
+/// Reduces Served records to every summary field but the stack's (see
+/// ServeStack::fill). Shed and FORMERR queries (zero latency) count as
+/// served but stay out of the latency sample and the makespan — they would
+/// otherwise make an overloaded run look fast. Clients below
+/// `attack_start` are the benign population of benign_p99_ms.
+class SummaryAccumulator {
+ public:
+  SummaryAccumulator(std::uint32_t clients, std::uint32_t attack_start);
+
+  void add(const Served& served);
+
+  /// The summary of every record added so far.
+  [[nodiscard]] ScenarioSummary summary() const;
+
+ private:
+  std::uint32_t attack_start_;
+  ScenarioSummary counts_;  // the count fields and case2_per_client
+  std::vector<std::uint64_t> latencies_;
+  std::vector<std::uint64_t> benign_latencies_;
+  std::uint64_t first_arrival_ = UINT64_MAX;
+  std::uint64_t last_completion_ = 0;
+};
 
 /// Encodes an arrival schedule to wire queries with the deterministic
 /// per-query id contract ((client << 10) ^ seq ^ 0x5117).
@@ -91,9 +104,9 @@ struct ScenarioSummary {
     const std::vector<workload::ClientQuery>& schedule);
 
 /// One full serving stack: private clock, network, world, analyzer,
-/// resolver and frontend. ServeScenario owns exactly one; the sharded
-/// runner owns one per shard (shared-nothing except the optional
-/// SharedProofStore attached to the resolver cache).
+/// resolver and frontend. The sharded runner owns one per shard
+/// (shared-nothing except the optional SharedProofStore attached to the
+/// resolver cache).
 struct ServeStack {
   /// `shard_id`/`shard_label` feed the shared store's sibling accounting
   /// and the frontend's per-shard metric labels; `shared_store` (nullable)
@@ -109,8 +122,9 @@ struct ServeStack {
 
   /// Registry-side Case-2 count so far (total minus deposited).
   [[nodiscard]] std::uint64_t case2() const;
-  /// Copies the registry-side leak fields into `summary`.
-  void fill_registry_side(ScenarioSummary& summary) const;
+  /// Copies what only the stack knows into `summary`: the registry-side
+  /// leak fields, the validation CPU billed and the queue high-water mark.
+  void fill(ScenarioSummary& summary) const;
 
   sim::SimClock clock;
   sim::Network network;
@@ -120,37 +134,9 @@ struct ServeStack {
   std::unique_ptr<FrontendServer> frontend;
 };
 
-/// Builds the frontend-side summary fields from one run's Served records.
-/// Shed queries (SERVFAIL at arrival, zero latency) are excluded from the
-/// latency sample — they would otherwise make an overloaded run look fast.
-/// Registry-side fields are NOT filled here.
-[[nodiscard]] ScenarioSummary summarize_served(
-    const std::vector<Served>& served, const FrontendServer& frontend,
-    std::uint32_t clients, std::uint32_t attack_start);
-
-/// Owns one full serving stack for one run (single-shot: build, run, read).
-class ServeScenario {
- public:
-  explicit ServeScenario(ScenarioOptions options);
-  ~ServeScenario();
-
-  /// Generates the ClientMix schedule, encodes it to wire, and serves it
-  /// through the coalescing frontend.
-  [[nodiscard]] ScenarioSummary run();
-
-  /// Serves the identical schedule with one resolve() per query and no
-  /// coalescing, on this scenario's (fresh) stack. Build a separate
-  /// ServeScenario from the same options to compare against run().
-  [[nodiscard]] ScenarioSummary run_sequential_reference();
-
-  [[nodiscard]] FrontendServer& frontend() { return *stack_.frontend; }
-  [[nodiscard]] workload::UniverseWorld& world() { return *stack_.world; }
-  [[nodiscard]] sim::Network& network() { return stack_.network; }
-
- private:
-  ScenarioOptions options_;
-  ServeStack stack_;
-  bool used_ = false;
-};
+/// Serves the ClientMix schedule of `options` with one resolve() per query
+/// and no coalescing on a fresh, untraced stack; benign_p99_ms stays 0.
+[[nodiscard]] ScenarioSummary sequential_reference(
+    const ScenarioOptions& options);
 
 }  // namespace lookaside::serve

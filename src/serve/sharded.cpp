@@ -80,12 +80,12 @@ ShardedServeScenario::ShardedServeScenario(ShardedOptions options)
     : options_(std::move(options)),
       router_(options_.shards, options_.route) {
   const std::uint32_t shards = router_.shards();
-  if (!options_.shard_tracers.empty() &&
-      options_.shard_tracers.size() != shards) {
+  if (options_.shard_tracers.empty()) options_.shard_tracers.resize(shards);
+  if (options_.shard_metrics.empty()) options_.shard_metrics.resize(shards);
+  if (options_.shard_tracers.size() != shards) {
     throw std::invalid_argument("shard_tracers must be empty or per-shard");
   }
-  if (!options_.shard_metrics.empty() &&
-      options_.shard_metrics.size() != shards) {
+  if (options_.shard_metrics.size() != shards) {
     throw std::invalid_argument("shard_metrics must be empty or per-shard");
   }
   if (options_.shared_store) {
@@ -97,15 +97,9 @@ ShardedServeScenario::ShardedServeScenario(ShardedOptions options)
   stacks_.resize(shards);
   const unsigned jobs = options_.jobs == 0 ? shards : options_.jobs;
   engine::for_each_shard(shards, jobs, [&](std::size_t s) {
-    obs::Tracer* tracer = options_.shard_tracers.empty()
-                              ? nullptr
-                              : options_.shard_tracers[s];
-    obs::MetricsRegistry* metrics = options_.shard_metrics.empty()
-                                        ? nullptr
-                                        : options_.shard_metrics[s];
     stacks_[s] = std::make_unique<ServeStack>(
-        options_.base, tracer, metrics, store_.get(),
-        static_cast<std::uint32_t>(s), std::to_string(s));
+        options_.base, options_.shard_tracers[s], options_.shard_metrics[s],
+        store_.get(), static_cast<std::uint32_t>(s), std::to_string(s));
   });
 }
 
@@ -149,71 +143,47 @@ ShardedSummary ShardedServeScenario::run() {
     // Shard-private parallel serving: one worker per shard, shared nothing.
     const unsigned jobs = options_.jobs == 0 ? shards : options_.jobs;
     engine::for_each_shard(shards, jobs, [&](std::size_t s) {
-      const auto shard_start = WallClock::now();
       served[s] = stacks_[s]->frontend->run(encode_schedule(parts[s]));
-      out.shards[s].wall_ms = ms_since(shard_start);
     });
   }
   out.serve_wall_ms = ms_since(serve_start);
 
-  // Per-shard reports + pooled latency sample, merged in shard-index order.
-  std::vector<std::uint64_t> pooled;
-  std::vector<std::uint64_t> pooled_benign;
-  std::uint64_t first_arrival = 0;
-  std::uint64_t last_completion = 0;
-  out.merged.case2_per_client.assign(options_.base.mix.clients, 0);
+  // Per-shard reports and the merged summary, fed in shard-index order.
+  const std::uint32_t clients = options_.base.mix.clients;
+  SummaryAccumulator pooled(clients, attack_start);
   for (std::uint32_t s = 0; s < shards; ++s) {
     ShardReport& report = out.shards[s];
     report.shard = s;
     report.queries_routed = parts[s].size();
-    std::vector<bool> seen(options_.base.mix.clients, false);
+    std::vector<bool> seen(clients, false);
     for (const workload::ClientQuery& query : parts[s]) {
       if (query.client < seen.size() && !seen[query.client]) {
         seen[query.client] = true;
         ++report.clients_routed;
       }
     }
-    report.summary = summarize_served(served[s], *stacks_[s]->frontend,
-                                      options_.base.mix.clients, attack_start);
-    stacks_[s]->fill_registry_side(report.summary);
-
+    SummaryAccumulator shard(clients, attack_start);
     for (const Served& one : served[s]) {
-      if (one.overload_drop || one.cpu_drop || one.formerr) continue;
-      pooled.push_back(one.latency_us());
-      if (one.client < attack_start) pooled_benign.push_back(one.latency_us());
-      if (first_arrival == 0 || one.arrival_us < first_arrival) {
-        first_arrival = one.arrival_us;
-      }
-      last_completion = std::max(last_completion, one.completion_us);
+      shard.add(one);
+      pooled.add(one);
     }
-
-    ScenarioSummary& merged = out.merged;
-    merged.served += report.summary.served;
-    merged.coalesce_hits += report.summary.coalesce_hits;
-    merged.coalesce_misses += report.summary.coalesce_misses;
-    merged.overload_drops += report.summary.overload_drops;
-    merged.cpu_drops += report.summary.cpu_drops;
+    report.summary = shard.summary();
+    stacks_[s]->fill(report.summary);
+    if (options_.shard_metrics[s] != nullptr) {
+      stacks_[s]->frontend->export_counts(*options_.shard_metrics[s]);
+    }
+  }
+  ScenarioSummary& merged = out.merged;
+  merged = pooled.summary();
+  for (const ShardReport& report : out.shards) {
     merged.validation_cpu_us += report.summary.validation_cpu_us;
     merged.max_queue_depth =
         std::max(merged.max_queue_depth, report.summary.max_queue_depth);
     merged.case2_total += report.summary.case2_total;
     merged.leaked_domains.insert(report.summary.leaked_domains.begin(),
                                  report.summary.leaked_domains.end());
-    for (std::size_t c = 0; c < merged.case2_per_client.size(); ++c) {
-      merged.case2_per_client[c] += report.summary.case2_per_client[c];
-    }
   }
-  out.merged.distinct_leaked = out.merged.leaked_domains.size();
-  std::sort(pooled.begin(), pooled.end());
-  std::sort(pooled_benign.begin(), pooled_benign.end());
-  out.merged.p50_ms = quantile_ms(pooled, 0.50);
-  out.merged.p99_ms = quantile_ms(pooled, 0.99);
-  out.merged.benign_p99_ms = quantile_ms(pooled_benign, 0.99);
-  const std::uint64_t makespan_us = last_completion - first_arrival;
-  out.merged.qps = makespan_us == 0
-                       ? 0.0
-                       : static_cast<double>(out.merged.served) /
-                             (static_cast<double>(makespan_us) / 1e6);
+  merged.distinct_leaked = merged.leaked_domains.size();
 
   // Structural acceptance: shard accounting must tile the merged totals.
   std::uint64_t served_sum = 0;
@@ -223,13 +193,13 @@ ShardedSummary ShardedServeScenario::run() {
     served_sum += report.summary.served;
     routed_sum += report.queries_routed;
   }
-  for (const std::uint64_t count : out.merged.case2_per_client) {
+  for (const std::uint64_t count : merged.case2_per_client) {
     per_client_sum += count;
   }
-  out.sums_consistent = served_sum == out.merged.served &&
+  out.sums_consistent = served_sum == merged.served &&
                         routed_sum == schedule.size() &&
                         served_sum == schedule.size() &&
-                        per_client_sum == out.merged.case2_total;
+                        per_client_sum == merged.case2_total;
 
   if (store_ != nullptr) out.store = store_->stats();
   return out;

@@ -83,8 +83,8 @@ class ShardRouter {
 struct ShardedOptions {
   /// Per-shard stack shape (universe, mix, frontend, resolver config). The
   /// mix describes the *whole* client population; the router partitions it.
-  /// base.tracer is ignored — per-shard tracers/metrics come from the
-  /// vectors below (worker threads must never share a sink).
+  /// Tracers and metrics registries come per shard from the vectors below
+  /// (worker threads must never share a sink).
   ScenarioOptions base;
   std::uint32_t shards = 1;
   ShardRoute route = ShardRoute::kClient;
@@ -94,6 +94,7 @@ struct ShardedOptions {
   /// Worker threads for shard-private parallel serving; 0 = one per shard.
   unsigned jobs = 0;
   /// Optional per-shard observability (empty, or exactly `shards` entries).
+  /// run() ends by adding each frontend's serve_* counts to its registry.
   std::vector<obs::Tracer*> shard_tracers;
   std::vector<obs::MetricsRegistry*> shard_metrics;
 };
@@ -104,7 +105,6 @@ struct ShardReport {
   std::uint32_t shard = 0;
   std::uint32_t clients_routed = 0;    // distinct clients this shard served
   std::uint64_t queries_routed = 0;
-  double wall_ms = 0.0;                // host time serving this shard
 };
 
 /// Merged + per-shard results of one sharded run.
@@ -121,14 +121,19 @@ struct ShardedSummary {
   bool sums_consistent = true;
 };
 
-/// Owns N ServeStacks and runs one sharded serving experiment
-/// (single-shot, like ServeScenario).
+/// Owns N ServeStacks and runs one serving experiment (single-shot: build,
+/// run, read). One shard is a single resolver serving everyone.
 class ShardedServeScenario {
  public:
   explicit ShardedServeScenario(ShardedOptions options);
   ~ShardedServeScenario();
 
   [[nodiscard]] ShardedSummary run();
+
+  /// Shard `shard`'s stack, e.g. for its frontend's per-client accounts.
+  [[nodiscard]] const ServeStack& stack(std::uint32_t shard) const {
+    return *stacks_[shard];
+  }
 
  private:
   ShardedOptions options_;

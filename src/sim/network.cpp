@@ -12,12 +12,10 @@ void Network::record(PacketRecord packet) {
     if (packet.has_question) {
       counters_.add("query." + dns::rr_type_name(packet.qtype));
     }
-    counters_.add("dest." + packet.to + ".queries");
   } else {
     counters_.add("packets.response");
     counters_.add("bytes.response", packet.bytes);
     counters_.add("bytes.total", packet.bytes);
-    counters_.add("rcode." + dns::rcode_name(packet.rcode));
   }
   for (const auto& observer : observers_) observer(packet);
   if (capture_enabled_) capture_.push_back(std::move(packet));

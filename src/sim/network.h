@@ -125,8 +125,7 @@ class Network {
   }
 
   /// Counters: "query.<TYPE>", "packets.query", "packets.response",
-  /// "bytes.query", "bytes.response", "bytes.total",
-  /// "dest.<endpoint>.queries", "rcode.<NAME>", "timeouts",
+  /// "bytes.query", "bytes.response", "bytes.total", "timeouts",
   /// "timeouts.partial" (response leg lost — the query still leaked),
   /// "faults.dropped", "faults.mangled", "faults.truncated",
   /// "faults.rrsig_corrupted", "faults.latency_spikes". The resolver's

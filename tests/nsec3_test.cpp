@@ -9,7 +9,7 @@
 
 #include "crypto/sha1.h"
 #include "resolver/validator.h"
-#include "serve/scenario.h"
+#include "serve/sharded.h"
 #include "sim/clock.h"
 #include "workload/client_mix.h"
 #include "zone/keys.h"
@@ -223,11 +223,18 @@ serve::ScenarioOptions nsec3_scenario(std::uint16_t iterations) {
   return options;
 }
 
+/// One resolver serving the whole population: a one-shard run.
+serve::ScenarioSummary serve_one(serve::ScenarioOptions options) {
+  serve::ShardedOptions sharded;
+  sharded.base = std::move(options);
+  return serve::ShardedServeScenario(std::move(sharded)).run().merged;
+}
+
 TEST(Nsec3PolicyTest, UncappedResolverPaysPerIteration) {
   serve::ScenarioOptions cheap = nsec3_scenario(16);
   serve::ScenarioOptions dear = nsec3_scenario(800);
-  const serve::ScenarioSummary cheap_run = serve::ServeScenario(cheap).run();
-  const serve::ScenarioSummary dear_run = serve::ServeScenario(dear).run();
+  const serve::ScenarioSummary cheap_run = serve_one(cheap);
+  const serve::ScenarioSummary dear_run = serve_one(dear);
   EXPECT_GT(cheap_run.validation_cpu_us, 0u);
   // 50x the iterations must cost well over an order of magnitude more.
   EXPECT_GT(dear_run.validation_cpu_us, cheap_run.validation_cpu_us * 10);
@@ -236,7 +243,7 @@ TEST(Nsec3PolicyTest, UncappedResolverPaysPerIteration) {
 TEST(Nsec3PolicyTest, Rfc9276CapSkipsOverCapHashing) {
   serve::ScenarioOptions options = nsec3_scenario(800);
   options.resolver_config.nsec3_iteration_cap = 150;  // downgrade-to-insecure
-  const serve::ScenarioSummary capped = serve::ServeScenario(options).run();
+  const serve::ScenarioSummary capped = serve_one(options);
   EXPECT_EQ(capped.validation_cpu_us, 0u);
   // The denials still resolve (downgraded, not SERVFAILed): leaks happen.
   EXPECT_GT(capped.case2_total, 0u);
@@ -245,7 +252,7 @@ TEST(Nsec3PolicyTest, Rfc9276CapSkipsOverCapHashing) {
 TEST(Nsec3PolicyTest, CapUnderIterationsStillHashes) {
   serve::ScenarioOptions options = nsec3_scenario(100);
   options.resolver_config.nsec3_iteration_cap = 150;
-  const serve::ScenarioSummary run = serve::ServeScenario(options).run();
+  const serve::ScenarioSummary run = serve_one(options);
   EXPECT_GT(run.validation_cpu_us, 0u);
 }
 
@@ -255,20 +262,45 @@ TEST(Nsec3AdmissionTest, StarvedBudgetShedsWithServfail) {
   // is spent, queries must shed instead of hashing.
   options.frontend.cpu_budget_us_per_s = 200;
   options.frontend.cpu_burst_us = 2'000;
-  const serve::ScenarioSummary run = serve::ServeScenario(options).run();
+  const serve::ScenarioSummary run = serve_one(options);
   EXPECT_GT(run.cpu_drops, 0u);
 
   // Same world without the budget: nothing sheds.
-  const serve::ScenarioSummary open =
-      serve::ServeScenario(nsec3_scenario(800)).run();
+  const serve::ScenarioSummary open = serve_one(nsec3_scenario(800));
   EXPECT_EQ(open.cpu_drops, 0u);
+}
+
+TEST(Nsec3AdmissionTest, StarvedBudgetKnownAnswerSummary) {
+  // Every field of the starved-budget run above, pinned.
+  serve::ScenarioOptions options = nsec3_scenario(800);
+  options.frontend.cpu_budget_us_per_s = 200;
+  options.frontend.cpu_burst_us = 2'000;
+  const serve::ScenarioSummary run = serve_one(options);
+  EXPECT_EQ(run.served, 61u);
+  EXPECT_EQ(run.coalesce_hits, 2u);
+  EXPECT_EQ(run.coalesce_misses, 4u);
+  EXPECT_EQ(run.overload_drops, 0u);
+  EXPECT_EQ(run.cpu_drops, 55u);
+  EXPECT_EQ(run.max_queue_depth, 6u);
+  EXPECT_EQ(run.validation_cpu_us, 25'632u);
+  EXPECT_DOUBLE_EQ(run.qps, 78.236121745665912);
+  EXPECT_DOUBLE_EQ(run.p50_ms, 477.777);
+  EXPECT_DOUBLE_EQ(run.p99_ms, 614.408);
+  EXPECT_DOUBLE_EQ(run.benign_p99_ms, 614.408);
+  EXPECT_EQ(run.case2_total, 4u);
+  EXPECT_EQ(run.distinct_leaked, 4u);
+  EXPECT_EQ(run.leaked_domains,
+            (std::set<std::string>{"site-2-mx.uk", "site-54-oh.com",
+                                   "site-7-qi.org", "site-o-cn.net"}));
+  EXPECT_EQ(run.case2_per_client,
+            (std::vector<std::uint64_t>{1, 1, 1, 1}));
 }
 
 TEST(Nsec3AdmissionTest, GenerousBudgetNeverSheds) {
   serve::ScenarioOptions options = nsec3_scenario(800);
   options.frontend.cpu_budget_us_per_s = 10'000'000;
   options.frontend.cpu_burst_us = 10'000'000;
-  const serve::ScenarioSummary run = serve::ServeScenario(options).run();
+  const serve::ScenarioSummary run = serve_one(options);
   EXPECT_EQ(run.cpu_drops, 0u);
   EXPECT_GT(run.validation_cpu_us, 0u);
 }

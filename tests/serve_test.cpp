@@ -1,8 +1,9 @@
 // Serving-frontend tests: query coalescing (two waiters, one upstream
 // resolution), post-completion misses, fault-driven SERVFAIL fan-out,
 // admission control, FORMERR handling, plain-stub stripping, the
-// sim::Endpoint adapter, and the scenario-level identity between the
-// coalescing frontend and the sequential reference model.
+// per-client accounts as the frontend's one tally, the shared run
+// summary, and the scenario-level identity between the coalescing
+// frontend and the sequential reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,13 @@
 
 #include "dlv/registry.h"
 #include "obs/leak_ledger.h"
+#include "obs/metrics_registry.h"
 #include "obs/span_timeline.h"
 #include "obs/tracer.h"
 #include "resolver/resolver.h"
 #include "serve/frontend.h"
 #include "serve/scenario.h"
+#include "serve/sharded.h"
 #include "server/testbed.h"
 #include "sim/clock.h"
 
@@ -30,7 +33,7 @@ using serve::FrontendServer;
 using serve::ScenarioOptions;
 using serve::ScenarioSummary;
 using serve::Served;
-using serve::ServeScenario;
+using serve::ServeStack;
 using serve::WireQuery;
 
 dns::Bytes wire_query(const std::string& name, dns::RRType type,
@@ -219,16 +222,101 @@ TEST(ServeTest, PlainStubResponsesAreStripped) {
   EXPECT_NE(full.first_answer(dns::RRType::kRrsig), nullptr);
 }
 
-TEST(ServeTest, EndpointAdapterServesOverTheNetwork) {
-  ServeFixture fixture;
-  const dns::Message query = dns::Message::make_query(
-      0xbeef, dns::Name::parse("island.com"), dns::RRType::kA, true, true);
-  const auto response =
-      fixture.network_.exchange("stub", *fixture.frontend_, query);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->header.id, 0xbeef);
-  EXPECT_EQ(response->header.rcode, dns::RCode::kNoError);
-  EXPECT_NE(response->first_answer(dns::RRType::kA), nullptr);
+TEST(ServeTest, ClientAccountsAreTheOnlyTally) {
+  // Admission pressure (a four-deep queue), an NSEC3 registry whose proofs
+  // overdraw a validator-CPU budget, and two garbage frames drive every
+  // outcome through one frontend. stats() and the exported serve_* series
+  // must both equal the account sums, pinned for this schedule.
+  ScenarioOptions options;
+  options.universe_size = 2'000;
+  options.seed = 7;
+  options.mix.clients = 8;
+  options.mix.queries_per_client = 20;
+  options.mix.seed = 23;
+  options.mix.zipf_support = 20;
+  options.mix.mean_gap_us = 100'000;
+  options.mix.attack_fraction = 0.25;
+  options.dlv.nsec3_enabled = true;
+  options.dlv.nsec3_iterations = 1'000;
+  options.dlv.nsec3_salt = {0xab, 0xcd, 0xef, 0x01};
+  options.resolver_config.nsec3_hash_cost_ns = 2'000;
+  options.frontend.max_pending = 4;
+  options.frontend.cpu_budget_us_per_s = 2'000;
+  options.frontend.cpu_burst_us = 10'000;
+  ServeStack stack(options, nullptr, nullptr, nullptr, 0, "");
+  FrontendServer& frontend = *stack.frontend;
+  const std::vector<Served> served = frontend.run(serve::encode_schedule(
+      workload::ClientMix(options.mix).generate(stack.world->universe())));
+
+  const auto exported = [&] {
+    obs::MetricsRegistry registry;
+    frontend.export_counts(registry);
+    return registry;
+  };
+  // No FORMERR yet: its series must be absent, not zero-valued.
+  EXPECT_EQ(exported().json().find("serve_formerr"), std::string::npos);
+
+  const std::uint64_t last = served.back().arrival_us;
+  (void)frontend.submit({last, 1, 900, dns::Bytes{0xde, 0xad, 0xbe}});
+  (void)frontend.submit({last + 1, 2, 901, dns::Bytes{0x01}});
+
+  const serve::ClientAccount sum = frontend.totals();
+  EXPECT_EQ(sum.queries, 203u);
+  EXPECT_EQ(sum.answered, 38u);
+  EXPECT_EQ(sum.coalesce_hits, 14u);
+  EXPECT_EQ(sum.overload_drops, 161u);
+  EXPECT_EQ(sum.cpu_drops, 2u);
+  EXPECT_EQ(sum.formerr, 2u);
+  EXPECT_EQ(sum.case2_leaks, 11u);
+  // Every Case-2 query the registry saw is attributed to one client.
+  EXPECT_EQ(sum.case2_leaks, stack.case2());
+
+  const metrics::CounterSet stats = frontend.stats();
+  EXPECT_EQ(stats.value("serve.queries"), sum.queries);
+  EXPECT_EQ(stats.value("serve.answered"), sum.answered);
+  EXPECT_EQ(stats.value("serve.coalesce.hits"), sum.coalesce_hits);
+  EXPECT_EQ(stats.value("serve.coalesce.misses"), 24u);
+  EXPECT_EQ(stats.value("serve.overload.drops"), sum.overload_drops);
+  EXPECT_EQ(stats.value("serve.cpu.drops"), sum.cpu_drops);
+  EXPECT_EQ(stats.value("serve.formerr"), sum.formerr);
+  EXPECT_EQ(stats.entries().size(), 7u);
+
+  const obs::MetricsRegistry registry = exported();
+  EXPECT_EQ(registry.value("serve_coalesce", {{"result", "hit"}}),
+            sum.coalesce_hits);
+  EXPECT_EQ(registry.value("serve_coalesce", {{"result", "miss"}}), 24u);
+  EXPECT_EQ(registry.value("serve_overload_drops"), sum.overload_drops);
+  EXPECT_EQ(registry.value("serve_cpu_drops"), sum.cpu_drops);
+  EXPECT_EQ(registry.value("serve_formerr"), sum.formerr);
+  EXPECT_EQ(registry.value("serve_case2_leaks"), sum.case2_leaks);
+}
+
+TEST(SummaryAccumulatorTest, ArrivalAtTimeZeroStartsTheMakespan) {
+  // Two answers over [0, 20] µs: 2 / 20 µs = 100k QPS. Treating t=0 as
+  // "no arrival yet" would start the makespan at 5 µs instead.
+  serve::SummaryAccumulator accumulator(/*clients=*/1, /*attack_start=*/1);
+  Served first;
+  first.arrival_us = 0;
+  first.completion_us = 10;
+  Served second;
+  second.arrival_us = 5;
+  second.completion_us = 20;
+  accumulator.add(first);
+  accumulator.add(second);
+  const ScenarioSummary summary = accumulator.summary();
+  EXPECT_EQ(summary.served, 2u);
+  EXPECT_DOUBLE_EQ(summary.qps, 100'000.0);
+  EXPECT_DOUBLE_EQ(summary.p50_ms, 0.010);
+  EXPECT_DOUBLE_EQ(summary.p99_ms, 0.010);
+}
+
+/// One resolver serving the whole population: a one-shard run.
+ScenarioSummary serve_one(ScenarioOptions options,
+                          obs::Tracer* tracer = nullptr) {
+  serve::ShardedOptions sharded;
+  sharded.base = std::move(options);
+  if (tracer != nullptr) sharded.shard_tracers = {tracer};
+  return serve::ShardedServeScenario(std::move(sharded)).run().merged;
 }
 
 ScenarioOptions small_scenario() {
@@ -248,9 +336,8 @@ ScenarioOptions small_scenario() {
 }
 
 TEST(ServeScenarioTest, CoalescedRunLeaksExactlyWhatSequentialWould) {
-  ScenarioSummary coalesced = ServeScenario(small_scenario()).run();
-  ScenarioSummary reference =
-      ServeScenario(small_scenario()).run_sequential_reference();
+  ScenarioSummary coalesced = serve_one(small_scenario());
+  ScenarioSummary reference = serve::sequential_reference(small_scenario());
 
   // The overlapping Zipf head must actually produce sharing, or this test
   // proves nothing — and nothing may be shed, or the comparison is void.
@@ -340,9 +427,7 @@ TEST(ServeTraceTest, LedgerAgreesWithScenarioCase2Accounting) {
   tracer.add_sink(ledger);
   tracer.add_sink(timeline);
 
-  ScenarioOptions options = small_scenario();
-  options.tracer = &tracer;
-  const ScenarioSummary summary = ServeScenario(std::move(options)).run();
+  const ScenarioSummary summary = serve_one(small_scenario(), &tracer);
 
   EXPECT_GT(summary.case2_total, 0u);
   EXPECT_EQ(ledger->case2_total(), summary.case2_total);
@@ -372,9 +457,7 @@ TEST(ServeTraceTest, ProfilesAndLedgerAreRunToRunIdentical) {
     auto timeline = std::make_shared<obs::TimelineSink>();
     tracer.add_sink(ledger);
     tracer.add_sink(timeline);
-    ScenarioOptions options = small_scenario();
-    options.tracer = &tracer;
-    (void)ServeScenario(std::move(options)).run();
+    (void)serve_one(small_scenario(), &tracer);
 
     std::string blob;
     for (const obs::QueryProfile& profile :
@@ -393,9 +476,32 @@ TEST(ServeTraceTest, ProfilesAndLedgerAreRunToRunIdentical) {
   EXPECT_EQ(first, second);
 }
 
+TEST(ServeScenarioTest, KnownAnswerSummary) {
+  // Every field of the single-resolver run, pinned.
+  const ScenarioSummary summary = serve_one(small_scenario());
+  EXPECT_EQ(summary.served, 193u);
+  EXPECT_EQ(summary.coalesce_hits, 9u);
+  EXPECT_EQ(summary.coalesce_misses, 184u);
+  EXPECT_EQ(summary.overload_drops, 0u);
+  EXPECT_EQ(summary.cpu_drops, 0u);
+  EXPECT_EQ(summary.max_queue_depth, 20u);
+  EXPECT_EQ(summary.validation_cpu_us, 0u);
+  EXPECT_DOUBLE_EQ(summary.qps, 40.943820834931486);
+  EXPECT_DOUBLE_EQ(summary.p50_ms, 134.0);
+  EXPECT_DOUBLE_EQ(summary.p99_ms, 606.0);
+  EXPECT_DOUBLE_EQ(summary.benign_p99_ms, 606.0);
+  EXPECT_EQ(summary.case2_total, 35u);
+  EXPECT_EQ(summary.distinct_leaked, 35u);
+  ASSERT_EQ(summary.leaked_domains.size(), 35u);
+  EXPECT_EQ(*summary.leaked_domains.begin(), "site-11-qj.com");
+  EXPECT_EQ(*summary.leaked_domains.rbegin(), "site-u-fs.org");
+  EXPECT_EQ(summary.case2_per_client,
+            (std::vector<std::uint64_t>{4, 7, 10, 8, 4, 2}));
+}
+
 TEST(ServeScenarioTest, RunsAreDeterministic) {
-  const ScenarioSummary a = ServeScenario(small_scenario()).run();
-  const ScenarioSummary b = ServeScenario(small_scenario()).run();
+  const ScenarioSummary a = serve_one(small_scenario());
+  const ScenarioSummary b = serve_one(small_scenario());
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.coalesce_hits, b.coalesce_hits);
   EXPECT_EQ(a.coalesce_misses, b.coalesce_misses);

@@ -338,8 +338,7 @@ serve::ScenarioOptions small_mix() {
 }
 
 serve::ScenarioSummary sequential_reference() {
-  serve::ServeScenario reference(small_mix());
-  return reference.run_sequential_reference();
+  return serve::sequential_reference(small_mix());
 }
 
 ShardedSummary run_sharded(std::uint32_t shards, bool shared) {
@@ -450,12 +449,12 @@ TEST(ShardedServe, QnameRoutingPreservesSharedModeIdentityToo) {
 }
 
 TEST(ShardedServe, FrontendRegistrySeriesMatchTraceCountsAndSummaries) {
-  // Three counting paths per shard: the frontend writes serve_* series
-  // straight into the shard's registry, the MetricsSink derives
-  // client_responses / dlv_observations from the shard's trace stream, and
-  // summarize_served reads the frontend's CounterSet plus the registry-side
-  // leak analyzer. A tight admission window and an NSEC3 registry whose
-  // proofs overdraw a validator-CPU budget make every series non-zero.
+  // Each shard's frontend exports its per-client account sums as serve_*
+  // series at the end of run(); the MetricsSink derives client_responses /
+  // dlv_observations from the shard's trace stream; the summary counts the
+  // Served flags and reads the registry-side leak analyzer. All three must
+  // agree. A tight admission window and an NSEC3 registry whose proofs
+  // overdraw a validator-CPU budget make every series non-zero.
   constexpr std::uint32_t kShards = 2;
   ShardedOptions options;
   options.base = small_mix();

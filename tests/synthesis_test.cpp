@@ -441,8 +441,8 @@ serve::ScenarioOptions synth_mix(bool synthesis) {
 }
 
 TEST(SynthesisServe, ShardedMergedLeaksEqualTheSequentialReference) {
-  serve::ServeScenario reference(synth_mix(/*synthesis=*/true));
-  const serve::ScenarioSummary expected = reference.run_sequential_reference();
+  const serve::ScenarioSummary expected =
+      serve::sequential_reference(synth_mix(/*synthesis=*/true));
 
   for (const std::uint32_t shards : {1u, 4u}) {
     serve::ShardedOptions options;
@@ -462,10 +462,10 @@ TEST(SynthesisServe, SynthesisDoesNotChangeWhoLearnsWhatUncapped) {
   // With an unbounded cache the paper-era aggressive NSEC cache already
   // suppresses every repeat denial; full synthesis must not leak anything
   // new (it can only answer earlier, never query more).
-  serve::ServeScenario off(synth_mix(/*synthesis=*/false));
-  serve::ServeScenario on(synth_mix(/*synthesis=*/true));
-  const serve::ScenarioSummary off_summary = off.run_sequential_reference();
-  const serve::ScenarioSummary on_summary = on.run_sequential_reference();
+  const serve::ScenarioSummary off_summary =
+      serve::sequential_reference(synth_mix(/*synthesis=*/false));
+  const serve::ScenarioSummary on_summary =
+      serve::sequential_reference(synth_mix(/*synthesis=*/true));
   EXPECT_LE(on_summary.case2_total, off_summary.case2_total);
   for (const std::string& domain : on_summary.leaked_domains) {
     EXPECT_TRUE(off_summary.leaked_domains.count(domain) > 0) << domain;
