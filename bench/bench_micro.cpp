@@ -99,6 +99,16 @@ void BM_MessageEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageEncode);
 
+void BM_WireSize(benchmark::State& state) {
+  // BM_MessageEncode's message, sized the way sim::Network sizes every
+  // packet it carries.
+  const dns::Message message = sample_response();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::wire_size(message));
+  }
+}
+BENCHMARK(BM_WireSize);
+
 void BM_MessageDecode(benchmark::State& state) {
   const dns::Bytes wire = dns::encode_message(sample_response());
   for (auto _ : state) {
@@ -268,6 +278,37 @@ void BM_CacheNsecCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheNsecCheck)->Arg(100)->Arg(10000);
+
+void BM_CacheMaintainUnexpired(benchmark::State& state) {
+  // One maintain() tick, the tail of every resolve(), on a cache holding
+  // `range(0)` names in each store and nothing expired: the expiry sweep
+  // rotates through the stores and reclaims nothing.
+  sim::SimClock clock;
+  resolver::ResolverCache cache(clock);
+  const dns::Name apex = dns::Name::parse("dlv.isc.org");
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const std::string tag = std::to_string(i);
+    const dns::Name host = dns::Name::parse("host" + tag + ".example.com");
+    dns::RRset rrset(host, dns::RRType::kA);
+    rrset.add(dns::ResourceRecord::make(host, 3600, dns::ARdata{0x01020304}));
+    cache.store(rrset, /*validated=*/false);
+    cache.store_negative(dns::Name::parse("n" + tag + ".example.com"),
+                         dns::RRType::kA, 3600, /*nxdomain=*/true);
+    cache.store_servfail(dns::Name::parse("s" + tag + ".example.com"),
+                         dns::RRType::kA, 3600);
+    dns::NsecRdata nsec;
+    nsec.next = dns::Name::parse("d" + tag + "b.com.dlv.isc.org");
+    nsec.types = {dns::RRType::kDlv};
+    cache.store_nsec(apex, dns::ResourceRecord::make(
+                               dns::Name::parse("d" + tag + "a.com.dlv.isc.org"),
+                               3600, nsec));
+    cache.store_zone_cut(dns::Name::parse("z" + tag + ".com"), 3600);
+  }
+  for (auto _ : state) {
+    cache.maintain();
+  }
+}
+BENCHMARK(BM_CacheMaintainUnexpired)->Arg(100)->Arg(10000);
 
 void BM_FullResolutionUncached(benchmark::State& state) {
   workload::WorldOptions world_options;

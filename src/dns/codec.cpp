@@ -1,7 +1,7 @@
 #include "dns/codec.h"
 
-#include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 namespace lookaside::dns {
 
@@ -11,37 +11,77 @@ constexpr std::uint16_t kPointerMask = 0xC000;
 constexpr std::size_t kMaxPointerOffset = 0x3FFF;
 constexpr std::size_t kMaxPointerJumps = 64;  // loop guard when decoding
 
-/// Writes `name` with compression against previously written names.
-/// `offsets` maps a name's internal text to the packet offset where that
-/// suffix was first written.
-void encode_compressed_name(
-    const Name& name, ByteWriter& writer,
-    std::unordered_map<std::string, std::size_t>& offsets) {
-  Name current = name;
-  for (;;) {
-    if (current.is_root()) {
-      writer.u8(0);
+/// Suffixes already written, for compression pointers: each a view of the
+/// suffix's text inside one of the message's own names, plus the offset
+/// where it was first written. string_view equality compares lengths, then
+/// bytes. The first kInline entries live on the stack; later ones spill to
+/// the heap, so the output never depends on the capacity.
+class CompressionTable {
+ public:
+  static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
+
+  /// Offset `suffix` was first written at, or kNotFound.
+  [[nodiscard]] std::size_t find(std::string_view suffix) const {
+    for (std::size_t i = 0; i < inline_count_; ++i) {
+      if (inline_[i].suffix == suffix) return inline_[i].offset;
+    }
+    for (const Entry& entry : spill_) {
+      if (entry.suffix == suffix) return entry.offset;
+    }
+    return kNotFound;
+  }
+
+  void add(std::string_view suffix, std::size_t offset) {
+    const Entry entry{suffix, static_cast<std::uint16_t>(offset)};
+    if (inline_count_ < kInline) {
+      inline_[inline_count_++] = entry;
+    } else {
+      spill_.push_back(entry);
+    }
+  }
+
+ private:
+  struct Entry {
+    std::string_view suffix;
+    std::uint16_t offset = 0;
+  };
+  static constexpr std::size_t kInline = 64;
+
+  Entry inline_[kInline];
+  std::size_t inline_count_ = 0;
+  std::vector<Entry> spill_;
+};
+
+/// Writes `name` with compression against previously written names: a
+/// pointer to the first occurrence of its longest already-written suffix.
+/// Only suffixes first written at an offset a pointer can hold are
+/// registered.
+template <typename Writer>
+void encode_compressed_name(const Name& name, Writer& writer,
+                            CompressionTable& table) {
+  const std::string& text = name.internal_text();
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string_view label = name.label(i);
+    const std::string_view suffix(
+        label.data(),
+        static_cast<std::size_t>(text.data() + text.size() - label.data()));
+    const std::size_t offset = table.find(suffix);
+    if (offset != CompressionTable::kNotFound) {
+      writer.u16(static_cast<std::uint16_t>(kPointerMask | offset));
       return;
     }
-    const auto it = offsets.find(current.internal_text());
-    if (it != offsets.end()) {
-      writer.u16(static_cast<std::uint16_t>(kPointerMask | it->second));
-      return;
-    }
-    if (writer.size() <= kMaxPointerOffset) {
-      offsets.emplace(current.internal_text(), writer.size());
-    }
-    const std::string_view label = current.label(0);
+    if (writer.size() <= kMaxPointerOffset) table.add(suffix, writer.size());
     writer.u8(static_cast<std::uint8_t>(label.size()));
     writer.raw(reinterpret_cast<const std::uint8_t*>(label.data()),
                label.size());
-    current = current.parent();
   }
+  writer.u8(0);
 }
 
-void encode_record(const ResourceRecord& record, ByteWriter& writer,
-                   std::unordered_map<std::string, std::size_t>& offsets) {
-  encode_compressed_name(record.name, writer, offsets);
+template <typename Writer>
+void encode_record(const ResourceRecord& record, Writer& writer,
+                   CompressionTable& table) {
+  encode_compressed_name(record.name, writer, table);
   writer.u16(static_cast<std::uint16_t>(record.type));
   if (const auto* opt = std::get_if<OptRdata>(&record.rdata)) {
     // OPT smuggles its fields into CLASS and TTL (RFC 6891).
@@ -57,6 +97,56 @@ void encode_record(const ResourceRecord& record, ByteWriter& writer,
   encode_rdata(record.rdata, writer);
   writer.patch_u16(rdlength_offset, static_cast<std::uint16_t>(
                                         writer.size() - rdlength_offset - 2));
+}
+
+/// The one message encoder; ByteWriter writes the bytes, CountingWriter
+/// only sizes them.
+template <typename Writer>
+void encode(const Message& message, Writer& writer) {
+  CompressionTable table;
+
+  writer.u16(message.header.id);
+  std::uint16_t flags = 0;
+  if (message.header.qr) flags |= 0x8000;
+  flags |= static_cast<std::uint16_t>((message.header.opcode & 0x0F) << 11);
+  if (message.header.aa) flags |= 0x0400;
+  if (message.header.tc) flags |= 0x0200;
+  if (message.header.rd) flags |= 0x0100;
+  if (message.header.ra) flags |= 0x0080;
+  if (message.header.z) flags |= 0x0040;
+  if (message.header.ad) flags |= 0x0020;
+  if (message.header.cd) flags |= 0x0010;
+  flags |= static_cast<std::uint16_t>(message.header.rcode) & 0x0F;
+  writer.u16(flags);
+
+  writer.u16(static_cast<std::uint16_t>(message.questions.size()));
+  writer.u16(static_cast<std::uint16_t>(message.answers.size()));
+  writer.u16(static_cast<std::uint16_t>(message.authorities.size()));
+  const std::size_t additional_count =
+      message.additionals.size() + (message.edns ? 1 : 0);
+  writer.u16(static_cast<std::uint16_t>(additional_count));
+
+  for (const Question& question : message.questions) {
+    encode_compressed_name(question.name, writer, table);
+    writer.u16(static_cast<std::uint16_t>(question.type));
+    writer.u16(static_cast<std::uint16_t>(question.rr_class));
+  }
+  for (const ResourceRecord& record : message.answers) {
+    encode_record(record, writer, table);
+  }
+  for (const ResourceRecord& record : message.authorities) {
+    encode_record(record, writer, table);
+  }
+  for (const ResourceRecord& record : message.additionals) {
+    encode_record(record, writer, table);
+  }
+  if (message.edns) {
+    ResourceRecord opt;
+    opt.name = Name::root();
+    opt.type = RRType::kOpt;
+    opt.rdata = OptRdata{message.udp_payload_size, message.dnssec_ok};
+    encode_record(opt, writer, table);
+  }
 }
 
 Name decode_compressed_name(ByteReader& reader) {
@@ -120,50 +210,8 @@ ResourceRecord decode_record(ByteReader& reader, Message& message) {
 
 Bytes encode_message(const Message& message) {
   ByteWriter writer;
-  std::unordered_map<std::string, std::size_t> offsets;
-
-  writer.u16(message.header.id);
-  std::uint16_t flags = 0;
-  if (message.header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>((message.header.opcode & 0x0F) << 11);
-  if (message.header.aa) flags |= 0x0400;
-  if (message.header.tc) flags |= 0x0200;
-  if (message.header.rd) flags |= 0x0100;
-  if (message.header.ra) flags |= 0x0080;
-  if (message.header.z) flags |= 0x0040;
-  if (message.header.ad) flags |= 0x0020;
-  if (message.header.cd) flags |= 0x0010;
-  flags |= static_cast<std::uint16_t>(message.header.rcode) & 0x0F;
-  writer.u16(flags);
-
-  writer.u16(static_cast<std::uint16_t>(message.questions.size()));
-  writer.u16(static_cast<std::uint16_t>(message.answers.size()));
-  writer.u16(static_cast<std::uint16_t>(message.authorities.size()));
-  const std::size_t additional_count =
-      message.additionals.size() + (message.edns ? 1 : 0);
-  writer.u16(static_cast<std::uint16_t>(additional_count));
-
-  for (const Question& question : message.questions) {
-    encode_compressed_name(question.name, writer, offsets);
-    writer.u16(static_cast<std::uint16_t>(question.type));
-    writer.u16(static_cast<std::uint16_t>(question.rr_class));
-  }
-  for (const ResourceRecord& record : message.answers) {
-    encode_record(record, writer, offsets);
-  }
-  for (const ResourceRecord& record : message.authorities) {
-    encode_record(record, writer, offsets);
-  }
-  for (const ResourceRecord& record : message.additionals) {
-    encode_record(record, writer, offsets);
-  }
-  if (message.edns) {
-    ResourceRecord opt;
-    opt.name = Name::root();
-    opt.type = RRType::kOpt;
-    opt.rdata = OptRdata{message.udp_payload_size, message.dnssec_ok};
-    encode_record(opt, writer, offsets);
-  }
+  writer.reserve(wire_size(message));
+  encode(message, writer);
   return writer.take();
 }
 
@@ -222,7 +270,9 @@ Message decode_message(const Bytes& wire) {
 }
 
 std::size_t wire_size(const Message& message) {
-  return encode_message(message).size();
+  CountingWriter counter;
+  encode(message, counter);
+  return counter.size();
 }
 
 }  // namespace lookaside::dns

@@ -14,6 +14,13 @@
 // metadata per ~64 slots instead of one line per slot, and mismatched keys
 // are rejected without ever loading their Name.
 //
+// Beside the control bytes sits a dense array of per-slot due times: a
+// lower bound on the earliest expiry stored under the slot's key. A sweep
+// that only needs slots due by some time reads it with one sequential load
+// and passes every other full slot without touching its key or value. A
+// new slot starts due at 0, writers lower the due time when they store an
+// earlier expiry, and the sweep's callback raises it again after a visit.
+//
 // Linear probing over a power-of-two slot array with tombstone deletion.
 // Rehash keeps the live load factor below 3/4 (tombstones count toward the
 // trigger so heavily-churned tables compact instead of degrading).
@@ -55,6 +62,10 @@ struct NameMapSweepCursor {
   std::uint64_t generation = 0;
 };
 
+/// NameHashMap::sweep's `due_by` that visits every full slot, whatever its
+/// due time (clock eviction).
+inline constexpr std::uint64_t kSweepAll = ~std::uint64_t{0};
+
 template <typename Value>
 class NameHashMap {
  public:
@@ -81,7 +92,10 @@ class NameHashMap {
   }
 
   /// Mapped value for `key`, default-constructed and inserted when absent.
-  Value& get_or_insert(const Name& key) {
+  /// Lowers the slot's due time to `due`; a new slot starts due at 0, so
+  /// the next sweep lap visits it. Callers that do not sweep, or whose
+  /// sweep must visit the slot on every lap, leave `due` at 0.
+  Value& get_or_insert(const Name& key, std::uint64_t due = 0) {
     if ((size_ + dead_ + 1) * 4 >= slots_.size() * 3) grow();
     const std::size_t hash = key.hash();
     const std::uint8_t want = ctrl_of(hash);
@@ -89,7 +103,10 @@ class NameHashMap {
     std::size_t reuse = kNoSlot;
     for (;;) {
       const std::uint8_t c = ctrl_[i];
-      if (c == want && keys_equal(slots_[i], key)) return slots_[i].value;
+      if (c == want && keys_equal(slots_[i], key)) {
+        if (due < due_[i]) due_[i] = due;
+        return slots_[i].value;
+      }
       if (c == kCtrlDead && reuse == kNoSlot) reuse = i;
       if (c == kCtrlEmpty) {
         const std::size_t target = reuse == kNoSlot ? i : reuse;
@@ -98,6 +115,7 @@ class NameHashMap {
         slot.key = key;
         slot.value = Value{};
         ctrl_[target] = want;
+        due_[target] = 0;
         ++size_;
         return slot.value;
       }
@@ -132,6 +150,7 @@ class NameHashMap {
   void clear() {
     slots_.clear();
     ctrl_.clear();
+    due_.clear();
     size_ = 0;
     dead_ = 0;
     ++generation_;
@@ -154,19 +173,23 @@ class NameHashMap {
   /// compaction, clear). SweepCursor snapshots it; tests assert against it.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  /// Incremental slot walk for sweepers and clock-eviction hands: visits up
-  /// to `max_steps` consecutive slots starting at `cursor->slot` (wrapping),
-  /// calling fn(key, value) on each full slot; returning true erases that
-  /// entry in place (tombstone, no rehash). The cursor advances past the
-  /// visited slots so repeated calls cover the whole table. A cursor whose
-  /// snapshotted generation predates a rehash indexed the *old* slot
-  /// ordering — sweep() re-anchors it into the current table (masked, phase
+  /// Incremental slot walk for sweepers and clock-eviction hands: walks
+  /// `max_steps` consecutive slots starting at `cursor->slot` (wrapping),
+  /// calling fn(key, value, due) on each full slot whose due time is at or
+  /// before `due_by`; kSweepAll visits every full slot. `due` is the slot's
+  /// due time: fn may raise it to the earliest expiry it leaves in the
+  /// slot. Returning true erases that entry in place (tombstone, no
+  /// rehash). The cursor advances past every walked slot, visited or not,
+  /// so repeated calls cover the whole table. A cursor whose snapshotted
+  /// generation predates a rehash indexed the *old* slot ordering —
+  /// sweep() re-anchors it into the current table (masked, phase
   /// preserved; see NameMapSweepCursor for why not slot 0) so the walk is
   /// always a defined position in the live ordering, and within one
   /// generation never skips or double-visits an entry per lap. Returns the
   /// number of entries erased. fn must not touch the map.
   template <typename Fn>
-  std::size_t sweep(SweepCursor* cursor, std::size_t max_steps, Fn&& fn) {
+  std::size_t sweep(SweepCursor* cursor, std::size_t max_steps,
+                    std::uint64_t due_by, Fn&& fn) {
     if (slots_.empty() || max_steps == 0) return 0;
     if (cursor->generation != generation_) {
       cursor->slot &= mask();
@@ -175,9 +198,9 @@ class NameHashMap {
     std::size_t erased = 0;
     std::size_t i = cursor->slot & mask();
     for (std::size_t step = 0; step < max_steps; ++step) {
-      if (is_full(ctrl_[i])) {
+      if (is_full(ctrl_[i]) && due_[i] <= due_by) {
         Slot& slot = slots_[i];
-        if (fn(slot.key, slot.value)) {
+        if (fn(slot.key, slot.value, due_[i])) {
           slot.key = Name{};
           slot.value = Value{};
           ctrl_[i] = kCtrlDead;
@@ -226,6 +249,7 @@ class NameHashMap {
   void grow() {
     std::vector<Slot> old = std::move(slots_);
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
+    std::vector<std::uint64_t> old_due = std::move(due_);
     // Double only when live entries need it; a tombstone-heavy table
     // rehashes at the same capacity, which drops the tombstones.
     std::size_t capacity = old.empty() ? kInitialCapacity : old.size();
@@ -235,6 +259,7 @@ class NameHashMap {
     slots_.clear();
     slots_.resize(capacity);
     ctrl_.assign(capacity, kCtrlEmpty);
+    due_.assign(capacity, 0);
     size_ = 0;
     dead_ = 0;
     ++generation_;
@@ -247,12 +272,14 @@ class NameHashMap {
       slots_[i].key = std::move(slot.key);
       slots_[i].value = std::move(slot.value);
       ctrl_[i] = ctrl_of(hash);
+      due_[i] = old_due[s];
       ++size_;
     }
   }
 
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> ctrl_;  // SoA control bytes, one per slot
+  std::vector<std::uint64_t> due_;  // per-slot due times, beside ctrl_
   std::size_t size_ = 0;
   std::size_t dead_ = 0;       // tombstones
   std::uint64_t generation_ = 1;  // rehash epoch (see SweepCursor)

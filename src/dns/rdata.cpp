@@ -8,43 +8,67 @@ namespace lookaside::dns {
 
 namespace {
 
-void encode_name(const Name& name, ByteWriter& writer) {
-  writer.raw(name.to_wire());
+/// Writes `name` uncompressed, label by label (RDATA names are never
+/// compressed).
+template <typename Writer>
+void encode_name(const Name& name, Writer& writer) {
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string_view label = name.label(i);
+    writer.u8(static_cast<std::uint8_t>(label.size()));
+    writer.raw(reinterpret_cast<const std::uint8_t*>(label.data()),
+               label.size());
+  }
+  writer.u8(0);
 }
 
-/// Encodes the RFC 4034 §4.1.2 type bitmap for NSEC records.
-void encode_type_bitmap(const std::vector<RRType>& types, ByteWriter& writer) {
-  std::vector<std::uint16_t> values;
-  values.reserve(types.size());
-  for (RRType t : types) values.push_back(static_cast<std::uint16_t>(t));
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-
-  std::size_t i = 0;
-  while (i < values.size()) {
-    const std::uint8_t window = static_cast<std::uint8_t>(values[i] >> 8);
+/// Encodes the RFC 4034 §4.1.2 type bitmap for NSEC and NSEC3 records:
+/// windows in ascending order, each with its set bits up to the octet
+/// holding its highest type. Each pass picks the next window above the last
+/// one and ORs in its types, which sorts and dedupes without a copy.
+template <typename Writer>
+void encode_type_bitmap(const std::vector<RRType>& types, Writer& writer) {
+  int previous_window = -1;
+  for (;;) {
+    int window = 256;
+    for (const RRType t : types) {
+      const int w = static_cast<std::uint16_t>(t) >> 8;
+      if (w > previous_window && w < window) window = w;
+    }
+    if (window == 256) return;
     std::array<std::uint8_t, 32> bitmap{};
     std::size_t max_byte = 0;
-    while (i < values.size() && (values[i] >> 8) == window) {
-      const std::uint8_t low = static_cast<std::uint8_t>(values[i]);
+    for (const RRType t : types) {
+      const auto value = static_cast<std::uint16_t>(t);
+      if ((value >> 8) != window) continue;
+      const std::uint8_t low = static_cast<std::uint8_t>(value);
       const std::size_t byte_index = low / 8;
       bitmap[byte_index] |= static_cast<std::uint8_t>(0x80 >> (low % 8));
       max_byte = std::max(max_byte, byte_index);
-      ++i;
     }
-    writer.u8(window);
+    writer.u8(static_cast<std::uint8_t>(window));
     writer.u8(static_cast<std::uint8_t>(max_byte + 1));
     writer.raw(bitmap.data(), max_byte + 1);
+    previous_window = window;
   }
 }
 
 std::vector<RRType> decode_type_bitmap(ByteReader& reader, std::size_t end) {
   std::vector<RRType> types;
+  int previous_window = -1;
   while (reader.position() < end) {
     const std::uint8_t window = reader.u8();
     const std::uint8_t length = reader.u8();
     if (length == 0 || length > 32) throw WireFormatError("bad NSEC bitmap");
+    // RFC 4034 §4.1.2: windows ascend, each appears once, and trailing zero
+    // octets are omitted. Anything else has no canonical re-encoding.
+    if (window <= previous_window) {
+      throw WireFormatError("NSEC bitmap windows out of order");
+    }
+    previous_window = window;
     const Bytes bitmap = reader.raw(length);
+    if (bitmap.back() == 0) {
+      throw WireFormatError("NSEC bitmap window ends in a zero octet");
+    }
     for (std::size_t byte = 0; byte < bitmap.size(); ++byte) {
       for (int bit = 0; bit < 8; ++bit) {
         if (bitmap[byte] & (0x80 >> bit)) {
@@ -113,7 +137,10 @@ RRType rdata_type(const Rdata& rdata) {
       rdata);
 }
 
-void encode_rdata(const Rdata& rdata, ByteWriter& writer) {
+namespace {
+
+template <typename Writer>
+void write_rdata(const Rdata& rdata, Writer& writer) {
   std::visit(
       [&writer](const auto& value) {
         using T = std::decay_t<decltype(value)>;
@@ -196,10 +223,20 @@ void encode_rdata(const Rdata& rdata, ByteWriter& writer) {
       rdata);
 }
 
+}  // namespace
+
+void encode_rdata(const Rdata& rdata, ByteWriter& writer) {
+  write_rdata(rdata, writer);
+}
+
+void encode_rdata(const Rdata& rdata, CountingWriter& writer) {
+  write_rdata(rdata, writer);
+}
+
 std::size_t rdata_wire_length(const Rdata& rdata) {
-  ByteWriter writer;
-  encode_rdata(rdata, writer);
-  return writer.size();
+  CountingWriter counter;
+  encode_rdata(rdata, counter);
+  return counter.size();
 }
 
 Name decode_uncompressed_name(ByteReader& reader) {

@@ -180,15 +180,18 @@ using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, PtrRdata,
 /// kDs; records module overrides to kDlv where needed.
 [[nodiscard]] RRType rdata_type(const Rdata& rdata);
 
-/// Encodes `rdata` (without the RDLENGTH prefix) to `writer`.
+/// Encodes `rdata` (without the RDLENGTH prefix) to `writer`. Both
+/// overloads run the same encoder; the counting one only adds up lengths.
 void encode_rdata(const Rdata& rdata, ByteWriter& writer);
+void encode_rdata(const Rdata& rdata, CountingWriter& writer);
 
 /// Decodes RDATA of `type` from exactly `rdlength` bytes of `reader`.
 /// Throws WireFormatError on malformed input.
 [[nodiscard]] Rdata decode_rdata(RRType type, std::size_t rdlength,
                                  ByteReader& reader);
 
-/// Encoded size of `rdata` in octets.
+/// Encoded size of `rdata` in octets: encode_rdata over a CountingWriter,
+/// so it never allocates.
 [[nodiscard]] std::size_t rdata_wire_length(const Rdata& rdata);
 
 /// Reads an uncompressed name from `reader` (helper shared with the codec).

@@ -35,6 +35,9 @@ inline void append_wire_label(std::string& text, const Bytes& label) {
 /// Appends big-endian integers and raw bytes to a growing buffer.
 class ByteWriter {
  public:
+  /// Reserves room for `octets` in total, so a sized encode allocates once.
+  void reserve(std::size_t octets) { out_.reserve(octets); }
+
   void u8(std::uint8_t value) { out_.push_back(value); }
   void u16(std::uint16_t value) {
     out_.push_back(static_cast<std::uint8_t>(value >> 8));
@@ -61,6 +64,24 @@ class ByteWriter {
 
  private:
   Bytes out_;
+};
+
+/// ByteWriter's interface with nothing written: each call only adds its
+/// length, and patch_u16 does nothing. Running the encoder over it gives an
+/// encoding's exact size without allocating.
+class CountingWriter {
+ public:
+  void u8(std::uint8_t) { size_ += 1; }
+  void u16(std::uint16_t) { size_ += 2; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void raw(const Bytes& data) { size_ += data.size(); }
+  void raw(const std::uint8_t*, std::size_t len) { size_ += len; }
+  void patch_u16(std::size_t, std::uint16_t) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
 };
 
 /// Reads big-endian integers and raw bytes; throws WireFormatError on

@@ -108,7 +108,8 @@ void ResolverCache::store(const dns::RRset& rrset, bool validated,
   entry->rrsigs = std::move(rrsigs);
   entry->cost = static_cast<std::uint32_t>(positive_cost(*entry));
   charge(entry->cost);
-  PositiveSlots& slots = positive_.get_or_insert(rrset.name());
+  PositiveSlots& slots =
+      positive_.get_or_insert(rrset.name(), entry->expires_us);
   if (auto* slot = find_type(&slots, rrset.type())) {
     release(slot->second->cost);
     slot->second = std::move(entry);
@@ -158,8 +159,8 @@ void ResolverCache::mark_validated(const dns::Name& name, dns::RRType type) {
 
 void ResolverCache::store_negative(const dns::Name& name, dns::RRType type,
                                    std::uint32_t ttl, bool nxdomain) {
-  auto& slots = negative_.get_or_insert(name);
   const NegativeRecord record{ttl_to_deadline(now(), ttl), nxdomain, false};
+  auto& slots = negative_.get_or_insert(name, record.expires_us);
   if (auto* slot = find_type(&slots, type)) {
     slot->second = record;
   } else {
@@ -225,8 +226,8 @@ NegativeEntry ResolverCache::negative_lookup(const dns::Name& name,
 
 void ResolverCache::store_servfail(const dns::Name& name, dns::RRType type,
                                    std::uint32_t ttl) {
-  auto& slots = servfail_.get_or_insert(name);
   const ServfailRecord record{ttl_to_deadline(now(), ttl), false};
+  auto& slots = servfail_.get_or_insert(name, record.expires_us);
   if (auto* slot = find_type(&slots, type)) {
     slot->second = record;
   } else {
@@ -269,6 +270,7 @@ void ResolverCache::store_nsec(const dns::Name& zone_apex,
                         {nsec->next, entry.types, entry.expires_us,
                          shard_id_});
   }
+  // The zone's slot stays due at 0: its sweep visit always moves the hand.
   NsecZone& zone = nsec_by_zone_.get_or_insert(zone_apex);
   NsecEntry& slot = zone.chain[nsec_record.name];
   if (slot.cost != 0) {
@@ -588,9 +590,10 @@ std::size_t ResolverCache::nsec_count(const dns::Name& zone_apex) const {
 // -- Zone-cut cache ----------------------------------------------------------
 
 void ResolverCache::store_zone_cut(const dns::Name& apex, std::uint32_t ttl) {
-  ZoneCutRecord& record = zone_cuts_.get_or_insert(apex);
+  const std::uint64_t expires_us = ttl_to_deadline(now(), ttl);
+  ZoneCutRecord& record = zone_cuts_.get_or_insert(apex, expires_us);
   if (record.expires_us == 0) charge(zone_cut_cost(apex));
-  record.expires_us = ttl_to_deadline(now(), ttl);
+  record.expires_us = expires_us;
   record.referenced = false;
   if (shared_ != nullptr) {
     shared_->store_zone_cut(apex, record.expires_us, shard_id_);
@@ -622,14 +625,19 @@ dns::Name ResolverCache::deepest_known_cut(const dns::Name& qname) {
 // -- Lifecycle: sweep + eviction ---------------------------------------------
 
 std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
+  // Only slots due by now can hold an expired entry; the walk passes the
+  // rest with one load of their due time. Each visit leaves the slot due at
+  // the earliest expiry that survives it.
   const std::uint64_t now_us = now();
   std::size_t reclaimed = 0;
   dns::NameMapSweepCursor* cursor = &sweep_cursor_[section];
   switch (section) {
     case kPositive:
-      positive_.sweep(cursor, budget, [&](const dns::Name&,
-                                          PositiveSlots& slots) {
+      positive_.sweep(cursor, budget, now_us, [&](const dns::Name&,
+                                                  PositiveSlots& slots,
+                                                  std::uint64_t& due) {
         std::size_t write = 0;
+        due = dns::kSweepAll;
         for (std::size_t read = 0; read < slots.size(); ++read) {
           auto& slot = slots[read];
           if (slot.second->expires_us <= now_us) {
@@ -637,6 +645,7 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
             ++reclaimed;
             continue;
           }
+          due = std::min(due, slot.second->expires_us);
           if (write != read) slots[write] = std::move(slot);
           ++write;
         }
@@ -645,9 +654,12 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
       });
       break;
     case kNegative:
-      negative_.sweep(cursor, budget, [&](const dns::Name& name,
-                                          TypeSlots<NegativeRecord>& slots) {
+      negative_.sweep(cursor, budget, now_us, [&](const dns::Name& name,
+                                                  TypeSlots<NegativeRecord>&
+                                                      slots,
+                                                  std::uint64_t& due) {
         std::size_t write = 0;
+        due = dns::kSweepAll;
         for (std::size_t read = 0; read < slots.size(); ++read) {
           auto& slot = slots[read];
           if (slot.second.expires_us <= now_us) {
@@ -655,6 +667,7 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
             ++reclaimed;
             continue;
           }
+          due = std::min(due, slot.second.expires_us);
           if (write != read) slots[write] = slot;
           ++write;
         }
@@ -663,9 +676,12 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
       });
       break;
     case kServfail:
-      servfail_.sweep(cursor, budget, [&](const dns::Name& name,
-                                          TypeSlots<ServfailRecord>& slots) {
+      servfail_.sweep(cursor, budget, now_us, [&](const dns::Name& name,
+                                                  TypeSlots<ServfailRecord>&
+                                                      slots,
+                                                  std::uint64_t& due) {
         std::size_t write = 0;
+        due = dns::kSweepAll;
         for (std::size_t read = 0; read < slots.size(); ++read) {
           auto& slot = slots[read];
           if (slot.second.expires_us <= now_us) {
@@ -673,6 +689,7 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
             ++reclaimed;
             continue;
           }
+          due = std::min(due, slot.second.expires_us);
           if (write != read) slots[write] = slot;
           ++write;
         }
@@ -683,10 +700,13 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
     case kNsec:
       // Budget counts chain entries here, not hash slots: one DLV zone can
       // hold a 100k-entry chain, and visiting a whole chain per tick would
-      // defeat the amortization. The per-zone `hand` resumes mid-chain.
-      nsec_by_zone_.sweep(cursor, 1, [&](const dns::Name&, NsecZone& zone) {
-        auto it = zone.hand.is_root() ? zone.chain.begin()
-                                      : zone.chain.lower_bound(zone.hand);
+      // defeat the amortization. The per-zone `hand` resumes mid-chain. A
+      // visit always moves the hand, which eviction shares, so a zone's
+      // slot is never skipped: its due time stays 0.
+      nsec_by_zone_.sweep(cursor, 1, now_us, [&](const dns::Name&,
+                                                 NsecZone& zone,
+                                                 std::uint64_t&) {
+        auto it = zone.resume();
         std::size_t visited = 0;
         while (it != zone.chain.end() && visited < budget) {
           ++visited;
@@ -699,14 +719,18 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
             ++it;
           }
         }
-        zone.hand = it == zone.chain.end() ? dns::Name{} : it->first;
+        zone.park(it);
         return zone.chain.empty();
       });
       break;
     case kZoneCut:
-      zone_cuts_.sweep(cursor, budget, [&](const dns::Name& apex,
-                                           ZoneCutRecord& record) {
-        if (record.expires_us > now_us) return false;
+      zone_cuts_.sweep(cursor, budget, now_us, [&](const dns::Name& apex,
+                                                   ZoneCutRecord& record,
+                                                   std::uint64_t& due) {
+        if (record.expires_us > now_us) {
+          due = record.expires_us;
+          return false;
+        }
         release(zone_cut_cost(apex));
         ++reclaimed;
         return true;
@@ -759,8 +783,9 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
   std::size_t evicted = 0;
   switch (section) {
     case kPositive:
-      positive_.sweep(cursor, budget, [&](const dns::Name& name,
-                                          PositiveSlots& slots) {
+      positive_.sweep(cursor, budget, dns::kSweepAll,
+                      [&](const dns::Name& name, PositiveSlots& slots,
+                          std::uint64_t&) {
         if (evicted > 0) return false;  // one victim per step
         // Second chance is per name-slot: any referenced type entry spares
         // the whole slot this pass (and spends the reference bits).
@@ -779,8 +804,9 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
       });
       break;
     case kNegative:
-      negative_.sweep(cursor, budget, [&](const dns::Name& name,
-                                          TypeSlots<NegativeRecord>& slots) {
+      negative_.sweep(cursor, budget, dns::kSweepAll,
+                      [&](const dns::Name& name,
+                          TypeSlots<NegativeRecord>& slots, std::uint64_t&) {
         if (evicted > 0) return false;
         bool spared = false;
         for (auto& slot : slots) {
@@ -797,8 +823,9 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
       });
       break;
     case kServfail:
-      servfail_.sweep(cursor, budget, [&](const dns::Name& name,
-                                          TypeSlots<ServfailRecord>& slots) {
+      servfail_.sweep(cursor, budget, dns::kSweepAll,
+                      [&](const dns::Name& name,
+                          TypeSlots<ServfailRecord>& slots, std::uint64_t&) {
         if (evicted > 0) return false;
         bool spared = false;
         for (auto& slot : slots) {
@@ -815,9 +842,10 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
       });
       break;
     case kNsec:
-      nsec_by_zone_.sweep(cursor, 1, [&](const dns::Name&, NsecZone& zone) {
-        auto it = zone.hand.is_root() ? zone.chain.begin()
-                                      : zone.chain.lower_bound(zone.hand);
+      nsec_by_zone_.sweep(cursor, 1, dns::kSweepAll,
+                          [&](const dns::Name&, NsecZone& zone,
+                              std::uint64_t&) {
+        auto it = zone.resume();
         std::size_t visited = 0;
         while (it != zone.chain.end() && visited < budget && evicted == 0) {
           ++visited;
@@ -837,13 +865,14 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
             ++zone.generation;
           }
         }
-        zone.hand = it == zone.chain.end() ? dns::Name{} : it->first;
+        zone.park(it);
         return zone.chain.empty();
       });
       break;
     case kZoneCut:
-      zone_cuts_.sweep(cursor, budget, [&](const dns::Name& apex,
-                                           ZoneCutRecord& record) {
+      zone_cuts_.sweep(cursor, budget, dns::kSweepAll,
+                       [&](const dns::Name& apex, ZoneCutRecord& record,
+                           std::uint64_t&) {
         if (evicted > 0) return false;
         if (record.referenced) {
           record.referenced = false;

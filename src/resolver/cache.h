@@ -296,7 +296,15 @@ class ResolverCache {
   using NsecChain = std::map<dns::Name, NsecEntry, CanonicalLess>;
   struct NsecZone {
     NsecChain chain;
-    dns::Name hand;  // sweep/eviction resume position (root = begin)
+    // Sweep/eviction resume position, shared by the expiry sweep and the
+    // eviction clock (root = begin). `hand_node` is the chain node `hand`
+    // names, taken under chain generation `hand_generation`: while no
+    // insert or erase has happened since, it equals lower_bound(hand) and
+    // saves the tree descent. It is never end(): a std::map's end() moves
+    // with the map when nsec_by_zone_ rehashes, its nodes do not.
+    dns::Name hand;
+    NsecChain::iterator hand_node{};
+    std::uint64_t hand_generation = 0;
     // -- Span index (DESIGN.md §4j) --
     // Lazily rebuilt sorted array of pointers into the chain's (pointer-
     // stable) map nodes, so the predecessor query is one binary search over
@@ -307,6 +315,23 @@ class ResolverCache {
     std::vector<NsecChain::value_type*> index;
     std::uint64_t generation = 1;
     std::uint64_t index_generation = 0;
+
+    /// Where the hand resumes: lower_bound(hand).
+    [[nodiscard]] NsecChain::iterator resume() {
+      if (hand.is_root()) return chain.begin();
+      if (hand_generation == generation) return hand_node;
+      return chain.lower_bound(hand);
+    }
+    /// Parks the hand at `it`; parking at end() wraps it to the root.
+    void park(NsecChain::iterator it) {
+      if (it == chain.end()) {
+        hand = dns::Name{};
+        return;
+      }
+      hand = it->first;
+      hand_node = it;
+      hand_generation = generation;
+    }
   };
   struct Nsec3ZoneEvidence {
     crypto::Bytes salt;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "crypto/rng.h"
 #include "resolver/cache.h"
 #include "resolver/config.h"
 #include "sim/clock.h"
@@ -234,6 +235,102 @@ TEST_F(CacheLifecycleTest, UnboundedCacheNeverEvicts) {
   EXPECT_EQ(cache_.counters().value("cache.evicted"), 0u);
   EXPECT_NE(cache_.find(dns::Name::parse("p42.example.com"), dns::RRType::kA),
             nullptr);
+}
+
+TEST(CacheScheduleTest, SeededScheduleKeepsItsSweepAndEvictionSequence) {
+  // The sweep and eviction schedule is an observable (DESIGN §4f): which
+  // entries are reclaimed, and when, decides the churn series and the
+  // eviction causes. This seeded schedule mixes TTLs across all five
+  // stores, advances the clock, keeps adding names so tables grow in the
+  // middle of a lap, and caps bytes low enough that eviction walks the NSEC
+  // chain with the hand the sweep also moves. It pins a digest of the
+  // (expired_swept, evicted, bytes) triple after every maintain(); the
+  // expected values were recorded before slots carried due times.
+  sim::SimClock clock;
+  ResolverCache cache(clock);
+  cache.set_limits(CacheLimits{/*max_bytes=*/12 * 1024, /*sweep_step=*/32});
+  crypto::SplitMix64 rng(20261018);
+  const dns::Name dlv_apex = dns::Name::parse("dlv.isc.org");
+  const dns::Name com_apex = dns::Name::parse("com");
+  std::uint64_t digest = 14695981039346656037ULL;
+  auto mix = [&digest](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (value >> (8 * byte)) & 0xFF;
+      digest *= 1099511628211ULL;
+    }
+  };
+  for (int step = 0; step < 6000; ++step) {
+    // The name pool grows with the step, so every table keeps rehashing.
+    const std::string tag = std::to_string(rng.next_below(40 + step / 8));
+    const auto ttl = static_cast<std::uint32_t>(1 + rng.next_below(900));
+    switch (rng.next_below(9)) {
+      case 0:
+      case 1: {
+        dns::RRset rrset(dns::Name::parse("p" + tag + ".example.com"),
+                         rng.next_below(2) == 0 ? dns::RRType::kA
+                                                : dns::RRType::kAaaa);
+        rrset.add(dns::ResourceRecord::make(
+            rrset.name(), ttl,
+            rrset.type() == dns::RRType::kA ? dns::Rdata{dns::ARdata{1}}
+                                             : dns::Rdata{dns::AaaaRdata{}}));
+        cache.store(rrset, rng.next_below(2) == 0);
+        break;
+      }
+      case 2:
+        cache.store_negative(dns::Name::parse("n" + tag + ".example.com"),
+                             rng.next_below(2) == 0 ? dns::RRType::kA
+                                                    : dns::RRType::kDs,
+                             ttl, rng.next_below(2) == 0);
+        break;
+      case 3:
+        cache.store_servfail(dns::Name::parse("s" + tag + ".example.com"),
+                             dns::RRType::kA, ttl);
+        break;
+      case 4:
+      case 5: {
+        const bool dlv = rng.next_below(3) != 0;
+        dns::NsecRdata nsec;
+        nsec.next = dns::Name::parse("d" + tag + "x." +
+                                     (dlv ? "com.dlv.isc.org" : "com"));
+        nsec.types = {dns::RRType::kNs, dns::RRType::kRrsig,
+                      dns::RRType::kNsec};
+        cache.store_nsec(
+            dlv ? dlv_apex : com_apex,
+            dns::ResourceRecord::make(
+                dns::Name::parse("d" + tag + "." +
+                                 (dlv ? "com.dlv.isc.org" : "com")),
+                ttl, dns::Rdata{nsec}));
+        break;
+      }
+      case 6:
+        cache.store_zone_cut(dns::Name::parse("z" + tag + ".com"), ttl);
+        break;
+      case 7: {
+        // Probes set second-chance bits and purge expired slots on the way.
+        (void)cache.find(dns::Name::parse("p" + tag + ".example.com"),
+                         dns::RRType::kA);
+        (void)cache.find_denial(
+            dlv_apex, dns::Name::parse("d" + tag + "a.com.dlv.isc.org"),
+            dns::RRType::kDlv);
+        (void)cache.find_servfail(
+            dns::Name::parse("s" + tag + ".example.com"), dns::RRType::kA);
+        (void)cache.deepest_known_cut(dns::Name::parse("www.z" + tag + ".com"));
+        break;
+      }
+      default:
+        clock.advance_seconds(static_cast<double>(rng.next_below(40)));
+        break;
+    }
+    cache.maintain();
+    mix(cache.counters().value("cache.expired_swept"));
+    mix(cache.counters().value("cache.evicted"));
+    mix(cache.bytes());
+  }
+  EXPECT_EQ(cache.counters().value("cache.expired_swept"), 1361u);
+  EXPECT_EQ(cache.counters().value("cache.evicted"), 2839u);
+  EXPECT_EQ(cache.counters().value("cache.evicted.nsec"), 111u);
+  EXPECT_EQ(cache.bytes(), 12247u);
+  EXPECT_EQ(digest, 10225040935651725931ULL);
 }
 
 // -- End-to-end: capped resolver under the universe workload -----------------

@@ -1,7 +1,10 @@
 // Wire-codec tests: round-trips for every RDATA type, header flags, name
-// compression, EDNS OPT handling, NSEC bitmaps, and malformed-packet
-// rejection, plus a randomized round-trip property sweep.
+// compression and its 0x3FFF pointer limit, EDNS OPT handling, NSEC
+// bitmaps, and malformed-packet rejection, plus a randomized round-trip
+// property sweep that also checks wire_size against the encoded length.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "crypto/rng.h"
 #include "dns/codec.h"
@@ -269,6 +272,123 @@ TEST(CodecTest, RejectsDotOctetInsideALabel) {
   }
 }
 
+/// A response for example.com whose one NSEC answer carries `bitmap` as its
+/// type bitmap, byte for byte.
+Bytes raw_nsec_response(const Bytes& bitmap) {
+  ByteWriter writer;
+  for (const std::uint16_t field : {0x1234, 0x8000, 1, 1, 0, 0}) {
+    writer.u16(field);  // id, flags (QR), QDCOUNT=1, ANCOUNT=1
+  }
+  write_raw_name(writer, {"example", "com"});
+  writer.u16(static_cast<std::uint16_t>(RRType::kNsec));
+  writer.u16(static_cast<std::uint16_t>(RRClass::kIn));
+  writer.u16(0xC00C);  // owner: pointer to the question name
+  writer.u16(static_cast<std::uint16_t>(RRType::kNsec));
+  writer.u16(static_cast<std::uint16_t>(RRClass::kIn));
+  writer.u32(3600);
+  ByteWriter rdata;
+  write_raw_name(rdata, {"b", "example", "com"});
+  rdata.raw(bitmap);
+  writer.u16(static_cast<std::uint16_t>(rdata.size()));
+  writer.raw(rdata.bytes());
+  return writer.take();
+}
+
+TEST(CodecTest, AcceptsCanonicalTypeBitmap) {
+  // Window 0 {A, NS}, then window 128 {DLV}: ascending, no trailing zeros.
+  const Message decoded = decode_message(raw_nsec_response(
+      {0x00, 0x01, 0x60, 0x80, 0x01, 0x40}));
+  EXPECT_EQ(std::get<NsecRdata>(decoded.answers.at(0).rdata).types,
+            (std::vector<RRType>{RRType::kA, RRType::kNs, RRType::kDlv}));
+}
+
+TEST(CodecTest, RejectsTypeBitmapWindowsOutOfOrder) {
+  // RFC 4034 §4.1.2: windows appear in increasing order. {1: 80} then
+  // {0: 40} used to decode to [256, 1] and re-encode as [1, 256].
+  EXPECT_THROW((void)decode_message(raw_nsec_response(
+                   {0x01, 0x01, 0x80, 0x00, 0x01, 0x40})),
+               WireFormatError);
+}
+
+TEST(CodecTest, RejectsTypeBitmapWindowGivenTwice) {
+  // Window 0 twice used to decode as [1, 2].
+  EXPECT_THROW((void)decode_message(raw_nsec_response(
+                   {0x00, 0x01, 0x40, 0x00, 0x01, 0x20})),
+               WireFormatError);
+}
+
+TEST(CodecTest, RejectsTypeBitmapWindowWithTrailingZeroOctet) {
+  // Trailing zero octets must be omitted; `00 02 40 00` used to decode and
+  // re-encode one octet shorter.
+  EXPECT_THROW((void)decode_message(raw_nsec_response({0x00, 0x02, 0x40, 0x00})),
+               WireFormatError);
+  EXPECT_THROW((void)decode_message(raw_nsec_response({0x00, 0x01, 0x00})),
+               WireFormatError);
+}
+
+TEST(CodecTest, SuffixFirstWrittenPastPointerRangeIsNeverATarget) {
+  // A pointer holds a 14-bit offset (RFC 1035 §4.1.4), so only suffixes
+  // first written at offset <= 0x3FFF are registered. A name first written
+  // past that is written in full every time; a name first written below it
+  // is still pointed at from past it.
+  const Name early = Name::parse("early.example");
+  Message response = Message::make_response(query_of("early.example",
+                                                     RRType::kTxt));
+  response.edns = false;  // so the message ends with the last record
+  response.dnssec_ok = false;
+  for (int i = 0; i < 66; ++i) {  // 66 * 268 octets: past 16 KiB
+    response.answers.push_back(ResourceRecord::make(
+        early, 60, TxtRdata{{std::string(255, 'x')}}));
+  }
+  const Name late = Name::parse("late.limit-test");
+  response.authorities.push_back(ResourceRecord::make(late, 60, ARdata{1}));
+  response.authorities.push_back(ResourceRecord::make(late, 60, ARdata{2}));
+  response.authorities.push_back(ResourceRecord::make(early, 60, ARdata{3}));
+  const Bytes wire = encode_message(response);
+  ASSERT_GT(wire.size(), 16u * 1024);
+  EXPECT_EQ(wire_size(response), wire.size());
+
+  const Bytes late_wire = late.to_wire();
+  std::vector<std::size_t> copies;
+  for (auto it = wire.begin();
+       (it = std::search(it, wire.end(), late_wire.begin(), late_wire.end())) !=
+       wire.end();
+       ++it) {
+    copies.push_back(static_cast<std::size_t>(it - wire.begin()));
+  }
+  ASSERT_EQ(copies.size(), 2u) << "the repeat must be written in full";
+  EXPECT_GT(copies[0], 0x3FFFu);
+  // The last record: owner pointer to the question name at offset 12, then
+  // TYPE, CLASS, TTL, RDLENGTH and four octets of RDATA.
+  EXPECT_EQ(wire[wire.size() - 16], 0xC0);
+  EXPECT_EQ(wire[wire.size() - 15], 0x0C);
+  EXPECT_EQ(decode_message(wire), response);
+}
+
+TEST(CodecTest, EveryRepeatedOwnerCompressesInALargeMessage) {
+  // 100 distinct owners under the question name, each written twice: the
+  // first copy is one label plus a pointer to example.com, the second a
+  // bare pointer, however many suffixes the encoder is tracking.
+  Message response = Message::make_response(query_of("example.com",
+                                                     RRType::kA));
+  response.edns = false;
+  response.dnssec_ok = false;
+  std::size_t expected = 12 + 13 + 4;  // header, question name, type+class
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 100; ++i) {
+      const std::string label = "h" + std::to_string(i);
+      response.answers.push_back(ResourceRecord::make(
+          Name::parse(label + ".example.com"), 60,
+          ARdata{static_cast<std::uint32_t>(i)}));
+      expected += (pass == 0 ? 1 + label.size() + 2 : 2) + 10 + 4;
+    }
+  }
+  const Bytes wire = encode_message(response);
+  EXPECT_EQ(wire.size(), expected);
+  EXPECT_EQ(wire_size(response), expected);
+  EXPECT_EQ(decode_message(wire), response);
+}
+
 TEST(CodecPropertyTest, RandomMessagesRoundTrip) {
   crypto::SplitMix64 rng(2026);
   const char* tlds[] = {"com", "net", "org", "edu"};
@@ -309,7 +429,14 @@ TEST(CodecPropertyTest, RandomMessagesRoundTrip) {
                                 Bytes(32, static_cast<std::uint8_t>(rng.next()))}));
       }
     }
-    const Message decoded = decode_message(encode_message(message));
+    const Bytes wire = encode_message(message);
+    EXPECT_EQ(wire_size(message), wire.size()) << "iteration " << iteration;
+    for (const ResourceRecord& record : message.answers) {
+      ByteWriter rdata;
+      encode_rdata(record.rdata, rdata);
+      EXPECT_EQ(rdata_wire_length(record.rdata), rdata.size());
+    }
+    const Message decoded = decode_message(wire);
     EXPECT_EQ(decoded, message) << "iteration " << iteration;
   }
 }

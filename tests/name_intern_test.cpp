@@ -194,10 +194,11 @@ TEST(NameMapSweep, FullLapVisitsEveryEntryExactlyOnceWithinGeneration) {
   std::size_t steps_left = map.slot_count();
   while (steps_left > 0) {
     const std::size_t chunk = std::min<std::size_t>(7, steps_left);
-    map.sweep(&cursor, chunk, [&](const dns::Name& key, int) {
-      visited.insert(key.internal_text());
-      return false;
-    });
+    map.sweep(&cursor, chunk, dns::kSweepAll,
+              [&](const dns::Name& key, int, std::uint64_t&) {
+                visited.insert(key.internal_text());
+                return false;
+              });
     steps_left -= chunk;
   }
   EXPECT_EQ(std::set<std::string>(visited.begin(), visited.end()), live);
@@ -221,10 +222,11 @@ TEST(NameMapSweep, CursorSurvivesRehashBetweenChunks) {
   dns::NameMapSweepCursor cursor;
   std::set<std::string> visited;
   const std::uint64_t gen_before = map.generation();
-  map.sweep(&cursor, 5, [&](const dns::Name& key, int) {
-    visited.insert(key.internal_text());
-    return false;
-  });
+  map.sweep(&cursor, 5, dns::kSweepAll,
+            [&](const dns::Name& key, int, std::uint64_t&) {
+              visited.insert(key.internal_text());
+              return false;
+            });
   for (int i = 20; i < 400; ++i) insert(i);  // multiple grow() rehashes
   ASSERT_GT(map.generation(), gen_before);
 
@@ -234,10 +236,11 @@ TEST(NameMapSweep, CursorSurvivesRehashBetweenChunks) {
   std::size_t steps_left = map.slot_count();
   while (steps_left > 0) {
     const std::size_t chunk = std::min<std::size_t>(13, steps_left);
-    map.sweep(&cursor, chunk, [&](const dns::Name& key, int) {
-      visited.insert(key.internal_text());
-      return false;
-    });
+    map.sweep(&cursor, chunk, dns::kSweepAll,
+              [&](const dns::Name& key, int, std::uint64_t&) {
+                visited.insert(key.internal_text());
+                return false;
+              });
     steps_left -= chunk;
   }
   EXPECT_EQ(cursor.generation, map.generation());
@@ -260,10 +263,11 @@ TEST(NameMapSweep, InterleavedInsertsAndErasingSweepsMatchModel) {
       map.get_or_insert(dns::Name::parse(label)) = next;
       model[label] = next;
     }
-    std::size_t erased = map.sweep(&cursor, map.slot_count() / 2,
-                                   [](const dns::Name&, int value) {
-                                     return value % 2 == 1;
-                                   });
+    std::size_t erased =
+        map.sweep(&cursor, map.slot_count() / 2, dns::kSweepAll,
+                  [](const dns::Name&, int value, std::uint64_t&) {
+                    return value % 2 == 1;
+                  });
     // Mirror: one model pass can't know which half of the table the hand
     // covered, so re-check membership entry by entry instead.
     std::size_t gone = 0;
@@ -282,6 +286,102 @@ TEST(NameMapSweep, InterleavedInsertsAndErasingSweepsMatchModel) {
     ASSERT_EQ(gone, erased);
     ASSERT_EQ(map.size(), model.size());
   }
+}
+
+TEST(NameMapSweep, DueTimeWalkMovesTheCursorLikeThePlainWalk) {
+  // Two maps with the same insert history have the same slot order. One is
+  // walked up to a due time that no slot has reached, the other visits
+  // every full slot: the cursors must move in lockstep, including across a
+  // rehash in the middle of a lap.
+  dns::NameHashMap<int> due_map;
+  dns::NameHashMap<int> plain_map;
+  std::set<std::string> inserted_since;
+  auto insert = [&](int i) {
+    const std::string label = "k" + std::to_string(i) + ".test";
+    due_map.get_or_insert(dns::Name::parse(label), 5'000) = i;
+    plain_map.get_or_insert(dns::Name::parse(label)) = i;
+    inserted_since.insert(label);
+  };
+  for (int i = 0; i < 40; ++i) insert(i);
+  // New slots start due at 0; one full lap sets every due time past the
+  // walk's horizon.
+  dns::NameMapSweepCursor raise;
+  due_map.sweep(&raise, due_map.slot_count(), dns::kSweepAll,
+                [](const dns::Name&, int, std::uint64_t& due) {
+                  due = 1'000;
+                  return false;
+                });
+  inserted_since.clear();
+
+  dns::NameMapSweepCursor due_cursor;
+  dns::NameMapSweepCursor plain_cursor;
+  std::set<std::string> due_visits;
+  std::size_t plain_visits = 0;
+  auto walk = [&](std::size_t chunk) {
+    due_map.sweep(&due_cursor, chunk, 999,
+                  [&](const dns::Name& key, int, std::uint64_t& due) {
+                    due_visits.insert(key.internal_text());
+                    due = 1'000;
+                    return false;
+                  });
+    plain_map.sweep(&plain_cursor, chunk, dns::kSweepAll,
+                    [&](const dns::Name&, int, std::uint64_t&) {
+                      ++plain_visits;
+                      return false;
+                    });
+    ASSERT_EQ(due_cursor.slot, plain_cursor.slot);
+    ASSERT_EQ(due_cursor.generation, plain_cursor.generation);
+  };
+  for (int chunk = 0; chunk < 5; ++chunk) walk(7);  // half a lap
+  EXPECT_TRUE(due_visits.empty()) << "no slot was due";
+  EXPECT_GT(plain_visits, 0u);
+
+  const std::uint64_t generation = due_map.generation();
+  for (int i = 40; i < 200; ++i) insert(i);  // several grow() rehashes
+  ASSERT_GT(due_map.generation(), generation);
+  ASSERT_EQ(due_map.generation(), plain_map.generation());
+  ASSERT_EQ(due_map.slot_count(), plain_map.slot_count());
+
+  // Both stale cursors re-anchor to the same slot. The rehash carried the
+  // raised due times, so a full lap visits exactly the slots inserted
+  // since, which start due at 0 whatever due time their insert asked for.
+  std::size_t steps_left = due_map.slot_count();
+  while (steps_left > 0) {
+    const std::size_t chunk = std::min<std::size_t>(13, steps_left);
+    walk(chunk);
+    steps_left -= chunk;
+  }
+  EXPECT_EQ(due_visits, inserted_since);
+}
+
+TEST(NameMapSweep, StoresLowerTheDueTimeAndVisitsRaiseIt) {
+  dns::NameHashMap<int> map;
+  const dns::Name key = dns::Name::parse("due.test");
+  map.get_or_insert(key) = 1;
+  dns::NameMapSweepCursor cursor;
+  std::size_t visits = 0;
+  auto lap = [&](std::uint64_t due_by, std::uint64_t raise_to) {
+    map.sweep(&cursor, map.slot_count(), due_by,
+              [&](const dns::Name&, int, std::uint64_t& due) {
+                ++visits;
+                due = raise_to;
+                return false;
+              });
+  };
+  lap(0, 700);  // new slots are due at 0
+  EXPECT_EQ(visits, 1u);
+  lap(699, 700);  // not due yet: passed untouched
+  EXPECT_EQ(visits, 1u);
+  map.get_or_insert(key, 800);  // a later expiry leaves the due time alone
+  lap(699, 700);
+  EXPECT_EQ(visits, 1u);
+  map.get_or_insert(key, 300);  // an earlier one lowers it
+  lap(299, 700);
+  EXPECT_EQ(visits, 1u);
+  lap(300, 700);
+  EXPECT_EQ(visits, 2u);
+  lap(dns::kSweepAll, 700);  // kSweepAll visits whatever is stored
+  EXPECT_EQ(visits, 3u);
 }
 
 // ---------------------------------------------------------------------------

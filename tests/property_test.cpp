@@ -15,6 +15,7 @@
 #include "crypto/dnssec_algo.h"
 #include "crypto/rng.h"
 #include "dns/codec.h"
+#include "dns/rdata.h"
 #include "resolver/resolver.h"
 #include "server/testbed.h"
 #include "zone/signed_zone.h"
@@ -133,7 +134,14 @@ TEST_P(CodecRoundTripProperty, EncodeDecodeIdentity) {
           dns::Name::parse("w" + std::to_string(i) + ".example.net"), 600,
           dns::Rdata{nsec}));
     }
-    EXPECT_EQ(dns::decode_message(dns::encode_message(message)), message);
+    const dns::Bytes wire = dns::encode_message(message);
+    EXPECT_EQ(dns::wire_size(message), wire.size());
+    for (const dns::ResourceRecord& record : message.authorities) {
+      dns::ByteWriter rdata;
+      dns::encode_rdata(record.rdata, rdata);
+      EXPECT_EQ(dns::rdata_wire_length(record.rdata), rdata.size());
+    }
+    EXPECT_EQ(dns::decode_message(wire), message);
   }
 }
 
