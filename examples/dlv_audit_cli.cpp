@@ -169,10 +169,10 @@ int audit_zone(const std::string& path) {
   std::cout << "zone " << z.apex().to_text() << ": " << z.name_count()
             << " owner names\n\nCanonical NSEC chain (what a DLV-style\n"
                "registry exposes to aggressive caching):\n";
-  for (const dns::Name& owner : z.owner_names()) {
+  z.for_each_owner([&z](const dns::Name& owner) {
     std::cout << "  " << owner.to_text() << " -> "
               << z.canonical_successor(owner).to_text() << "\n";
-  }
+  });
   return result.errors.empty() ? 0 : 1;
 }
 

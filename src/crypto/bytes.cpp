@@ -15,7 +15,7 @@ int hex_value(char c) {
 }
 }  // namespace
 
-std::string to_hex(const Bytes& data) {
+std::string to_hex(std::span<const std::uint8_t> data) {
   std::string out;
   out.reserve(data.size() * 2);
   for (std::uint8_t b : data) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,7 +13,7 @@ namespace lookaside::crypto {
 using Bytes = std::vector<std::uint8_t>;
 
 /// Lower-case hex encoding of `data`.
-[[nodiscard]] std::string to_hex(const Bytes& data);
+[[nodiscard]] std::string to_hex(std::span<const std::uint8_t> data);
 
 /// Parses lower/upper-case hex; throws std::invalid_argument on bad input.
 [[nodiscard]] Bytes from_hex(std::string_view hex);

@@ -5,8 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "crypto/sha256.h"
-
 namespace lookaside::crypto {
 
 namespace {
@@ -32,7 +30,8 @@ constexpr std::size_t kMinEmsaBytes = 16;
 /// Writes the EMSA block for `digest` into `em` (the modulus width, at
 /// least kMinEmsaBytes), truncating the digest when the full layout does
 /// not fit.
-void emsa_encode(const Bytes& digest, std::span<std::uint8_t> em) {
+void emsa_encode(std::span<const std::uint8_t> digest,
+                 std::span<std::uint8_t> em) {
   const std::size_t width = em.size();
   const std::size_t digest_len = std::min(digest.size(), width - 11);
   const auto digest_at =
@@ -117,7 +116,8 @@ bool is_probable_prime(const BigUint& candidate, SplitMix64& rng, int rounds) {
   return true;
 }
 
-Bytes emsa_pad(const Bytes& digest, std::size_t modulus_bytes) {
+Bytes emsa_pad(std::span<const std::uint8_t> digest,
+               std::size_t modulus_bytes) {
   if (modulus_bytes < kMinEmsaBytes) {
     throw std::invalid_argument("modulus too small for EMSA padding");
   }
@@ -166,7 +166,7 @@ std::optional<RsaPublicKey> RsaPublicKey::from_wire(const Bytes& wire) {
   return RsaPublicKey(n, e);
 }
 
-bool RsaPublicKey::verify_digest(const Bytes& digest,
+bool RsaPublicKey::verify_digest(std::span<const std::uint8_t> digest,
                                  const Bytes& signature) const {
   if (signature.size() != modulus_bytes_) return false;
   if (modulus_bytes_ < kMinEmsaBytes) return false;  // no EMSA layout fits
@@ -211,7 +211,7 @@ RsaPrivateKey::RsaPrivateKey(RsaPublicKey public_key,
   });
 }
 
-Bytes RsaPrivateKey::sign_digest(const Bytes& digest) const {
+Bytes RsaPrivateKey::sign_digest(std::span<const std::uint8_t> digest) const {
   const std::size_t width = public_.modulus_bytes();
   const Montgomery& mont_p = crt_->mont_p;
   const Montgomery& mont_q = crt_->mont_q;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "crypto/bigint.h"
 #include "crypto/bytes.h"
@@ -36,7 +37,7 @@ class RsaPublicKey {
 
   /// Verifies `signature` over `digest` (already hashed message). Never
   /// allocates.
-  [[nodiscard]] bool verify_digest(const Bytes& digest,
+  [[nodiscard]] bool verify_digest(std::span<const std::uint8_t> digest,
                                    const Bytes& signature) const;
 
  private:
@@ -60,7 +61,7 @@ class RsaPrivateKey {
 
   /// Signs an already-hashed message; output is modulus-width bytes and is
   /// the only allocation.
-  [[nodiscard]] Bytes sign_digest(const Bytes& digest) const;
+  [[nodiscard]] Bytes sign_digest(std::span<const std::uint8_t> digest) const;
 
  private:
   struct CrtState {
@@ -92,6 +93,7 @@ struct RsaKeyPair {
 /// Builds the padded EMSA block for a digest and modulus width; exposed for
 /// tests. For widths too small for full PKCS#1 padding the digest is
 /// truncated (documented simulation shortcut).
-[[nodiscard]] Bytes emsa_pad(const Bytes& digest, std::size_t modulus_bytes);
+[[nodiscard]] Bytes emsa_pad(std::span<const std::uint8_t> digest,
+                             std::size_t modulus_bytes);
 
 }  // namespace lookaside::crypto

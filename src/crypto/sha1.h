@@ -1,10 +1,11 @@
-// SHA-1 (FIPS 180-4), used only where the DNSSEC specs require it:
-// DS digest type 1 and the paper's Fig. 2 narration. Not used for new
-// signatures.
+// SHA-1 (FIPS 180-4), used only where the DNSSEC specs require it: the
+// iterated NSEC3 owner hash (RFC 5155), its hot use, and DS digest type 1.
+// Not used for new signatures.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "crypto/bytes.h"
@@ -15,6 +16,7 @@ namespace lookaside::crypto {
 class Sha1 {
  public:
   static constexpr std::size_t kDigestSize = 20;
+  using Digest = std::array<std::uint8_t, kDigestSize>;
 
   Sha1();
 
@@ -25,14 +27,12 @@ class Sha1 {
   }
 
   /// Finalizes and returns the 20-byte digest; context is spent afterwards.
-  [[nodiscard]] Bytes finish();
+  [[nodiscard]] Digest finish();
 
-  [[nodiscard]] static Bytes digest(const Bytes& data);
-  [[nodiscard]] static Bytes digest(std::string_view text);
+  [[nodiscard]] static Digest digest(std::span<const std::uint8_t> data);
+  [[nodiscard]] static Digest digest(std::string_view text);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 5> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

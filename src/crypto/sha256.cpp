@@ -1,88 +1,25 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/sha_kernels.h"
+
 namespace lookaside::crypto {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline std::uint32_t rotr(std::uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
-}
-
-}  // namespace
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
       buffer_{} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   total_bytes_ += len;
   while (len > 0) {
     if (buffered_ == 0 && len >= 64) {
-      process_block(data);
-      data += 64;
-      len -= 64;
+      const std::size_t blocks = len / 64;
+      kernels::sha256_kernel()(state_, data, blocks);
+      data += blocks * 64;
+      len -= blocks * 64;
       continue;
     }
     const std::size_t take = std::min<std::size_t>(64 - buffered_, len);
@@ -91,29 +28,29 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
     data += take;
     len -= take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      kernels::sha256_kernel()(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
 }
 
-Bytes Sha256::finish() {
+Sha256::Digest Sha256::finish() {
   // Pad in the block buffer: 0x80, zeros up to byte 56 (spilling into a
   // second block when fewer than 8 bytes remain), then the bit length.
   const std::uint64_t bit_length = total_bytes_ * 8;
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
     std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
-    process_block(buffer_.data());
+    kernels::sha256_kernel()(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
   std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
+  kernels::sha256_kernel()(state_, buffer_.data(), 1);
 
-  Bytes digest(kDigestSize);
+  Digest digest;
   for (int i = 0; i < 8; ++i) {
     digest[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
     digest[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
@@ -123,13 +60,13 @@ Bytes Sha256::finish() {
   return digest;
 }
 
-Bytes Sha256::digest(const Bytes& data) {
+Sha256::Digest Sha256::digest(std::span<const std::uint8_t> data) {
   Sha256 ctx;
-  ctx.update(data);
+  ctx.update(data.data(), data.size());
   return ctx.finish();
 }
 
-Bytes Sha256::digest(std::string_view text) {
+Sha256::Digest Sha256::digest(std::string_view text) {
   Sha256 ctx;
   ctx.update(text);
   return ctx.finish();

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "crypto/bytes.h"
@@ -16,6 +17,7 @@ namespace lookaside::crypto {
 class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
+  using Digest = std::array<std::uint8_t, kDigestSize>;
 
   Sha256();
 
@@ -28,15 +30,13 @@ class Sha256 {
 
   /// Finalizes and returns the 32-byte digest. The context must not be
   /// updated afterwards; construct a fresh one for a new message.
-  [[nodiscard]] Bytes finish();
+  [[nodiscard]] Digest finish();
 
   /// One-shot convenience.
-  [[nodiscard]] static Bytes digest(const Bytes& data);
-  [[nodiscard]] static Bytes digest(std::string_view text);
+  [[nodiscard]] static Digest digest(std::span<const std::uint8_t> data);
+  [[nodiscard]] static Digest digest(std::string_view text);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -52,9 +52,10 @@ dns::Name clear_dlv_name(const dns::Name& domain, const dns::Name& apex) {
 dns::Name hashed_dlv_name(const dns::Name& domain, const dns::Name& apex) {
   // One hex label of the truncated SHA-256 digest (128 bits is plenty to
   // avoid collisions and keeps the label under 63 octets).
-  const dns::Bytes digest = crypto::Sha256::digest(domain.to_text());
-  const dns::Bytes truncated(digest.begin(), digest.begin() + 16);
-  return apex.with_prefix_label(crypto::to_hex(truncated));
+  const crypto::Sha256::Digest digest =
+      crypto::Sha256::digest(domain.to_text());
+  return apex.with_prefix_label(
+      crypto::to_hex(std::span(digest).first<16>()));
 }
 
 dns::Name DlvRegistry::dlv_name_for(const dns::Name& domain) const {

@@ -180,11 +180,18 @@ Name decode_compressed_name(ByteReader& reader) {
   return Name::parse(text);
 }
 
-ResourceRecord decode_record(ByteReader& reader, Message& message) {
+/// Decodes one record. An OPT pseudo-record sets the message's EDNS
+/// fields; RFC 6891 §6.1.1 allows one, in the additional section only.
+ResourceRecord decode_record(ByteReader& reader, Message& message,
+                             bool additional_section) {
   ResourceRecord record;
   record.name = decode_compressed_name(reader);
   record.type = static_cast<RRType>(reader.u16());
   if (record.type == RRType::kOpt) {
+    if (!additional_section) {
+      throw WireFormatError("OPT record outside the additional section");
+    }
+    if (message.edns) throw WireFormatError("second OPT record");
     OptRdata opt;
     opt.udp_payload_size = reader.u16();
     const std::uint32_t ttl = reader.u32();
@@ -254,13 +261,13 @@ Message decode_message(const Bytes& wire) {
     message.questions.push_back(std::move(question));
   }
   for (std::uint16_t i = 0; i < ancount; ++i) {
-    message.answers.push_back(decode_record(reader, message));
+    message.answers.push_back(decode_record(reader, message, false));
   }
   for (std::uint16_t i = 0; i < nscount; ++i) {
-    message.authorities.push_back(decode_record(reader, message));
+    message.authorities.push_back(decode_record(reader, message, false));
   }
   for (std::uint16_t i = 0; i < arcount; ++i) {
-    ResourceRecord record = decode_record(reader, message);
+    ResourceRecord record = decode_record(reader, message, true);
     if (record.type != RRType::kOpt) {
       message.additionals.push_back(std::move(record));
     }

@@ -520,14 +520,16 @@ ProofResult ResolverCache::nsec3_synth_lookup(const dns::Name& zone_apex,
     next_closer = ancestor;
   }
   if (!gated) return out;
-  const crypto::Bytes digest =
+  const crypto::Sha1::Digest digest =
       zone::nsec3_hash(next_closer, zone->salt, zone->iterations);
   out.hash_ops = zone::nsec3_hash_ops(zone->iterations);
   for (const Nsec3ZoneEvidence::HashedSpan& span : zone->spans) {
     if (span.expires_us <= now_us) continue;
+    // Span bounds keep their wire length: compare as Bytes would.
     const bool wraps = span.hi <= span.lo;
-    const bool inside = wraps ? (digest > span.lo || digest < span.hi)
-                              : (span.lo < digest && digest < span.hi);
+    const bool above_lo = zone::compare_hashes(digest, span.lo) > 0;
+    const bool below_hi = zone::compare_hashes(digest, span.hi) < 0;
+    const bool inside = wraps ? (above_lo || below_hi) : (above_lo && below_hi);
     if (inside) {
       witness = &span;
       break;

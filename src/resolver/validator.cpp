@@ -282,21 +282,25 @@ Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
   }
   if (spans.empty()) return out;
 
-  const auto matches = [&spans](const crypto::Bytes& digest) {
+  // Presented hashes keep their wire length; compare_hashes orders a
+  // digest against them as two Bytes would compare.
+  const auto matches = [&spans](const crypto::Sha1::Digest& digest) {
     for (const Span& span : spans) {
-      if (span.owner_hash == digest) return true;
+      if (zone::compare_hashes(digest, span.owner_hash) == 0) return true;
     }
     return false;
   };
-  const auto covered = [&spans](const crypto::Bytes& digest) {
+  const auto covered = [&spans](const crypto::Sha1::Digest& digest) {
     for (const Span& span : spans) {
       const crypto::Bytes& lo = span.owner_hash;
       const crypto::Bytes& hi = span.rdata->next_hashed;
+      const bool above_lo = zone::compare_hashes(digest, lo) > 0;
+      const bool below_hi = zone::compare_hashes(digest, hi) < 0;
       if (lo < hi) {
-        if (lo < digest && digest < hi) return true;
+        if (above_lo && below_hi) return true;
       } else {
         // Wraparound span (last NSEC3 points back to the first).
-        if (digest > lo || digest < hi) return true;
+        if (above_lo || below_hi) return true;
       }
     }
     return false;
@@ -310,17 +314,17 @@ Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
   // up to the apex, until a matching NSEC3 is found. Every probe is a full
   // iterated hash — this loop is where the attacker's CPU bill lands.
   if (!qname.is_subdomain_of(zone_apex)) return out;
-  const crypto::Bytes qname_hash = hash_name(qname);
+  const crypto::Sha1::Digest qname_hash = hash_name(qname);
   if (matches(qname_hash)) {
     out.proven = true;  // NODATA: qname exists, proof is the matching NSEC3
     return out;
   }
   dns::Name closest = qname;
-  crypto::Bytes next_closer_hash = qname_hash;
+  crypto::Sha1::Digest next_closer_hash = qname_hash;
   bool found_closest = false;
   while (closest.label_count() > zone_apex.label_count()) {
     const dns::Name parent = closest.parent();
-    const crypto::Bytes parent_hash = hash_name(parent);
+    const crypto::Sha1::Digest parent_hash = hash_name(parent);
     if (matches(parent_hash)) {
       found_closest = true;
       break;
@@ -331,7 +335,7 @@ Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
   if (!found_closest) return out;
   if (!covered(next_closer_hash)) return out;
   const dns::Name closest_encloser = closest.parent();
-  const crypto::Bytes wildcard_hash =
+  const crypto::Sha1::Digest wildcard_hash =
       hash_name(closest_encloser.with_prefix_label("*"));
   out.proven = covered(wildcard_hash) || matches(wildcard_hash);
   if (out.proven) {

@@ -29,8 +29,9 @@ dns::DsRdata make_ds(const dns::Name& owner, const dns::DnskeyRdata& dnskey) {
   dns::ByteWriter writer;
   writer.raw(owner.to_wire());
   dns::encode_rdata(dns::Rdata{dnskey}, writer);
+  const crypto::Sha256::Digest digest = crypto::Sha256::digest(writer.bytes());
   return dns::DsRdata{dnskey.key_tag(), dnskey.algorithm, 2,
-                      crypto::Sha256::digest(writer.bytes())};
+                      dns::Bytes(digest.begin(), digest.end())};
 }
 
 KeyPool::KeyPool(std::size_t pool_size, std::size_t modulus_bits,

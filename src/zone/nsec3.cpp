@@ -1,8 +1,7 @@
 #include "zone/nsec3.h"
 
+#include <array>
 #include <stdexcept>
-
-#include "crypto/sha1.h"
 
 namespace lookaside::zone {
 
@@ -19,23 +18,38 @@ constexpr char kBase32HexAlphabet[] = "0123456789abcdefghijklmnopqrstuv";
 
 }  // namespace
 
-crypto::Bytes nsec3_hash(const dns::Name& name, const crypto::Bytes& salt,
-                         std::uint16_t iterations) {
-  // Name::to_wire() is already canonical: labels are lowercased on parse.
-  crypto::Sha1 first;
-  first.update(name.to_wire());
-  first.update(salt);
-  crypto::Bytes digest = first.finish();
+crypto::Sha1::Digest nsec3_hash(const dns::Name& name,
+                                const crypto::Bytes& salt,
+                                std::uint16_t iterations) {
+  constexpr std::size_t kMaxOctets = 255;  // of a wire name, and of a salt
+  if (salt.size() > kMaxOctets) {
+    throw std::invalid_argument("NSEC3 salt over 255 octets");
+  }
+  // Every hash input lives in one stack buffer: the wire name then the salt
+  // for the first hash, the previous digest then the salt after it. The
+  // name is canonical already: labels are lowercased on parse.
+  std::array<std::uint8_t, 2 * kMaxOctets> input;
+  auto at = input.begin();
+  for (std::size_t i = 0; i < name.label_count(); ++i) {
+    const std::string_view label = name.label(i);
+    *at++ = static_cast<std::uint8_t>(label.size());
+    at = std::copy(label.begin(), label.end(), at);
+  }
+  *at++ = 0;
+  at = std::copy(salt.begin(), salt.end(), at);
+  crypto::Sha1::Digest digest =
+      crypto::Sha1::digest(std::span(input.begin(), at));
+  std::copy(salt.begin(), salt.end(), input.begin() + digest.size());
+  const std::span<const std::uint8_t> round(input.data(),
+                                            digest.size() + salt.size());
   for (std::uint16_t k = 0; k < iterations; ++k) {
-    crypto::Sha1 round;
-    round.update(digest);
-    round.update(salt);
-    digest = round.finish();
+    std::copy(digest.begin(), digest.end(), input.begin());
+    digest = crypto::Sha1::digest(round);
   }
   return digest;
 }
 
-std::string base32hex_encode(const crypto::Bytes& data) {
+std::string base32hex_encode(std::span<const std::uint8_t> data) {
   std::string out;
   out.reserve((data.size() * 8 + 4) / 5);
   std::uint32_t buffer = 0;

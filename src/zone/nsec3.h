@@ -10,10 +10,14 @@
 // the attacker-controlled CPU knob this PR weaponizes and defends.
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "crypto/bytes.h"
+#include "crypto/sha1.h"
 #include "dns/name.h"
 
 namespace lookaside::zone {
@@ -24,14 +28,24 @@ namespace lookaside::zone {
 }
 
 /// RFC 5155 §5 iterated hash of `name` (canonical wire form). Returns the raw
-/// 20-byte SHA-1 digest.
-[[nodiscard]] crypto::Bytes nsec3_hash(const dns::Name& name,
-                                       const crypto::Bytes& salt,
-                                       std::uint16_t iterations);
+/// 20-byte SHA-1 digest and allocates nothing. Throws std::invalid_argument
+/// for a salt over 255 octets, which no NSEC3 record can carry.
+[[nodiscard]] crypto::Sha1::Digest nsec3_hash(const dns::Name& name,
+                                              const crypto::Bytes& salt,
+                                              std::uint16_t iterations);
+
+/// Orders hash `a` against hash `b` as two crypto::Bytes compare:
+/// lexicographically, a proper prefix first. Hashes presented in NSEC3
+/// records come off the wire and need not be 20 octets.
+[[nodiscard]] inline std::strong_ordering compare_hashes(
+    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+  return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                b.begin(), b.end());
+}
 
 /// Base32hex (RFC 4648 §7, lowercase, no padding needed for 20-byte input)
 /// used for NSEC3 owner labels: 20 digest bytes become 32 characters.
-[[nodiscard]] std::string base32hex_encode(const crypto::Bytes& data);
+[[nodiscard]] std::string base32hex_encode(std::span<const std::uint8_t> data);
 
 /// Inverse of base32hex_encode; accepts either case. Throws
 /// std::invalid_argument on characters outside the base32hex alphabet or an

@@ -107,40 +107,58 @@ void SignedZone::enable_nsec3(Nsec3Params params) {
 
 void SignedZone::rebuild_nsec3_chain() {
   nsec3_chain_.clear();
-  for (const dns::Name& owner : zone_.owner_names()) {
-    crypto::Bytes digest =
-        nsec3_hash(owner, nsec3_params_.salt, nsec3_params_.iterations);
-    dns::Name hashed_owner =
-        zone_.apex().with_prefix_label(base32hex_encode(digest));
-    nsec3_chain_.insert_or_assign(
-        std::move(digest), Nsec3Entry{owner, std::move(hashed_owner)});
-  }
+  nsec3_chain_.reserve(zone_.name_count());
+  zone_.for_each_owner([this](const dns::Name& owner) {
+    nsec3_chain_.push_back(Nsec3Link{
+        nsec3_hash(owner, nsec3_params_.salt, nsec3_params_.iterations),
+        &owner});
+  });
+  // Of equal digests the canonically later owner stays, as when each owner
+  // overwrote its digest's entry in turn (a SHA-1 collision cannot be built
+  // in a test): it sorts first among its equals, and unique keeps it.
+  std::sort(nsec3_chain_.begin(), nsec3_chain_.end(),
+            [](const Nsec3Link& a, const Nsec3Link& b) {
+              if (const auto order = a.digest <=> b.digest; order != 0) {
+                return order < 0;
+              }
+              return b.owner->canonical_compare(*a.owner) < 0;
+            });
+  nsec3_chain_.erase(std::unique(nsec3_chain_.begin(), nsec3_chain_.end(),
+                                 [](const Nsec3Link& a, const Nsec3Link& b) {
+                                   return a.digest == b.digest;
+                                 }),
+                     nsec3_chain_.end());
   nsec3_dirty_ = false;
 }
 
-SignedZone::Nsec3Chain::const_iterator SignedZone::nsec3_cover(
-    const crypto::Bytes& digest) const {
-  // Greatest chain hash <= digest; hashes below the first entry are covered
+std::size_t SignedZone::nsec3_cover(const crypto::Sha1::Digest& digest) const {
+  // Greatest chain hash <= digest; hashes below the first link are covered
   // by the last-to-first wraparound span (RFC 5155 §3.1.7 last NSEC3).
-  auto it = nsec3_chain_.upper_bound(digest);
-  if (it == nsec3_chain_.begin()) return std::prev(nsec3_chain_.end());
-  return std::prev(it);
+  const auto it = std::upper_bound(
+      nsec3_chain_.begin(), nsec3_chain_.end(), digest,
+      [](const crypto::Sha1::Digest& d, const Nsec3Link& link) {
+        return d < link.digest;
+      });
+  if (it == nsec3_chain_.begin()) return nsec3_chain_.size() - 1;
+  return static_cast<std::size_t>(it - nsec3_chain_.begin()) - 1;
 }
 
-NsecProof SignedZone::make_nsec3_proof(Nsec3Chain::const_iterator it) {
-  auto next = std::next(it);
-  if (next == nsec3_chain_.end()) next = nsec3_chain_.begin();
+NsecProof SignedZone::make_nsec3_proof(std::size_t link) {
+  const Nsec3Link& at = nsec3_chain_[link];
+  const Nsec3Link& next = nsec3_chain_[(link + 1) % nsec3_chain_.size()];
 
   dns::Nsec3Rdata nsec3;
   nsec3.iterations = nsec3_params_.iterations;
   nsec3.salt = nsec3_params_.salt;
-  nsec3.next_hashed = next->first;
-  nsec3.types = zone_.types_at(it->second.original);
+  nsec3.next_hashed.assign(next.digest.begin(), next.digest.end());
+  nsec3.types = zone_.types_at(*at.owner);
   nsec3.types.push_back(dns::RRType::kRrsig);
 
+  const dns::Name hashed_owner =
+      zone_.apex().with_prefix_label(base32hex_encode(at.digest));
   dns::ResourceRecord record = dns::ResourceRecord::make(
-      it->second.hashed_owner, zone_.negative_ttl(), dns::Rdata{nsec3});
-  dns::RRset nsec3_set(it->second.hashed_owner, dns::RRType::kNsec3);
+      hashed_owner, zone_.negative_ttl(), dns::Rdata{nsec3});
+  dns::RRset nsec3_set(hashed_owner, dns::RRType::kNsec3);
   nsec3_set.add(record);
   dns::ResourceRecord rrsig = rrsig_for(nsec3_set);
   return NsecProof{std::move(record), std::move(rrsig)};
@@ -162,20 +180,17 @@ std::vector<NsecProof> SignedZone::nsec3_nxdomain_proof(
   }
 
   const auto& params = nsec3_params_;
+  const std::size_t picks[] = {
+      nsec3_cover(nsec3_hash(closest, params.salt, params.iterations)),
+      nsec3_cover(nsec3_hash(next_closer, params.salt, params.iterations)),
+      nsec3_cover(nsec3_hash(closest.with_prefix_label("*"), params.salt,
+                             params.iterations)),
+  };
   std::vector<NsecProof> proofs;
-  std::vector<Nsec3Chain::const_iterator> picks;
-  picks.push_back(
-      nsec3_cover(nsec3_hash(closest, params.salt, params.iterations)));
-  picks.push_back(
-      nsec3_cover(nsec3_hash(next_closer, params.salt, params.iterations)));
-  picks.push_back(nsec3_cover(nsec3_hash(closest.with_prefix_label("*"),
-                                         params.salt, params.iterations)));
-  for (auto it : picks) {
-    bool seen = false;
-    for (const NsecProof& p : proofs) {
-      if (p.nsec.name == it->second.hashed_owner) { seen = true; break; }
-    }
-    if (!seen) proofs.push_back(make_nsec3_proof(it));
+  for (std::size_t i = 0; i < std::size(picks); ++i) {
+    // One proof per link: the ranges often coincide.
+    if (std::find(picks, picks + i, picks[i]) != picks + i) continue;
+    proofs.push_back(make_nsec3_proof(picks[i]));
   }
   return proofs;
 }

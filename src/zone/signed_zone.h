@@ -43,6 +43,10 @@ class SignedZone {
 
   SignedZone(Zone zone, ZoneKeys keys) : SignedZone(std::move(zone), std::move(keys), Policy{}) {}
   SignedZone(Zone zone, ZoneKeys keys, Policy policy);
+  // The NSEC3 chain points into this zone's own owner keys, so a copy
+  // would point into the original's.
+  SignedZone(const SignedZone&) = delete;
+  SignedZone& operator=(const SignedZone&) = delete;
 
   [[nodiscard]] const Zone& zone() const { return zone_; }
   [[nodiscard]] Zone& zone() { return zone_; }
@@ -104,21 +108,23 @@ class SignedZone {
   }
 
  private:
-  /// One link of the hashed chain: the original owner it denies around.
-  struct Nsec3Entry {
-    dns::Name original;
-    dns::Name hashed_owner;
+  /// One link of the hashed chain: an owner's digest and the owner itself.
+  /// `owner` points at the zone's own key, which a std::map node keeps in
+  /// place across inserts; Zone never erases a name.
+  struct Nsec3Link {
+    crypto::Sha1::Digest digest;
+    const dns::Name* owner;
   };
-  // Keyed by raw digest: lexicographic Bytes order == numeric hash order.
-  using Nsec3Chain = std::map<crypto::Bytes, Nsec3Entry>;
 
   [[nodiscard]] dns::ResourceRecord make_nsec(const dns::Name& owner);
   void rebuild_nsec3_chain();
-  /// Proof for the chain entry at `it` (matching or covering `digest`).
-  [[nodiscard]] NsecProof make_nsec3_proof(Nsec3Chain::const_iterator it);
-  /// Chain entry whose span matches or covers `digest` (with wraparound).
-  [[nodiscard]] Nsec3Chain::const_iterator nsec3_cover(
-      const crypto::Bytes& digest) const;
+  /// Proof for chain link `link` (matching or covering some digest): the
+  /// only place a hashed owner name and its NSEC3 record are built.
+  [[nodiscard]] NsecProof make_nsec3_proof(std::size_t link);
+  /// Index of the link whose span matches or covers `digest` (with
+  /// wraparound).
+  [[nodiscard]] std::size_t nsec3_cover(
+      const crypto::Sha1::Digest& digest) const;
 
   Zone zone_;
   ZoneKeys keys_;
@@ -128,7 +134,7 @@ class SignedZone {
   bool nsec3_enabled_ = false;
   bool nsec3_dirty_ = false;
   Nsec3Params nsec3_params_;
-  Nsec3Chain nsec3_chain_;
+  std::vector<Nsec3Link> nsec3_chain_;  // sorted by digest, digests unique
   // Cache key: (interned owner id, type) — a few hot owners key thousands
   // of signed RRsets, so the owner name is stored once in the arena and the
   // key is 8 bytes instead of a std::string copy per entry (§4k).

@@ -114,11 +114,4 @@ std::vector<dns::RRType> Zone::types_at(const dns::Name& name) const {
   return out;
 }
 
-std::vector<dns::Name> Zone::owner_names() const {
-  std::vector<dns::Name> out;
-  out.reserve(names_.size());
-  for (const auto& [name, types] : names_) out.push_back(name);
-  return out;
-}
-
 }  // namespace lookaside::zone

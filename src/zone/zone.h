@@ -78,8 +78,13 @@ class Zone {
   /// Number of distinct owner names.
   [[nodiscard]] std::size_t name_count() const { return names_.size(); }
 
-  /// Owner names in canonical order (for tests and zone dumps).
-  [[nodiscard]] std::vector<dns::Name> owner_names() const;
+  /// Calls `visit(owner)` for each owner name in canonical order. `owner`
+  /// is the zone's own key: it stays valid as long as the zone does, since
+  /// a Zone never erases a name.
+  template <typename Visitor>
+  void for_each_owner(Visitor&& visit) const {
+    for (const auto& entry : names_) visit(entry.first);
+  }
 
  private:
   struct CanonicalLess {

@@ -409,7 +409,7 @@ ZoneFileResult parse_zone_file(std::string_view text,
 std::string render_zone_file(const Zone& zone) {
   std::ostringstream out;
   out << "$ORIGIN " << zone.apex().to_text() << "\n";
-  for (const dns::Name& owner : zone.owner_names()) {
+  zone.for_each_owner([&](const dns::Name& owner) {
     for (dns::RRType type : zone.types_at(owner)) {
       const dns::RRset* rrset = zone.find(owner, type);
       if (rrset == nullptr) continue;
@@ -425,7 +425,7 @@ std::string render_zone_file(const Zone& zone) {
         }
       }
     }
-  }
+  });
   return out.str();
 }
 

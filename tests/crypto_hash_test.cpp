@@ -1,12 +1,16 @@
-// Unit tests for SHA-256, SHA-1 and HMAC-SHA256 against published vectors.
+// Unit tests for SHA-256 and SHA-1 against published vectors, each
+// compression kernel (scalar and SHA-NI) called directly on the same
+// vectors, and SHA-NI checked against scalar on random input.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "crypto/bytes.h"
-#include "crypto/hmac.h"
+#include "crypto/rng.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
+#include "crypto/sha_kernels.h"
 
 namespace lookaside::crypto {
 namespace {
@@ -117,26 +121,144 @@ TEST(Sha1Test, TwoBlockMessage) {
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
 }
 
-TEST(HmacTest, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  EXPECT_EQ(to_hex(hmac_sha256(key, bytes_of("Hi There"))),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+// ---- Compression kernels, called directly. ----
+
+constexpr kernels::Sha1State kSha1Iv = {0x67452301, 0xefcdab89, 0x98badcfe,
+                                        0x10325476, 0xc3d2e1f0};
+constexpr kernels::Sha256State kSha256Iv = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// FIPS 180-4 §5.1.1 padding, done here so that only the kernel hashes.
+Bytes pad(std::string_view message) {
+  Bytes out(message.begin(), message.end());
+  out.push_back(0x80);
+  while (out.size() % 64 != 56) out.push_back(0);
+  const std::uint64_t bits = message.size() * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  return out;
 }
 
-TEST(HmacTest, Rfc4231Case2) {
-  EXPECT_EQ(to_hex(hmac_sha256(bytes_of("Jefe"),
-                               bytes_of("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+/// Hex digest of `message` through `kernel` alone, from `state` (an IV).
+template <typename State, typename Kernel>
+std::string kernel_hex(Kernel kernel, State state, std::string_view message) {
+  const Bytes padded = pad(message);
+  kernel(state, padded.data(), padded.size() / 64);
+  Bytes digest;
+  for (const std::uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return to_hex(digest);
 }
 
-TEST(HmacTest, LongKeyIsHashedFirst) {
-  // RFC 4231 test case 6: 131-byte key.
-  const Bytes key(131, 0xaa);
-  EXPECT_EQ(to_hex(hmac_sha256(
-                key, bytes_of("Test Using Larger Than Block-Size Key - "
-                              "Hash Key First"))),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+const std::string kTwoBlockVector =
+    "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+
+void expect_sha1_known_answers(kernels::Sha1Kernel kernel) {
+  const auto hex = [kernel](std::string_view message) {
+    return kernel_hex(kernel, kSha1Iv, message);
+  };
+  EXPECT_EQ(hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(hex(kTwoBlockVector), "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(hex(std::string(v.len, 'x')), v.sha1) << "len=" << v.len;
+  }
 }
+
+void expect_sha256_known_answers(kernels::Sha256Kernel kernel) {
+  const auto hex = [kernel](std::string_view message) {
+    return kernel_hex(kernel, kSha256Iv, message);
+  };
+  EXPECT_EQ(hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex(kTwoBlockVector),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex(std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const PaddingVector& v : kPaddingVectors) {
+    EXPECT_EQ(hex(std::string(v.len, 'x')), v.sha256) << "len=" << v.len;
+  }
+}
+
+TEST(ShaKernelTest, ScalarKnownAnswers) {
+  expect_sha1_known_answers(kernels::sha1_scalar);
+  expect_sha256_known_answers(kernels::sha256_scalar);
+}
+
+TEST(ShaKernelTest, ClassesRunTheSelectedKernel) {
+  EXPECT_EQ(kernels::sha1_kernel() == kernels::sha1_scalar,
+            !kernels::cpu_has_sha_ni());
+  EXPECT_EQ(kernels::sha256_kernel() == kernels::sha256_scalar,
+            !kernels::cpu_has_sha_ni());
+}
+
+/// The SHA-NI cases skip, saying so, on a CPU without the extensions.
+class ShaNiKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!kernels::cpu_has_sha_ni()) {
+      GTEST_SKIP() << "this CPU lacks SHA-NI (SHA, SSSE3, SSE4.1): only the "
+                      "scalar kernels were tested";
+    }
+  }
+};
+
+#if defined(__x86_64__)
+
+TEST_F(ShaNiKernelTest, KnownAnswers) {
+  expect_sha1_known_answers(kernels::sha1_shani);
+  expect_sha256_known_answers(kernels::sha256_shani);
+}
+
+TEST_F(ShaNiKernelTest, MatchesScalarOnRandomStatesAndBlocks) {
+  SplitMix64 rng(0x5a1);
+  Bytes blocks(4 * 64);
+  for (int trial = 0; trial < 2000; ++trial) {
+    rng.fill(blocks);
+    const std::size_t count = 1 + rng.next_below(4);
+    kernels::Sha1State sha1{};
+    for (std::uint32_t& word : sha1) {
+      word = static_cast<std::uint32_t>(rng.next());
+    }
+    kernels::Sha256State sha256{};
+    for (std::uint32_t& word : sha256) {
+      word = static_cast<std::uint32_t>(rng.next());
+    }
+    kernels::Sha1State sha1_ni = sha1;
+    kernels::Sha256State sha256_ni = sha256;
+    kernels::sha1_scalar(sha1, blocks.data(), count);
+    kernels::sha1_shani(sha1_ni, blocks.data(), count);
+    kernels::sha256_scalar(sha256, blocks.data(), count);
+    kernels::sha256_shani(sha256_ni, blocks.data(), count);
+    ASSERT_EQ(sha1_ni, sha1) << "trial " << trial;
+    ASSERT_EQ(sha256_ni, sha256) << "trial " << trial;
+  }
+}
+
+TEST_F(ShaNiKernelTest, MatchesScalarOnRandomMessagesUpTo299Bytes) {
+  SplitMix64 rng(0x5a2);
+  for (int trial = 0; trial < 6000; ++trial) {
+    Bytes bytes(rng.next_below(300));
+    rng.fill(bytes);
+    const std::string_view message(reinterpret_cast<const char*>(bytes.data()),
+                                   bytes.size());
+    ASSERT_EQ(kernel_hex(kernels::sha1_shani, kSha1Iv, message),
+              kernel_hex(kernels::sha1_scalar, kSha1Iv, message))
+        << "trial " << trial << " len=" << bytes.size();
+    ASSERT_EQ(kernel_hex(kernels::sha256_shani, kSha256Iv, message),
+              kernel_hex(kernels::sha256_scalar, kSha256Iv, message))
+        << "trial " << trial << " len=" << bytes.size();
+  }
+}
+
+#endif  // defined(__x86_64__)
 
 TEST(HexTest, RoundTrip) {
   const Bytes data = {0x00, 0x01, 0xab, 0xff, 0x7f};

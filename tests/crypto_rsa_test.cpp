@@ -1,4 +1,5 @@
-// Unit tests for RSA keygen/sign/verify and the DNSSEC algorithm façade.
+// Unit tests for RSA keygen/sign/verify and the DNSSEC algorithm façade,
+// and the allocation counts of signing, verifying and hashing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,13 @@
 #include "crypto/dnssec_algo.h"
 #include "crypto/rng.h"
 #include "crypto/rsa.h"
+#include "crypto/sha1.h"
 #include "crypto/sha256.h"
+#include "dns/name.h"
+#include "zone/nsec3.h"
 
-// Counting heap shim: sign and verify are specified by how many allocations
-// they make, so this binary counts every operator new.
+// Counting heap shim: sign, verify and the hashes are specified by how many
+// allocations they make, so this binary counts every operator new.
 namespace {
 std::atomic<long> g_allocations{0};
 
@@ -56,7 +60,7 @@ TEST(MillerRabinTest, KnownPrimesAndComposites) {
 
 TEST(RsaTest, SignVerifyRoundTrip) {
   const RsaKeyPair kp = test_keypair();
-  const Bytes digest = Sha256::digest("hello dnssec");
+  const Sha256::Digest digest = Sha256::digest("hello dnssec");
   const Bytes sig = kp.private_key.sign_digest(digest);
   EXPECT_EQ(sig.size(), kp.public_key.modulus_bytes());
   EXPECT_TRUE(kp.public_key.verify_digest(digest, sig));
@@ -64,7 +68,7 @@ TEST(RsaTest, SignVerifyRoundTrip) {
 
 TEST(RsaTest, TamperedSignatureFails) {
   const RsaKeyPair kp = test_keypair();
-  const Bytes digest = Sha256::digest("hello dnssec");
+  const Sha256::Digest digest = Sha256::digest("hello dnssec");
   Bytes sig = kp.private_key.sign_digest(digest);
   sig[sig.size() / 2] ^= 0x01;
   EXPECT_FALSE(kp.public_key.verify_digest(digest, sig));
@@ -79,14 +83,14 @@ TEST(RsaTest, TamperedDigestFails) {
 TEST(RsaTest, WrongKeyFails) {
   const RsaKeyPair kp1 = test_keypair(512, 10);
   const RsaKeyPair kp2 = test_keypair(512, 11);
-  const Bytes digest = Sha256::digest("cross-key");
+  const Sha256::Digest digest = Sha256::digest("cross-key");
   const Bytes sig = kp1.private_key.sign_digest(digest);
   EXPECT_FALSE(kp2.public_key.verify_digest(digest, sig));
 }
 
 TEST(RsaTest, WrongLengthSignatureFails) {
   const RsaKeyPair kp = test_keypair();
-  const Bytes digest = Sha256::digest("short");
+  const Sha256::Digest digest = Sha256::digest("short");
   Bytes sig = kp.private_key.sign_digest(digest);
   sig.pop_back();
   EXPECT_FALSE(kp.public_key.verify_digest(digest, sig));
@@ -95,7 +99,7 @@ TEST(RsaTest, WrongLengthSignatureFails) {
 TEST(RsaTest, SmallKeySignVerify) {
   // 256-bit keys are the fast-simulation configuration.
   const RsaKeyPair kp = test_keypair(256, 3);
-  const Bytes digest = Sha256::digest("fast path");
+  const Sha256::Digest digest = Sha256::digest("fast path");
   EXPECT_TRUE(
       kp.public_key.verify_digest(digest, kp.private_key.sign_digest(digest)));
 }
@@ -114,7 +118,7 @@ TEST(RsaTest, PublicKeyWireRoundTrip) {
   EXPECT_EQ(parsed->modulus(), kp.public_key.modulus());
   EXPECT_EQ(parsed->exponent(), kp.public_key.exponent());
 
-  const Bytes digest = Sha256::digest("wire");
+  const Sha256::Digest digest = Sha256::digest("wire");
   EXPECT_TRUE(
       parsed->verify_digest(digest, kp.private_key.sign_digest(digest)));
 }
@@ -220,7 +224,7 @@ std::uint64_t fnv1a(const Bytes& data, std::uint64_t hash) {
 }
 
 TEST(RsaKnownAnswerTest, KeysAndSignaturesMatchRecordedValues) {
-  const Bytes digest = Sha256::digest("lookaside rsa known-answer");
+  const Sha256::Digest digest = Sha256::digest("lookaside rsa known-answer");
   for (const RsaKnownAnswer& answer : kRsaKnownAnswers) {
     SplitMix64 rng1(1);
     const RsaKeyPair kp1 = generate_rsa_keypair(answer.bits, rng1);
@@ -286,14 +290,15 @@ TEST(RsaTest, CrtSigningMatchesPlainExponentiationInEitherPrimeOrder) {
     const RsaPrivateKey q_larger(pub, d, p, q);
     const RsaPrivateKey p_larger(pub, d, q, p);
 
-    const Bytes first = Sha256::digest("prime order");
+    const Sha256::Digest first = Sha256::digest("prime order");
     const BigUint em =
         BigUint::from_bytes_be(emsa_pad(first, pub.modulus_bytes()));
     EXPECT_EQ(BigUint::from_bytes_be(q_larger.sign_digest(first)),
               reference_pow(em, d, n))
         << bits;
     for (int i = 0; i < 64; ++i) {
-      const Bytes digest = Sha256::digest("prime order " + std::to_string(i));
+      const Sha256::Digest digest =
+          Sha256::digest("prime order " + std::to_string(i));
       const Bytes sig = q_larger.sign_digest(digest);
       EXPECT_EQ(p_larger.sign_digest(digest), sig) << bits << " " << i;
       EXPECT_TRUE(pub.verify_digest(digest, sig)) << bits << " " << i;
@@ -317,7 +322,7 @@ TEST(RsaAllocationTest, VerifyAllocatesNothingAndSignOnlyItsResult) {
   // loop, and 1024 both (8-limb primes, a 16-limb public modulus).
   for (std::size_t bits : {256u, 288u, 512u, 1024u}) {
     const RsaKeyPair kp = test_keypair(bits, 4);
-    const Bytes digest = Sha256::digest("allocation count");
+    const Sha256::Digest digest = Sha256::digest("allocation count");
     const Bytes expected = kp.private_key.sign_digest(digest);
     Bytes tampered = expected;
     tampered[3] ^= 0x10;
@@ -339,8 +344,42 @@ TEST(RsaAllocationTest, VerifyAllocatesNothingAndSignOnlyItsResult) {
   }
 }
 
+TEST(RsaAllocationTest, VerifyMessageAllocatesNothingAndSignMessageOnce) {
+  const RsaKeyPair kp = test_keypair(512, 9);
+  const Bytes message = bytes_of("canonical rrset image");
+
+  long before = g_allocations.load();
+  const Bytes sig = sign_message(kp.private_key, message);
+  const long sign_allocations = g_allocations.load() - before;
+
+  before = g_allocations.load();
+  const bool valid = verify_message(kp.public_key, message, sig);
+  const long verify_allocations = g_allocations.load() - before;
+
+  EXPECT_TRUE(valid);
+  EXPECT_EQ(sign_allocations, 1);  // the signature itself
+  EXPECT_EQ(verify_allocations, 0);
+}
+
+TEST(HashAllocationTest, DigestsAndNsec3HashAllocateNothing) {
+  const Bytes message(300, 0x5a);
+  const dns::Name name = dns::Name::parse("site-1.com.dlv.isc.org");
+  const Bytes salt = {0xab, 0xcd, 0xef, 0x01};
+
+  const long before = g_allocations.load();
+  const Sha1::Digest sha1 = Sha1::digest(message);
+  const Sha256::Digest sha256 = Sha256::digest(message);
+  const Sha1::Digest hashed = zone::nsec3_hash(name, salt, 10);
+  const long allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(allocations, 0);
+  EXPECT_NE(sha1, Sha1::Digest{});
+  EXPECT_NE(sha256, Sha256::Digest{});
+  EXPECT_NE(hashed, Sha1::Digest{});
+}
+
 TEST(EmsaPadTest, FullPaddingLayout) {
-  const Bytes digest = Sha256::digest("x");
+  const Sha256::Digest digest = Sha256::digest("x");
   const Bytes em = emsa_pad(digest, 64);
   EXPECT_EQ(em.size(), 64u);
   EXPECT_EQ(em[0], 0x00);
@@ -351,7 +390,7 @@ TEST(EmsaPadTest, FullPaddingLayout) {
 }
 
 TEST(EmsaPadTest, TruncatesForSmallModulus) {
-  const Bytes digest = Sha256::digest("x");
+  const Sha256::Digest digest = Sha256::digest("x");
   const Bytes em = emsa_pad(digest, 32);  // 256-bit key
   EXPECT_EQ(em.size(), 32u);
   // 21 digest bytes fit; 8 FF bytes of padding remain.

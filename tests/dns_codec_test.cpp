@@ -151,6 +151,39 @@ TEST(CodecTest, EdnsOptRecordCarriesDoBit) {
   EXPECT_EQ(wire.size() - encode_message(plain).size(), 11u);
 }
 
+// A DO=1 query ends in its OPT pseudo-record: root owner, type 41, CLASS =
+// UDP payload size 4096, TTL = extended flags (DO is 0x8000), no RDATA.
+constexpr std::size_t kOptOctets = 11;
+
+TEST(CodecTest, RejectsOptOutsideAdditionalSection) {
+  // RFC 6891 §6.1.1 allows OPT only in the additional section. Counted as
+  // an answer, it used to decode as an answer record with its TTL, which
+  // the encoder then wrote back as 0: the round trip was not stable.
+  Bytes wire = encode_message(query_of("example.com", RRType::kA));
+  const std::size_t ttl_at = wire.size() - 6;
+  wire[ttl_at + 2] = 0x6a;  // TTL 27248
+  wire[ttl_at + 3] = 0x70;
+  wire[7] = 1;   // ANCOUNT: the trailing OPT is now the answer section
+  wire[11] = 0;  // ARCOUNT
+  EXPECT_THROW((void)decode_message(wire), WireFormatError);
+  wire[7] = 0;
+  wire[9] = 1;  // NSCOUNT: the authority section
+  EXPECT_THROW((void)decode_message(wire), WireFormatError);
+}
+
+TEST(CodecTest, RejectsSecondOptRecord) {
+  // A second OPT (payload 512, DO=0) used to overwrite the first's
+  // (payload 4096, DO=1) without a word.
+  Bytes wire = encode_message(query_of("example.com", RRType::kA));
+  Bytes second(wire.end() - kOptOctets, wire.end());
+  second[3] = 0x02;  // CLASS 512
+  second[4] = 0x00;
+  second[7] = 0x00;  // TTL 0: DO clear
+  wire.insert(wire.end(), second.begin(), second.end());
+  wire[11] = 2;  // ARCOUNT
+  EXPECT_THROW((void)decode_message(wire), WireFormatError);
+}
+
 TEST(CodecTest, RejectsTruncatedPacket) {
   const Bytes wire = encode_message(query_of("example.com", RRType::kA));
   for (std::size_t cut = 1; cut < wire.size(); cut += 3) {

@@ -8,6 +8,9 @@
 #include <stdexcept>
 
 #include "crypto/sha1.h"
+#include "crypto/sha256.h"
+#include "dlv/registry.h"
+#include "dns/codec.h"
 #include "resolver/validator.h"
 #include "serve/sharded.h"
 #include "sim/clock.h"
@@ -46,7 +49,7 @@ TEST(Nsec3HashTest, ZeroIterationsIsOneHashOfNamePlusSalt) {
 
 TEST(Nsec3HashTest, EmptySaltIsValid) {
   const dns::Name name = dns::Name::parse("example.org");
-  const crypto::Bytes empty_salted = zone::nsec3_hash(name, {}, 3);
+  const crypto::Sha1::Digest empty_salted = zone::nsec3_hash(name, {}, 3);
   EXPECT_EQ(empty_salted.size(), 20u);
   // The salt must actually participate: same name, different salt, new hash.
   EXPECT_NE(empty_salted, zone::nsec3_hash(name, kRfcSalt, 3));
@@ -57,10 +60,31 @@ TEST(Nsec3HashTest, MaxCapIterationsTerminatesAndDiffers) {
   // The u16 ceiling: 65535 extra invocations — the worst bill a single
   // attacker-supplied NSEC3PARAM can demand.
   const dns::Name name = dns::Name::parse("example.org");
-  const crypto::Bytes at_cap = zone::nsec3_hash(name, kRfcSalt, 65535);
+  const crypto::Sha1::Digest at_cap = zone::nsec3_hash(name, kRfcSalt, 65535);
   EXPECT_EQ(at_cap.size(), 20u);
   EXPECT_NE(at_cap, zone::nsec3_hash(name, kRfcSalt, 65534));
   EXPECT_EQ(zone::nsec3_hash_ops(65535), 65536u);
+}
+
+TEST(Nsec3HashTest, LongestNameAndSaltMatchTheDefinition) {
+  // A 255-octet wire name and a 255-octet salt, the most either can be,
+  // hashed as RFC 5155 §5 spells it out; one octet more salt throws.
+  const dns::Name name = dns::Name::parse(
+      std::string(63, 'a') + "." + std::string(63, 'b') + "." +
+      std::string(63, 'c') + "." + std::string(61, 'd'));
+  ASSERT_EQ(name.wire_length(), 255u);
+  const crypto::Bytes salt(255, 0x5a);
+  crypto::Bytes input = name.to_wire();
+  input.insert(input.end(), salt.begin(), salt.end());
+  crypto::Sha1::Digest expected = crypto::Sha1::digest(input);
+  for (int k = 0; k < 2; ++k) {
+    input.assign(expected.begin(), expected.end());
+    input.insert(input.end(), salt.begin(), salt.end());
+    expected = crypto::Sha1::digest(input);
+  }
+  EXPECT_EQ(zone::nsec3_hash(name, salt, 2), expected);
+  EXPECT_THROW((void)zone::nsec3_hash(name, crypto::Bytes(256, 0x5a), 2),
+               std::invalid_argument);
 }
 
 TEST(Nsec3HashTest, HashIsCaseInsensitive) {
@@ -71,8 +95,9 @@ TEST(Nsec3HashTest, HashIsCaseInsensitive) {
 // ---- base32hex (RFC 4648 §7). ----
 
 TEST(Base32HexTest, RoundTripsTwentyByteDigests) {
-  const crypto::Bytes digest =
+  const crypto::Sha1::Digest hash =
       zone::nsec3_hash(dns::Name::parse("round.trip"), kRfcSalt, 7);
+  const crypto::Bytes digest(hash.begin(), hash.end());
   const std::string encoded = zone::base32hex_encode(digest);
   EXPECT_EQ(encoded.size(), 32u);
   EXPECT_EQ(zone::base32hex_decode(encoded), digest);
@@ -203,6 +228,68 @@ TEST_F(Nsec3ZoneTest, TamperedProofDoesNotVerify) {
       as_authority(proofs), missing, dns::Name::parse("dlv.example"),
       zone_->dnskey_rrset());
   EXPECT_FALSE(check.proven);
+}
+
+// ---- A registry-sized chain, pinned through the authority's answers. ----
+
+TEST(Nsec3ChainTest, ProofsKnownAnswer) {
+  // Every NSEC3 owner, next hash, type bitmap and signature that a
+  // registry's denials carry, pinned by a SHA-256 over the encoded answers.
+  dlv::DlvRegistry::Options options;
+  options.apex = dns::Name::parse("dlv.example");
+  options.key_bits = 256;
+  options.nsec3_enabled = true;
+  options.nsec3_iterations = 10;
+  options.nsec3_salt = kRfcSalt;
+  dlv::DlvRegistry registry(options);
+  std::vector<dns::Name> owners = {options.apex};
+  for (int i = 0; i < 3000; ++i) {
+    const dns::Name domain =
+        dns::Name::parse("d" + std::to_string(i) + ".example.com");
+    registry.deposit(domain, dns::DsRdata{static_cast<std::uint16_t>(i), 8, 2,
+                                          dns::Bytes(32, i & 0xFF)});
+    owners.push_back(registry.dlv_name_for(domain));
+  }
+
+  // w56's hash sorts below every owner's, so its next-closer span is the
+  // last-to-first wraparound one.
+  const dns::Name wrapped = dns::Name::parse("w56.dlv.example");
+  const auto wrapped_hash = zone::nsec3_hash(wrapped, kRfcSalt, 10);
+  for (const dns::Name& owner : owners) {
+    ASSERT_LT(wrapped_hash, zone::nsec3_hash(owner, kRfcSalt, 10))
+        << owner.to_text();
+  }
+
+  struct Query {
+    dns::Name name;
+    dns::RRType type;
+    dns::RCode rcode;
+  };
+  const Query queries[] = {
+      // Deposited: NODATA, one matching NSEC3.
+      {owners[18], dns::RRType::kA, dns::RCode::kNoError},
+      // Undeposited: the closest encloser is the apex.
+      {dns::Name::parse("absent.example.com.dlv.example"), dns::RRType::kDlv,
+       dns::RCode::kNxDomain},
+      // Below a deposit: the closest encloser is d42's owner.
+      {dns::Name::parse("www.d42.example.com.dlv.example"), dns::RRType::kDlv,
+       dns::RCode::kNxDomain},
+      {wrapped, dns::RRType::kDlv, dns::RCode::kNxDomain},
+  };
+  crypto::Sha256 hash;
+  std::size_t nsec3_records = 0;
+  for (const Query& query : queries) {
+    const dns::Message response = registry.handle_query(
+        dns::Message::make_query(1, query.name, query.type, false, true));
+    EXPECT_EQ(response.header.rcode, query.rcode) << query.name.to_text();
+    for (const dns::ResourceRecord& record : response.authorities) {
+      nsec3_records += record.type == dns::RRType::kNsec3 ? 1 : 0;
+    }
+    hash.update(dns::encode_message(response));
+  }
+  EXPECT_EQ(nsec3_records, 10u);
+  EXPECT_EQ(crypto::to_hex(hash.finish()),
+            "53f33c0290f4d71b5d5ac75a7d8557829110c0ea4935afd7da5ee92e27ee320e");
 }
 
 // ---- Resolver policy + frontend admission, end to end. ----

@@ -199,7 +199,22 @@ TEST(ServeTest, MalformedWireGetsFormerr) {
   EXPECT_TRUE(hostile.formerr);
   EXPECT_EQ(hostile.rcode, dns::RCode::kFormErr);
   EXPECT_EQ(dns::decode_message(hostile.response_wire).header.id, 0x0bad);
-  EXPECT_EQ(fixture.frontend_->stats().value("serve.formerr"), 3u);
+
+  // RFC 6891 §6.1.1: a query's OPT counted as an answer record, and a query
+  // with a second OPT appended. The query's own OPT is its last 11 octets.
+  dns::Bytes answer_opt = wire_query("chained.com", dns::RRType::kA, 0x0a01);
+  answer_opt[7] = 1;   // ANCOUNT
+  answer_opt[11] = 0;  // ARCOUNT
+  dns::Bytes two_opts = wire_query("chained.com", dns::RRType::kA, 0x0a02);
+  const dns::Bytes opt_record(two_opts.end() - 11, two_opts.end());
+  two_opts.insert(two_opts.end(), opt_record.begin(), opt_record.end());
+  two_opts[11] = 2;  // ARCOUNT
+  for (const dns::Bytes& wire : {answer_opt, two_opts}) {
+    const Served opt = fixture.frontend_->submit({30, 3, 0, wire});
+    EXPECT_TRUE(opt.formerr);
+    EXPECT_EQ(opt.rcode, dns::RCode::kFormErr);
+  }
+  EXPECT_EQ(fixture.frontend_->stats().value("serve.formerr"), 5u);
 }
 
 TEST(ServeTest, PlainStubResponsesAreStripped) {

@@ -212,8 +212,9 @@ TEST_F(Nsec3SynthTest, SynthesizesOnlyUnderACachedCloserEncloser) {
 TEST_F(Nsec3SynthTest, HashOutsideEverySpanStaysSilentButChargesTheHash) {
   ResolverCache::Nsec3Evidence narrow = evidence("sub.example.com");
   // Degenerate span [h, h): wraps and contains nothing.
-  const crypto::Bytes digest = zone::nsec3_hash(
+  const crypto::Sha1::Digest hash = zone::nsec3_hash(
       name_of("gone.sub.example.com"), narrow.salt, narrow.iterations);
+  const crypto::Bytes digest(hash.begin(), hash.end());
   narrow.spans.clear();
   narrow.spans.emplace_back(digest, digest);
   cache_.store_nsec3_evidence(apex_, narrow);
