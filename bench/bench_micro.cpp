@@ -277,11 +277,11 @@ void BM_CacheProbe_NegativeNsecCover(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheProbe_NegativeNsecCover)->Arg(100)->Arg(10000);
 
-void BM_CacheProbe_SpanIndexSynth(benchmark::State& state) {
+void BM_CacheProbe_SpanSynth(benchmark::State& state) {
   // The unified find_denial probe with every source enabled: one
-  // negative-table miss, one span-index binary search, one (empty) NSEC3
-  // evidence probe. This is the per-query cost fetch_from_cache pays when
-  // aggressive_synthesis is on.
+  // negative-table miss, one predecessor walk down the ordered NSEC chain,
+  // one (empty) NSEC3 evidence probe. This is the per-query cost
+  // fetch_from_cache pays when aggressive_synthesis is on.
   sim::SimClock clock;
   resolver::ResolverCache cache(clock);
   const dns::Name apex = dns::Name::parse("dlv.isc.org");
@@ -304,7 +304,7 @@ void BM_CacheProbe_SpanIndexSynth(benchmark::State& state) {
     i = (i + 1) % probes.size();
   }
 }
-BENCHMARK(BM_CacheProbe_SpanIndexSynth)->Arg(100)->Arg(10000);
+BENCHMARK(BM_CacheProbe_SpanSynth)->Arg(100)->Arg(10000);
 
 void BM_CacheNsecCheck(benchmark::State& state) {
   sim::SimClock clock;

@@ -138,11 +138,14 @@ Bytes RsaPublicKey::to_wire() const {
   if (exp_bytes.size() > 255) {
     throw std::invalid_argument("public exponent too large for wire form");
   }
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(exp_bytes.size()));
-  out.insert(out.end(), exp_bytes.begin(), exp_bytes.end());
   const Bytes mod_bytes = n_.to_bytes_be();
-  out.insert(out.end(), mod_bytes.begin(), mod_bytes.end());
+  // Sized once and filled by copy: appending the exponent to a one-byte
+  // vector draws two false -Warray-bounds reports from optimizing gcc 12.
+  Bytes out(1 + exp_bytes.size() + mod_bytes.size());
+  out[0] = static_cast<std::uint8_t>(exp_bytes.size());
+  const auto mod_at = std::copy(exp_bytes.begin(), exp_bytes.end(),
+                                out.begin() + 1);
+  std::copy(mod_bytes.begin(), mod_bytes.end(), mod_at);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "resolver/cache.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "dns/rdata.h"
 #include "obs/tracer.h"
@@ -20,6 +21,17 @@ template <typename V>
     if (slot.first == type) return &slot;
   }
   return nullptr;
+}
+
+/// The entry a typed slot holds: positive entries are boxed, the others
+/// are stored inline.
+template <typename V>
+[[nodiscard]] V& slot_entry(std::unique_ptr<V>& boxed) {
+  return *boxed;
+}
+template <typename V>
+[[nodiscard]] V& slot_entry(V& entry) {
+  return entry;
 }
 
 // Fixed per-entry overhead constants for the approximate accounting model
@@ -83,6 +95,21 @@ void ResolverCache::charge(std::size_t cost) {
 
 void ResolverCache::release(std::size_t cost) {
   bytes_ = cost <= bytes_ ? bytes_ - cost : 0;
+}
+
+std::size_t ResolverCache::entry_cost(const dns::Name&,
+                                      const PositiveEntry& entry) {
+  return entry.cost;
+}
+
+std::size_t ResolverCache::entry_cost(const dns::Name& name,
+                                      const NegativeRecord&) {
+  return negative_cost(name);
+}
+
+std::size_t ResolverCache::entry_cost(const dns::Name& name,
+                                      const ServfailRecord&) {
+  return servfail_cost(name);
 }
 
 const char* ResolverCache::section_name(Section section) {
@@ -273,129 +300,8 @@ void ResolverCache::store_nsec(const dns::Name& zone_apex,
   // The zone's slot stays due at 0: its sweep visit always moves the hand.
   NsecZone& zone = nsec_by_zone_.get_or_insert(zone_apex);
   NsecEntry& slot = zone.chain[nsec_record.name];
-  if (slot.cost != 0) {
-    release(slot.cost);  // overwrite of an existing owner: no new node
-  } else {
-    ++zone.generation;  // structural insert invalidates the span index
-  }
+  release(slot.cost);  // an overwritten owner's cost; 0 for a new node
   slot = std::move(entry);
-}
-
-void ResolverCache::rebuild_span_index(NsecZone& zone) {
-  zone.index.clear();
-  zone.index.reserve(zone.chain.size());
-  // std::map iterates in canonical order, so the array is born sorted;
-  // map nodes are pointer-stable, so the pointers outlive rehash-free use.
-  for (auto& node : zone.chain) zone.index.push_back(&node);
-  zone.index_generation = zone.generation;
-}
-
-NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
-                                                const dns::Name& owner,
-                                                NsecEntry& entry,
-                                                const dns::Name& qname,
-                                                dns::RRType qtype,
-                                                std::uint64_t* expires_us,
-                                                bool* stop_shared) {
-  if (owner == qname) {
-    // RFC 6840 §4.4: an ancestor-delegation NSEC (NS set, SOA clear) lives
-    // on the parent side of a zone cut and proves nothing about the child
-    // zone's data except DS absence. Denying any other type from it would
-    // synthesize NODATA for names the child zone actually serves.
-    const bool delegation =
-        std::find(entry.types.begin(), entry.types.end(), dns::RRType::kNs) !=
-            entry.types.end() &&
-        std::find(entry.types.begin(), entry.types.end(), dns::RRType::kSoa) ==
-            entry.types.end();
-    if (delegation && qtype != dns::RRType::kDs) {
-      return NsecCoverage::kNoProof;
-    }
-    // The mirror image (RFC 4035 §2.3): DS lives only on the parent side
-    // of a cut, so a child-side NSEC (SOA set) proves nothing about DS —
-    // its bitmap legitimately omits DS even for a secure delegation.
-    if (qtype == dns::RRType::kDs && !delegation) {
-      return NsecCoverage::kNoProof;
-    }
-    // Exact NSEC: name exists; the bitmap decides the type.
-    if (std::find(entry.types.begin(), entry.types.end(), qtype) ==
-        entry.types.end()) {
-      entry.referenced = true;
-      entry.chances = limits_.nsec_extra_chances;
-      if (expires_us != nullptr) *expires_us = entry.expires_us;
-      return NsecCoverage::kTypeAbsent;
-    }
-    // The private exact entry says the type exists; a sibling's fresher
-    // proof cannot contradict a validated span, so don't consult the store.
-    *stop_shared = true;
-    return NsecCoverage::kNoProof;
-  }
-
-  // Covering NSEC: owner < qname < next proves nonexistence. The chain's
-  // last record wraps: next == apex means "everything after owner".
-  const dns::Name& next = arena_.name(entry.next);
-  const bool wraps = next == zone_apex;
-  if (wraps || qname.canonical_compare(next) < 0) {
-    // RFC 6840 §4.4 again: names below a delegation-owner NSEC are occluded
-    // — the span (net. -> org.) proves nothing about anything *inside* the
-    // net. zone, only that no further names exist in the parent between the
-    // two delegations. Without this, a cap-evicted zone cut makes
-    // deepest_known_cut fall back to the parent and its delegation spans
-    // wrongly NXDOMAIN every child-zone query.
-    if (qname.is_subdomain_of(owner) && owner != qname) {
-      const bool delegation =
-          std::find(entry.types.begin(), entry.types.end(),
-                    dns::RRType::kNs) != entry.types.end() &&
-          std::find(entry.types.begin(), entry.types.end(),
-                    dns::RRType::kSoa) == entry.types.end();
-      if (delegation) return NsecCoverage::kNoProof;
-    }
-    entry.referenced = true;
-    entry.chances = limits_.nsec_extra_chances;
-    if (expires_us != nullptr) *expires_us = entry.expires_us;
-    return NsecCoverage::kNameCovered;
-  }
-  return NsecCoverage::kNoProof;
-}
-
-NsecCoverage ResolverCache::nsec_chain_walk(const dns::Name& zone_apex,
-                                            NsecZone& zone,
-                                            const dns::Name& qname,
-                                            dns::RRType qtype,
-                                            std::uint64_t* expires_us,
-                                            bool* from_shared) {
-  NsecChain& chain = zone.chain;
-  // Greatest owner <= qname. Expired entries met on the walk are reclaimed
-  // and skipped: a stale closer entry must not shadow a live covering proof
-  // further left in the chain, so keep stepping to the next predecessor
-  // instead of giving up on the first expired hit.
-  auto it = chain.upper_bound(qname);
-  for (;;) {
-    if (it == chain.begin()) {
-      if (chain.empty()) nsec_by_zone_.erase(zone_apex);
-      const NsecCoverage shared =
-          shared_nsec_check(zone_apex, qname, qtype, expires_us);
-      if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-        *from_shared = true;
-      }
-      return shared;
-    }
-    --it;
-    if (it->second.expires_us > now()) break;
-    release(it->second.cost);
-    it = chain.erase(it);
-    ++zone.generation;
-  }
-  bool stop_shared = false;
-  const NsecCoverage local = classify_nsec_entry(
-      zone_apex, it->first, it->second, qname, qtype, expires_us,
-      &stop_shared);
-  if (local != NsecCoverage::kNoProof || stop_shared) return local;
-  const NsecCoverage shared =
-      shared_nsec_check(zone_apex, qname, qtype, expires_us);
-  if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-    *from_shared = true;
-  }
-  return shared;
 }
 
 NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
@@ -404,58 +310,41 @@ NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
                                         std::uint64_t* expires_us,
                                         bool* from_shared) {
   if (!qname.is_subdomain_of(zone_apex)) return NsecCoverage::kNoProof;
-  NsecZone* zone = nsec_by_zone_.find(zone_apex);
-  if (zone == nullptr) {
-    const NsecCoverage shared =
-        shared_nsec_check(zone_apex, qname, qtype, expires_us);
-    if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-      *from_shared = true;
+  if (NsecZone* zone = nsec_by_zone_.find(zone_apex)) {
+    NsecChain& chain = zone->chain;
+    // Greatest live owner <= qname. Expired entries met on the walk are
+    // reclaimed and skipped: a stale closer entry must not shadow a live
+    // covering proof further left in the chain.
+    const std::uint64_t now_us = now();
+    auto it = chain.upper_bound(qname);
+    while (it != chain.begin() && std::prev(it)->second.expires_us <= now_us) {
+      release(std::prev(it)->second.cost);
+      it = chain.erase(std::prev(it));
     }
-    return shared;
-  }
-  // Fast path: binary-search the span index for the greatest owner <=
-  // qname. A live candidate answers in one probe; an expired candidate
-  // falls back to the reclaiming map walk (which bumps the generation and
-  // so invalidates the index).
-  if (zone->index_generation != zone->generation) rebuild_span_index(*zone);
-  const auto it = std::upper_bound(
-      zone->index.begin(), zone->index.end(), qname,
-      [](const dns::Name& q, const NsecChain::value_type* node) {
-        return q.canonical_compare(node->first) < 0;
-      });
-  if (it == zone->index.begin()) {
-    const NsecCoverage shared =
-        shared_nsec_check(zone_apex, qname, qtype, expires_us);
-    if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-      *from_shared = true;
+    if (it != chain.begin()) {
+      auto& [owner, entry] = *std::prev(it);
+      bool type_listed = false;
+      const NsecCoverage local =
+          nsec_denial(zone_apex, owner, arena_.name(entry.next), entry.types,
+                      qname, qtype, &type_listed);
+      if (local != NsecCoverage::kNoProof) {
+        entry.referenced = true;
+        entry.chances = limits_.nsec_extra_chances;
+        *expires_us = entry.expires_us;
+        return local;
+      }
+      // The private exact entry lists the type; a sibling's fresher proof
+      // cannot contradict a validated span, so don't consult the store.
+      if (type_listed) return NsecCoverage::kNoProof;
+    } else if (chain.empty()) {
+      nsec_by_zone_.erase(zone_apex);
     }
-    return shared;
   }
-  NsecChain::value_type* node = *(it - 1);
-  if (node->second.expires_us <= now()) {
-    return nsec_chain_walk(zone_apex, *zone, qname, qtype, expires_us,
-                           from_shared);
-  }
-  bool stop_shared = false;
-  const NsecCoverage local = classify_nsec_entry(
-      zone_apex, node->first, node->second, qname, qtype, expires_us,
-      &stop_shared);
-  if (local != NsecCoverage::kNoProof || stop_shared) return local;
-  const NsecCoverage shared =
-      shared_nsec_check(zone_apex, qname, qtype, expires_us);
-  if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-    *from_shared = true;
-  }
-  return shared;
-}
-
-NsecCoverage ResolverCache::shared_nsec_check(const dns::Name& zone_apex,
-                                              const dns::Name& qname,
-                                              dns::RRType qtype,
-                                              std::uint64_t* expires_us) {
   if (shared_ == nullptr) return NsecCoverage::kNoProof;
-  return shared_->check_nsec(zone_apex, qname, qtype, now(), shard_id_,
-                             expires_us);
+  const NsecCoverage shared = shared_->check_nsec(zone_apex, qname, qtype,
+                                                  now(), shard_id_, expires_us);
+  *from_shared = shared != NsecCoverage::kNoProof;
+  return shared;
 }
 
 // -- NSEC3 closest-encloser evidence + unified denial lookup (§4j) -----------
@@ -633,71 +522,35 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
   const std::uint64_t now_us = now();
   std::size_t reclaimed = 0;
   dns::NameMapSweepCursor* cursor = &sweep_cursor_[section];
+  // One visit to a name's typed slots (positive, negative or SERVFAIL).
+  const auto sweep_slots = [&](const dns::Name& name, auto& slots,
+                               std::uint64_t& due) {
+    std::size_t write = 0;
+    due = dns::kSweepAll;
+    for (std::size_t read = 0; read < slots.size(); ++read) {
+      auto& slot = slots[read];
+      const auto& entry = slot_entry(slot.second);
+      if (entry.expires_us <= now_us) {
+        release(entry_cost(name, entry));
+        ++reclaimed;
+        continue;
+      }
+      due = std::min(due, entry.expires_us);
+      if (write != read) slots[write] = std::move(slot);
+      ++write;
+    }
+    slots.resize(write);
+    return slots.empty();  // erase the name when nothing survives
+  };
   switch (section) {
     case kPositive:
-      positive_.sweep(cursor, budget, now_us, [&](const dns::Name&,
-                                                  PositiveSlots& slots,
-                                                  std::uint64_t& due) {
-        std::size_t write = 0;
-        due = dns::kSweepAll;
-        for (std::size_t read = 0; read < slots.size(); ++read) {
-          auto& slot = slots[read];
-          if (slot.second->expires_us <= now_us) {
-            release(slot.second->cost);
-            ++reclaimed;
-            continue;
-          }
-          due = std::min(due, slot.second->expires_us);
-          if (write != read) slots[write] = std::move(slot);
-          ++write;
-        }
-        slots.resize(write);
-        return slots.empty();  // erase the name when nothing survives
-      });
+      positive_.sweep(cursor, budget, now_us, sweep_slots);
       break;
     case kNegative:
-      negative_.sweep(cursor, budget, now_us, [&](const dns::Name& name,
-                                                  TypeSlots<NegativeRecord>&
-                                                      slots,
-                                                  std::uint64_t& due) {
-        std::size_t write = 0;
-        due = dns::kSweepAll;
-        for (std::size_t read = 0; read < slots.size(); ++read) {
-          auto& slot = slots[read];
-          if (slot.second.expires_us <= now_us) {
-            release(negative_cost(name));
-            ++reclaimed;
-            continue;
-          }
-          due = std::min(due, slot.second.expires_us);
-          if (write != read) slots[write] = slot;
-          ++write;
-        }
-        slots.resize(write);
-        return slots.empty();
-      });
+      negative_.sweep(cursor, budget, now_us, sweep_slots);
       break;
     case kServfail:
-      servfail_.sweep(cursor, budget, now_us, [&](const dns::Name& name,
-                                                  TypeSlots<ServfailRecord>&
-                                                      slots,
-                                                  std::uint64_t& due) {
-        std::size_t write = 0;
-        due = dns::kSweepAll;
-        for (std::size_t read = 0; read < slots.size(); ++read) {
-          auto& slot = slots[read];
-          if (slot.second.expires_us <= now_us) {
-            release(servfail_cost(name));
-            ++reclaimed;
-            continue;
-          }
-          due = std::min(due, slot.second.expires_us);
-          if (write != read) slots[write] = slot;
-          ++write;
-        }
-        slots.resize(write);
-        return slots.empty();
-      });
+      servfail_.sweep(cursor, budget, now_us, sweep_slots);
       break;
     case kNsec:
       // Budget counts chain entries here, not hash slots: one DLV zone can
@@ -716,7 +569,6 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
             release(it->second.cost);
             ++reclaimed;
             it = zone.chain.erase(it);
-            ++zone.generation;
           } else {
             ++it;
           }
@@ -751,13 +603,7 @@ std::size_t ResolverCache::sweep_expired(std::size_t max_slots) {
   for (std::size_t attempt = 0; attempt < kSectionCount; ++attempt) {
     const auto section = static_cast<Section>(sweep_section_index_);
     sweep_section_index_ = (sweep_section_index_ + 1) % kSectionCount;
-    const bool empty =
-        (section == kPositive && positive_.empty()) ||
-        (section == kNegative && negative_.empty()) ||
-        (section == kServfail && servfail_.empty()) ||
-        (section == kNsec && nsec_by_zone_.empty()) ||
-        (section == kZoneCut && zone_cuts_.empty());
-    if (empty) continue;
+    if (section_empty(section)) continue;
     reclaimed = sweep_section(section, max_slots);
     break;
   }
@@ -769,6 +615,17 @@ void ResolverCache::count_eviction(Section section, std::size_t entries) {
   counters_.add("cache.evicted", entries);
   counters_.add(std::string("cache.evicted.") + section_name(section),
                 entries);
+}
+
+bool ResolverCache::section_empty(Section section) const {
+  switch (section) {
+    case kPositive: return positive_.empty();
+    case kNegative: return negative_.empty();
+    case kServfail: return servfail_.empty();
+    case kNsec: return nsec_by_zone_.empty();
+    case kZoneCut: return zone_cuts_.empty();
+    default: return false;
+  }
 }
 
 void ResolverCache::trace_eviction(Section section, const dns::Name& owner) {
@@ -783,65 +640,35 @@ void ResolverCache::trace_eviction(Section section, const dns::Name& owner) {
 bool ResolverCache::evict_step(Section section, std::size_t budget) {
   dns::NameMapSweepCursor* cursor = &evict_cursor_[section];
   std::size_t evicted = 0;
+  // Second chance for a name's typed slots (positive, negative or
+  // SERVFAIL) is per name: any referenced entry spares the whole slot this
+  // pass (and spends the reference bits).
+  const auto evict_slots = [&](const dns::Name& name, auto& slots,
+                               std::uint64_t&) {
+    if (evicted > 0) return false;  // one victim per step
+    bool spared = false;
+    for (auto& slot : slots) {
+      auto& entry = slot_entry(slot.second);
+      if (entry.referenced) {
+        entry.referenced = false;
+        spared = true;
+      }
+    }
+    if (spared) return false;
+    for (auto& slot : slots) release(entry_cost(name, slot_entry(slot.second)));
+    evicted = slots.size();
+    trace_eviction(section, name);
+    return true;
+  };
   switch (section) {
     case kPositive:
-      positive_.sweep(cursor, budget, dns::kSweepAll,
-                      [&](const dns::Name& name, PositiveSlots& slots,
-                          std::uint64_t&) {
-        if (evicted > 0) return false;  // one victim per step
-        // Second chance is per name-slot: any referenced type entry spares
-        // the whole slot this pass (and spends the reference bits).
-        bool spared = false;
-        for (auto& slot : slots) {
-          if (slot.second->referenced) {
-            slot.second->referenced = false;
-            spared = true;
-          }
-        }
-        if (spared) return false;
-        for (auto& slot : slots) release(slot.second->cost);
-        evicted = slots.size();
-        trace_eviction(kPositive, name);
-        return true;
-      });
+      positive_.sweep(cursor, budget, dns::kSweepAll, evict_slots);
       break;
     case kNegative:
-      negative_.sweep(cursor, budget, dns::kSweepAll,
-                      [&](const dns::Name& name,
-                          TypeSlots<NegativeRecord>& slots, std::uint64_t&) {
-        if (evicted > 0) return false;
-        bool spared = false;
-        for (auto& slot : slots) {
-          if (slot.second.referenced) {
-            slot.second.referenced = false;
-            spared = true;
-          }
-        }
-        if (spared) return false;
-        release(negative_cost(name) * slots.size());
-        evicted = slots.size();
-        trace_eviction(kNegative, name);
-        return true;
-      });
+      negative_.sweep(cursor, budget, dns::kSweepAll, evict_slots);
       break;
     case kServfail:
-      servfail_.sweep(cursor, budget, dns::kSweepAll,
-                      [&](const dns::Name& name,
-                          TypeSlots<ServfailRecord>& slots, std::uint64_t&) {
-        if (evicted > 0) return false;
-        bool spared = false;
-        for (auto& slot : slots) {
-          if (slot.second.referenced) {
-            slot.second.referenced = false;
-            spared = true;
-          }
-        }
-        if (spared) return false;
-        release(servfail_cost(name) * slots.size());
-        evicted = slots.size();
-        trace_eviction(kServfail, name);
-        return true;
-      });
+      servfail_.sweep(cursor, budget, dns::kSweepAll, evict_slots);
       break;
     case kNsec:
       nsec_by_zone_.sweep(cursor, 1, dns::kSweepAll,
@@ -864,7 +691,6 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
             evicted = 1;
             trace_eviction(kNsec, it->first);
             it = zone.chain.erase(it);
-            ++zone.generation;
           }
         }
         zone.park(it);
@@ -894,15 +720,13 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
 }
 
 void ResolverCache::maintain() {
-  if (limits_.sweep_step > 0) sweep_expired(limits_.sweep_step);
+  sweep_expired(kSweepStep);
   if (limits_.max_bytes == 0 || bytes_ <= limits_.max_bytes) return;
   // Second-chance eviction until under the cap. The clock hand rotates
   // across sections so pressure lands proportionally on whichever stores
   // hold data; each step scans a bounded window. The pass guard bounds the
   // worst case (every entry referenced ⇒ one full spare-everything pass,
   // then victims on the second) so a cap smaller than one entry cannot spin.
-  const std::size_t step_budget =
-      limits_.sweep_step > 0 ? limits_.sweep_step : 32;
   const std::size_t total_slots =
       positive_.slot_count() + negative_.slot_count() +
       servfail_.slot_count() + nsec_by_zone_.slot_count() +
@@ -918,21 +742,18 @@ void ResolverCache::maintain() {
   while (bytes_ > limits_.max_bytes && guard > 0) {
     const auto section = static_cast<Section>(evict_section_index_);
     evict_section_index_ = (evict_section_index_ + 1) % kSectionCount;
-    const bool empty =
-        (section == kPositive && positive_.empty()) ||
-        (section == kNegative && negative_.empty()) ||
-        (section == kServfail && servfail_.empty()) ||
-        (section == kNsec && nsec_by_zone_.empty()) ||
-        (section == kZoneCut && zone_cuts_.empty());
-    if (empty) {
+    if (section_empty(section)) {
       --guard;
       continue;
     }
-    if (evict_step(section, step_budget)) {
+    if (evict_step(section, kSweepStep)) {
       guard = initial_guard;
-    } else {
-      guard = guard > step_budget ? guard - step_budget : 0;
+      continue;
     }
+    // Charge the hash slots the step walked: kSweepStep, or the one zone
+    // slot an NSEC step visits (with part of that zone's chain).
+    const std::size_t walked = section == kNsec ? 1 : kSweepStep;
+    guard = guard > walked ? guard - walked : 0;
   }
 }
 

@@ -46,22 +46,11 @@ enum class NegativeEntry {
   kNxDomain,  // name doesn't exist
 };
 
-/// Aggressive NSEC lookup outcome for (zone, qname, qtype).
-enum class NsecCoverage {
-  kNoProof,       // no cached NSEC speaks to this name
-  kNameCovered,   // a cached NSEC proves the name does not exist
-  kTypeAbsent,    // NSEC at the exact name proves the type is absent
-};
-
 /// Lifecycle limits for one ResolverCache (DESIGN.md §4f).
 struct CacheLimits {
   /// Approximate cap on the cache's total footprint in bytes; 0 means
   /// unbounded (the paper-era BIND default).
   std::uint64_t max_bytes = 0;
-  /// Slots examined per maintain() tick by the amortized expiry sweep.
-  /// 0 disables the background sweep (expired entries are then reclaimed
-  /// only when probed or evicted).
-  std::size_t sweep_step = 32;
   /// Extra clock-eviction chances granted to an NSEC span each time it
   /// proves a denial. 0 keeps the paper-era single second chance. The
   /// RFC 8198 profile sets this > 0: once synthesis elides exact negative
@@ -116,8 +105,9 @@ class ResolverCache {
   /// (qname, qtype) is absent under `zone_apex`, from already-validated
   /// material, consulting only the proof classes `sources` enables.
   /// Precedence on multiple hits: exact negative entry, then the private
-  /// NSEC span index, then the shared store, then hash-gated NSEC3
-  /// synthesis (cheapest-to-verify first). Exact-negative hits count
+  /// NSEC chain, then the shared store, then hash-gated NSEC3 synthesis
+  /// (cheapest-to-verify first). Both NSEC sources judge their span with
+  /// the one rule, nsec_denial. Exact-negative hits count
   /// "cache.negative_hit".
   [[nodiscard]] ProofResult find_denial(const dns::Name& zone_apex,
                                         const dns::Name& qname,
@@ -202,7 +192,7 @@ class ResolverCache {
   /// timelines and attributable in the leak ledger.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Installs the byte cap and sweep amortization step.
+  /// Installs the byte cap and the NSEC eviction chances.
   void set_limits(const CacheLimits& limits) { limits_ = limits; }
 
   /// Approximate current footprint in bytes across all five stores. The
@@ -226,9 +216,14 @@ class ResolverCache {
   /// One maintenance tick, called by the resolver at resolution boundaries
   /// (never mid-resolution: eviction frees boxed entries, so handed-out
   /// Entry pointers are only guaranteed stable within one resolution once a
-  /// cap is set): an amortized sweep step plus second-chance eviction while
-  /// over the byte cap. Counts "cache.evicted" (+ per-store breakdowns).
+  /// cap is set): a kSweepStep-slot expiry sweep plus second-chance
+  /// eviction while over the byte cap. Counts "cache.evicted" (+ per-store
+  /// breakdowns).
   void maintain();
+
+  /// Slots one maintain() tick sweeps, and the window one eviction step
+  /// scans.
+  static constexpr std::size_t kSweepStep = 32;
 
   // -- Maintenance ------------------------------------------------------------
 
@@ -289,48 +284,25 @@ class ResolverCache {
   using TypeSlots = std::vector<std::pair<dns::RRType, V>>;
   using PositiveSlots = TypeSlots<std::unique_ptr<PositiveEntry>>;
   // NSEC chains stay ordered: coverage checks need the greatest owner
-  // <= qname (predecessor query), which a hash table cannot answer. The
-  // wrapper carries the per-zone resume hand for incremental sweeps, so a
+  // <= qname (predecessor query), which a hash table cannot answer, and one
+  // O(log n) walk down the chain answers every span lookup. The wrapper
+  // carries the per-zone resume hand for incremental sweeps, so a
   // 100k-entry DLV chain is reclaimed a few entries per tick instead of in
   // one stall.
   using NsecChain = std::map<dns::Name, NsecEntry, CanonicalLess>;
   struct NsecZone {
     NsecChain chain;
     // Sweep/eviction resume position, shared by the expiry sweep and the
-    // eviction clock (root = begin). `hand_node` is the chain node `hand`
-    // names, taken under chain generation `hand_generation`: while no
-    // insert or erase has happened since, it equals lower_bound(hand) and
-    // saves the tree descent. It is never end(): a std::map's end() moves
-    // with the map when nsec_by_zone_ rehashes, its nodes do not.
+    // eviction clock: the next visit starts at lower_bound(hand), and a
+    // root hand means begin().
     dns::Name hand;
-    NsecChain::iterator hand_node{};
-    std::uint64_t hand_generation = 0;
-    // -- Span index (DESIGN.md §4j) --
-    // Lazily rebuilt sorted array of pointers into the chain's (pointer-
-    // stable) map nodes, so the predecessor query is one binary search over
-    // contiguous memory instead of a node-hopping tree descent — this is
-    // what closes the 301ns negative-probe vs 57ns positive-probe gap.
-    // `generation` is bumped on every structural chain mutation (insert or
-    // erase); a stale `index_generation` invalidates the index.
-    std::vector<NsecChain::value_type*> index;
-    std::uint64_t generation = 1;
-    std::uint64_t index_generation = 0;
 
-    /// Where the hand resumes: lower_bound(hand).
     [[nodiscard]] NsecChain::iterator resume() {
-      if (hand.is_root()) return chain.begin();
-      if (hand_generation == generation) return hand_node;
-      return chain.lower_bound(hand);
+      return hand.is_root() ? chain.begin() : chain.lower_bound(hand);
     }
     /// Parks the hand at `it`; parking at end() wraps it to the root.
     void park(NsecChain::iterator it) {
-      if (it == chain.end()) {
-        hand = dns::Name{};
-        return;
-      }
-      hand = it->first;
-      hand_node = it;
-      hand_generation = generation;
+      hand = it == chain.end() ? dns::Name{} : it->first;
     }
   };
   struct Nsec3ZoneEvidence {
@@ -380,47 +352,31 @@ class ResolverCache {
   void charge(std::size_t cost);
   void release(std::size_t cost);
 
+  // What one entry of a typed-slot section (positive, negative, SERVFAIL)
+  // releases, so the three share one sweep and one second-chance callback.
+  [[nodiscard]] static std::size_t entry_cost(const dns::Name& name,
+                                              const PositiveEntry& entry);
+  [[nodiscard]] static std::size_t entry_cost(const dns::Name& name,
+                                              const NegativeRecord& entry);
+  [[nodiscard]] static std::size_t entry_cost(const dns::Name& name,
+                                              const ServfailRecord& entry);
+
   // -- Unified denial internals (DESIGN.md §4j) ------------------------------
   // The per-class lookups find_denial() composes.
 
   [[nodiscard]] NegativeEntry negative_lookup(const dns::Name& name,
                                               dns::RRType type,
                                               std::uint64_t* expires_us);
-  /// Span lookup: indexed predecessor probe with a fall-back to the
-  /// reclaiming map walk when the index candidate has expired. On a hit,
-  /// `*from_shared` (when non-null) reports whether the covering span came
-  /// from the shared store rather than the private chain.
+  /// Span lookup: one predecessor walk over the private chain, reclaiming
+  /// the expired entries it meets, judged by nsec_denial; when the chain
+  /// has no proof, the shared store (when attached). On a hit `*expires_us`
+  /// receives the proof deadline and `*from_shared` whether the span came
+  /// from the shared store.
   [[nodiscard]] NsecCoverage nsec_lookup(const dns::Name& zone_apex,
                                          const dns::Name& qname,
                                          dns::RRType qtype,
                                          std::uint64_t* expires_us,
                                          bool* from_shared);
-  /// Erasing predecessor walk over the ordered chain (the pre-index slow
-  /// path); reclaims expired entries met on the walk.
-  [[nodiscard]] NsecCoverage nsec_chain_walk(const dns::Name& zone_apex,
-                                             NsecZone& zone,
-                                             const dns::Name& qname,
-                                             dns::RRType qtype,
-                                             std::uint64_t* expires_us,
-                                             bool* from_shared);
-  /// Classifies one live chain entry against (qname, qtype); returns
-  /// kNoProof when the entry does not decide the query. `*stop_shared` is
-  /// set when an exact entry says the type exists — a sibling's proof
-  /// cannot contradict a validated span, so the shared consult is skipped.
-  [[nodiscard]] NsecCoverage classify_nsec_entry(const dns::Name& zone_apex,
-                                                 const dns::Name& owner,
-                                                 NsecEntry& entry,
-                                                 const dns::Name& qname,
-                                                 dns::RRType qtype,
-                                                 std::uint64_t* expires_us,
-                                                 bool* stop_shared);
-  static void rebuild_span_index(NsecZone& zone);
-  /// L2 NSEC consult when the private chain has no proof: asks the shared
-  /// store (when attached).
-  [[nodiscard]] NsecCoverage shared_nsec_check(const dns::Name& zone_apex,
-                                               const dns::Name& qname,
-                                               dns::RRType qtype,
-                                               std::uint64_t* expires_us);
   /// Hash-gated NSEC3 synthesis (RFC 8198 over cached closest-encloser
   /// evidence). Hashes at most one name (the next closer) and only when
   /// qname sits under a proven encloser; hash_ops is reported even on a
@@ -439,6 +395,7 @@ class ResolverCache {
   bool evict_step(Section section, std::size_t budget);
   void count_eviction(Section section, std::size_t entries);
   void trace_eviction(Section section, const dns::Name& owner);
+  [[nodiscard]] bool section_empty(Section section) const;
 
   const sim::SimClock* clock_;
   obs::Tracer* tracer_ = nullptr;

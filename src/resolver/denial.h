@@ -12,9 +12,16 @@
 // entry point: a paper-era resolver with aggressive_negative_caching off
 // passes kNegative only; the production profile passes kAll and also gets
 // RFC 8198 synthesis from cached NSEC3 closest-encloser evidence.
+//
+// nsec_denial is the one NSEC denial rule: the private chain and the shared
+// store each find their span, then let it decide what the span proves.
 #pragma once
 
 #include <cstdint>
+#include <span>
+
+#include "dns/name.h"
+#include "dns/rr_type.h"
 
 namespace lookaside::resolver {
 
@@ -51,6 +58,32 @@ struct ProofResult {
     return coverage != DenialKind::kNone;
   }
 };
+
+/// What one validated NSEC span proves about (zone, qname, qtype).
+enum class NsecCoverage {
+  kNoProof,       // the span does not decide the query
+  kNameCovered,   // qname falls strictly inside the span: it does not exist
+  kTypeAbsent,    // the span's owner is qname and its bitmap omits qtype
+};
+
+/// The NSEC denial rule (RFC 4034 §4.1, RFC 8198 §5.1) for the span whose
+/// owner is the greatest live owner <= qname in `zone_apex`'s chain; `next`
+/// is the span's next owner (the apex on the chain's last, wrapping span)
+/// and `types` its bitmap. Two guards keep it sound:
+///   - an ancestor-delegation owner (NS set, SOA clear) sits on the parent
+///     side of a zone cut (RFC 6840 §4.4): at itself it denies DS only, and
+///     its span covers nothing below it, which is occluded into the child;
+///   - DS lives only on the parent side (RFC 4035 §2.3), so only a
+///     delegation owner can deny DS.
+/// `*type_listed` (when non-null) is set when the owner is qname, passes
+/// both guards and lists qtype: the span says the name has the type.
+[[nodiscard]] NsecCoverage nsec_denial(const dns::Name& zone_apex,
+                                       const dns::Name& owner,
+                                       const dns::Name& next,
+                                       std::span<const dns::RRType> types,
+                                       const dns::Name& qname,
+                                       dns::RRType qtype,
+                                       bool* type_listed = nullptr);
 
 /// Bitmask selecting which proof classes a lookup may consult.
 struct DenialSources {

@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <mutex>
 
-#include "resolver/cache.h"
-
 namespace lookaside::resolver {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-SharedProofStore::SharedProofStore(Options options) {
-  const std::size_t count =
-      round_up_pow2(std::max<std::size_t>(options.stripes, 1));
-  stripes_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+SharedProofStore::SharedProofStore() {
+  stripes_.reserve(kStripes);
+  for (std::size_t i = 0; i < kStripes; ++i) {
     stripes_.push_back(std::make_unique<Stripe>());
   }
-  stripe_mask_ = count - 1;
 }
 
 void SharedProofStore::store_nsec(const dns::Name& zone_apex,
@@ -59,7 +44,7 @@ NsecCoverage SharedProofStore::check_nsec(const dns::Name& zone_apex,
   if (zone_it == stripe.nsec.end()) return NsecCoverage::kNoProof;
   const NsecChain& chain = zone_it->second;
 
-  // Greatest live owner <= qname. Mirrors ResolverCache::nsec_lookup, except
+  // Greatest live owner <= qname, as in ResolverCache::nsec_lookup, except
   // expired entries are skipped rather than erased — the read path holds a
   // shared lock; purge_expired() reclaims under exclusive locks.
   auto it = chain.upper_bound(qname);
@@ -68,60 +53,17 @@ NsecCoverage SharedProofStore::check_nsec(const dns::Name& zone_apex,
     --it;
     if (it->second.expires_us > now_us) break;
   }
-  const dns::Name& owner = it->first;
   const StoredNsec& proof = it->second;
-
-  const auto record_hit = [&] {
-    if (expires_us != nullptr) *expires_us = proof.expires_us;
-    const bool sibling = proof.shard != probing_shard;
-    if (cross_shard != nullptr) *cross_shard = sibling;
-    nsec_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (sibling) nsec_sibling_hits_.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  if (owner == qname) {
-    // RFC 6840 §4.4 (mirrors ResolverCache::classify_nsec_entry): an
-    // ancestor-delegation NSEC proves only DS absence below the cut.
-    const bool delegation =
-        std::find(proof.types.begin(), proof.types.end(), dns::RRType::kNs) !=
-            proof.types.end() &&
-        std::find(proof.types.begin(), proof.types.end(), dns::RRType::kSoa) ==
-            proof.types.end();
-    if (delegation && qtype != dns::RRType::kDs) {
-      return NsecCoverage::kNoProof;
-    }
-    // RFC 4035 §2.3: DS absence is provable only by a parent-side NSEC.
-    if (qtype == dns::RRType::kDs && !delegation) {
-      return NsecCoverage::kNoProof;
-    }
-    // Exact NSEC: the name exists; the type bitmap decides.
-    if (std::find(proof.types.begin(), proof.types.end(), qtype) ==
-        proof.types.end()) {
-      record_hit();
-      return NsecCoverage::kTypeAbsent;
-    }
-    return NsecCoverage::kNoProof;
-  }
-  // Covering span: owner < qname < next; the chain's last record wraps
-  // (next == apex means "everything after owner").
-  const dns::Name& next = arena_.name(proof.next);
-  const bool wraps = next == zone_apex;
-  if (wraps || qname.canonical_compare(next) < 0) {
-    // RFC 6840 §4.4: names below a delegation-owner NSEC are occluded, so
-    // the span proves nothing inside the child zone (mirrors
-    // ResolverCache::classify_nsec_entry).
-    if (qname.is_subdomain_of(owner)) {
-      const bool delegation =
-          std::find(proof.types.begin(), proof.types.end(),
-                    dns::RRType::kNs) != proof.types.end() &&
-          std::find(proof.types.begin(), proof.types.end(),
-                    dns::RRType::kSoa) == proof.types.end();
-      if (delegation) return NsecCoverage::kNoProof;
-    }
-    record_hit();
-    return NsecCoverage::kNameCovered;
-  }
-  return NsecCoverage::kNoProof;
+  const NsecCoverage coverage =
+      nsec_denial(zone_apex, it->first, arena_.name(proof.next), proof.types,
+                  qname, qtype);
+  if (coverage == NsecCoverage::kNoProof) return coverage;
+  if (expires_us != nullptr) *expires_us = proof.expires_us;
+  const bool sibling = proof.shard != probing_shard;
+  if (cross_shard != nullptr) *cross_shard = sibling;
+  nsec_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (sibling) nsec_sibling_hits_.fetch_add(1, std::memory_order_relaxed);
+  return coverage;
 }
 
 std::size_t SharedProofStore::nsec_count(const dns::Name& zone_apex) const {

@@ -11,15 +11,16 @@
 // aggregation privacy profile of one big shared cache while keeping the hot
 // positive/negative paths shard-private and lock-free.
 //
-// Concurrency: lock striping keyed by name hash. NSEC chains stripe by
-// *zone apex* — a coverage check is a predecessor search over one zone's
-// ordered chain, so the whole chain must live under a single stripe's lock
-// (striping by owner would split the chain and break the walk). Zone cuts
-// are point lookups and stripe by the cut name itself, spreading the much
-// hotter per-level probes of deepest_known_cut. Each stripe carries a
-// std::shared_mutex: checks take shared locks (concurrent readers), stores
-// take exclusive locks. dns::Name computes its canonical hash eagerly at
-// construction, so concurrently read keys never race on memoization.
+// Concurrency: lock striping keyed by name hash over kStripes stripes.
+// NSEC chains stripe by *zone apex* — a coverage check is a predecessor
+// search over one zone's ordered chain, so the whole chain must live under
+// a single stripe's lock (striping by owner would split the chain and
+// break the walk). Zone cuts are point lookups and stripe by the cut name
+// itself, spreading the much hotter per-level probes of deepest_known_cut.
+// Each stripe carries a std::shared_mutex: checks take shared locks
+// (concurrent readers), stores take exclusive locks. dns::Name computes its
+// canonical hash eagerly at construction, so concurrently read keys never
+// race on memoization.
 //
 // Every entry records the shard that published it; a hit whose publisher
 // differs from the probing shard is counted as a *sibling* hit — the
@@ -38,23 +39,15 @@
 #include "dns/name.h"
 #include "dns/name_arena.h"
 #include "dns/rr_type.h"
+#include "resolver/denial.h"
 
 namespace lookaside::resolver {
-
-enum class NsecCoverage;  // cache.h
-
-/// Tuning for SharedProofStore (a namespace-level type so it is complete —
-/// default member initializers included — before the store's constructor
-/// declares `= {}` as its default argument).
-struct SharedProofStoreOptions {
-  /// Lock stripes; rounded up to a power of two, minimum 1.
-  std::size_t stripes = 16;
-};
 
 /// Thread-safe shared NSEC/zone-cut proof store for N resolver shards.
 class SharedProofStore {
  public:
-  using Options = SharedProofStoreOptions;
+  /// Lock stripes; a power of two, so a hash's low bits pick one.
+  static constexpr std::size_t kStripes = 16;
 
   /// One validated NSEC span: owner (the map key) -> next, plus the type
   /// bitmap and expiry. `shard` is the publisher, for sibling accounting.
@@ -81,7 +74,7 @@ class SharedProofStore {
     std::uint64_t verdict_sibling_hits = 0;
   };
 
-  explicit SharedProofStore(Options options = {});
+  SharedProofStore();
 
   // -- Aggressive NSEC spans -------------------------------------------------
 
@@ -91,9 +84,10 @@ class SharedProofStore {
                   NsecProof proof);
 
   /// Whether published spans prove (qname, qtype) absent within
-  /// `zone_apex` at `now_us`. Expired entries met on the predecessor walk
-  /// are skipped (not reclaimed — reads hold only a shared lock); a stale
-  /// closer entry must not shadow a live covering proof. On a hit,
+  /// `zone_apex` at `now_us`, judged by nsec_denial. Expired entries met on
+  /// the predecessor walk are skipped (not reclaimed — reads hold only a
+  /// shared lock); a stale closer entry must not shadow a live covering
+  /// proof. On a hit,
   /// `*expires_us` receives the proof deadline and `*cross_shard` reports
   /// whether a *different* shard published it.
   [[nodiscard]] NsecCoverage check_nsec(const dns::Name& zone_apex,
@@ -146,7 +140,6 @@ class SharedProofStore {
   std::size_t purge_expired(std::uint64_t now_us);
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
  private:
   struct CanonicalLess {
@@ -181,19 +174,18 @@ class SharedProofStore {
   };
 
   [[nodiscard]] Stripe& stripe_for(const dns::Name& name) {
-    return *stripes_[name.hash() & stripe_mask_];
+    return *stripes_[name.hash() & (kStripes - 1)];
   }
   [[nodiscard]] const Stripe& stripe_for(const dns::Name& name) const {
-    return *stripes_[name.hash() & stripe_mask_];
+    return *stripes_[name.hash() & (kStripes - 1)];
   }
   [[nodiscard]] Stripe& stripe_for_key(std::uint64_t key) {
-    return *stripes_[key & stripe_mask_];
+    return *stripes_[key & (kStripes - 1)];
   }
 
   // Stripes are boxed: shared_mutex is immovable and the vector is sized
   // once at construction.
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t stripe_mask_ = 0;
   // Cross-shard intern table for span `next` names. Lock order: store_nsec
   // interns (arena exclusive) *before* taking its stripe lock and holds the
   // two never at once; check_nsec derefs (arena shared) *under* its stripe

@@ -58,10 +58,7 @@ class Testbed {
   /// SLD apex (remedy §6.2.1).
   void set_txt_dlv_signal(const std::string& sld, bool has_dlv_record);
 
-  /// Sets the Z bit policy marker for an SLD: the authority answers with the
-  /// spare Z header bit set when the domain has a DLV record (remedy
-  /// §6.2.1 "Using Z Bit"). Stored here; applied by ZBitAuthority wrappers
-  /// in core. Returns previous value.
+  /// The SLDs the testbed was built with, in the order of their specs.
   [[nodiscard]] const std::vector<std::string>& sld_names() const {
     return sld_names_;
   }

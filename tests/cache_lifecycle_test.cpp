@@ -169,7 +169,7 @@ TEST_F(CacheLifecycleTest, TtlChurnSweepsAndShrinksNsec) {
   // The ISSUE's churn contract: rounds of stores + TTL expiry with
   // maintenance enabled reclaim expired generations (swept counter grows,
   // nsec_count shrinks after sweep) instead of accumulating forever.
-  cache_.set_limits(CacheLimits{/*max_bytes=*/0, /*sweep_step=*/64});
+  cache_.set_limits(CacheLimits{/*max_bytes=*/0});
   std::uint64_t peak_entries = 0;
   for (int round = 0; round < 4; ++round) {
     populate(30, /*ttl=*/300);
@@ -189,7 +189,7 @@ TEST_F(CacheLifecycleTest, TtlChurnSweepsAndShrinksNsec) {
 }
 
 TEST_F(CacheLifecycleTest, MaintainEnforcesByteCap) {
-  cache_.set_limits(CacheLimits{/*max_bytes=*/4096, /*sweep_step=*/32});
+  cache_.set_limits(CacheLimits{/*max_bytes=*/4096});
   populate(60, /*ttl=*/3600);  // nothing expired: pressure must evict
   ASSERT_GT(cache_.bytes(), 4096u);
   cache_.maintain();
@@ -206,7 +206,7 @@ TEST_F(CacheLifecycleTest, MaintainEnforcesByteCap) {
 }
 
 TEST_F(CacheLifecycleTest, EvictionTerminatesWhenEverythingIsReferenced) {
-  cache_.set_limits(CacheLimits{/*max_bytes=*/2048, /*sweep_step=*/16});
+  cache_.set_limits(CacheLimits{/*max_bytes=*/2048});
   populate(40, /*ttl=*/3600);
   // Touch everything so every second-chance bit is set; maintain must
   // still reach the cap (first pass spares, second pass evicts).
@@ -222,14 +222,14 @@ TEST_F(CacheLifecycleTest, EvictionTerminatesWhenEverythingIsReferenced) {
 }
 
 TEST_F(CacheLifecycleTest, CapSmallerThanAnyEntryDoesNotSpin) {
-  cache_.set_limits(CacheLimits{/*max_bytes=*/1, /*sweep_step=*/8});
+  cache_.set_limits(CacheLimits{/*max_bytes=*/1});
   populate(5, /*ttl=*/3600);
   cache_.maintain();  // guard must bound the loop even at an absurd cap
   EXPECT_EQ(cache_.bytes(), 0u);
 }
 
 TEST_F(CacheLifecycleTest, UnboundedCacheNeverEvicts) {
-  cache_.set_limits(CacheLimits{/*max_bytes=*/0, /*sweep_step=*/32});
+  cache_.set_limits(CacheLimits{/*max_bytes=*/0});
   populate(100, /*ttl=*/3600);
   for (int i = 0; i < 50; ++i) cache_.maintain();
   EXPECT_EQ(cache_.counters().value("cache.evicted"), 0u);
@@ -248,7 +248,7 @@ TEST(CacheScheduleTest, SeededScheduleKeepsItsSweepAndEvictionSequence) {
   // expected values were recorded before slots carried due times.
   sim::SimClock clock;
   ResolverCache cache(clock);
-  cache.set_limits(CacheLimits{/*max_bytes=*/12 * 1024, /*sweep_step=*/32});
+  cache.set_limits(CacheLimits{/*max_bytes=*/12 * 1024});
   crypto::SplitMix64 rng(20261018);
   const dns::Name dlv_apex = dns::Name::parse("dlv.isc.org");
   const dns::Name com_apex = dns::Name::parse("com");

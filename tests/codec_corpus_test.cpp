@@ -6,14 +6,14 @@
 //  - a known-answer digest of encode_message (traffic volumes in Table 5 and
 //    Fig. 10 are these byte counts, so the bytes must not move);
 //  - wire_size and rdata_wire_length against the encoded bytes;
-//  - allocation counts: sizing allocates nothing, encoding only its result.
+//  - allocation counts: sizing allocates nothing, encoding only its result;
+//  - that the counting heap shim sees the allocations library algorithms
+//    make.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <map>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,25 +28,9 @@
 #include "sim/network.h"
 #include "workload/universe_world.h"
 
-// Counting heap shim: the encoder entry points are specified by how many
-// allocations they make, so this binary counts every operator new.
-namespace {
-std::atomic<long> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The encoder entry points are specified by how many allocations they
+// make, so this binary counts every operator new.
+#include "heap_shim.h"
 
 namespace lookaside {
 namespace {
@@ -225,25 +209,41 @@ TEST(CodecAllocationTest, SizingAllocatesNothingAndEncodingOnlyItsResult) {
   long encode_allocations = 0;
   std::size_t total = 0;
   for (const dns::Message& message : corpus()) {
-    long before = g_allocations.load();
+    long before = heap_shim::allocations();
     total += dns::wire_size(message);
-    wire_size_allocations += g_allocations.load() - before;
+    wire_size_allocations += heap_shim::allocations() - before;
 
     for (const dns::ResourceRecord* record : records_of(message)) {
-      before = g_allocations.load();
+      before = heap_shim::allocations();
       total += dns::rdata_wire_length(record->rdata);
-      rdata_length_allocations += g_allocations.load() - before;
+      rdata_length_allocations += heap_shim::allocations() - before;
     }
 
-    before = g_allocations.load();
+    before = heap_shim::allocations();
     const dns::Bytes wire = dns::encode_message(message);
-    encode_allocations += g_allocations.load() - before;
+    encode_allocations += heap_shim::allocations() - before;
     total += wire.size();
   }
   EXPECT_GT(total, 0u);
   EXPECT_EQ(wire_size_allocations, 0);
   EXPECT_EQ(rdata_length_allocations, 0);
   EXPECT_EQ(encode_allocations, static_cast<long>(corpus().size()));
+}
+
+TEST(HeapShimTest, StableSortBufferAllocatesAndFreesThroughTheShim) {
+  // std::stable_sort takes its temporary buffer from the nothrow operator
+  // new. Were that form left to the runtime, the buffer would be freed
+  // through the shim's delete, which ASan aborts on as a mismatch.
+  std::vector<int> values(4096);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int>((i * 2654435761u) % 1000);
+  }
+  const long allocations_before = heap_shim::allocations();
+  const long long live_before = heap_shim::live_bytes();
+  std::stable_sort(values.begin(), values.end());
+  EXPECT_GT(heap_shim::allocations(), allocations_before);
+  EXPECT_EQ(heap_shim::live_bytes(), live_before);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ TEST(BigUintTest, CompareOrdering) {
 }
 
 TEST(BigUintTest, SubUnderflowThrows) {
-  EXPECT_THROW(BigUint::sub(BigUint(1), BigUint(2)), std::invalid_argument);
+  EXPECT_THROW((void)BigUint::sub(BigUint(1), BigUint(2)),
+               std::invalid_argument);
 }
 
 TEST(BigUintTest, DivisionByZeroThrows) {
@@ -136,7 +137,8 @@ TEST(BigUintTest, ModInverseProperty) {
 }
 
 TEST(BigUintTest, ModInverseNotCoprimeThrows) {
-  EXPECT_THROW(BigUint::mod_inverse(BigUint(6), BigUint(9)), std::domain_error);
+  EXPECT_THROW((void)BigUint::mod_inverse(BigUint(6), BigUint(9)),
+               std::domain_error);
 }
 
 TEST(MontgomeryTest, RejectsEvenModulus) {

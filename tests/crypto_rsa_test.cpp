@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "crypto/dnssec_algo.h"
@@ -16,25 +13,9 @@
 #include "dns/name.h"
 #include "zone/nsec3.h"
 
-// Counting heap shim: sign, verify and the hashes are specified by how many
-// allocations they make, so this binary counts every operator new.
-namespace {
-std::atomic<long> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Sign, verify and the hashes are specified by how many allocations they
+// make, so this binary counts every operator new.
+#include "heap_shim.h"
 
 namespace lookaside::crypto {
 namespace {
@@ -327,14 +308,14 @@ TEST(RsaAllocationTest, VerifyAllocatesNothingAndSignOnlyItsResult) {
     Bytes tampered = expected;
     tampered[3] ^= 0x10;
 
-    long before = g_allocations.load();
+    long before = heap_shim::allocations();
     const bool valid = kp.public_key.verify_digest(digest, expected);
     const bool forged = kp.public_key.verify_digest(digest, tampered);
-    const long verify_allocations = g_allocations.load() - before;
+    const long verify_allocations = heap_shim::allocations() - before;
 
-    before = g_allocations.load();
+    before = heap_shim::allocations();
     const Bytes sig = kp.private_key.sign_digest(digest);
-    const long sign_allocations = g_allocations.load() - before;
+    const long sign_allocations = heap_shim::allocations() - before;
 
     EXPECT_TRUE(valid) << bits;
     EXPECT_FALSE(forged) << bits;
@@ -348,13 +329,13 @@ TEST(RsaAllocationTest, VerifyMessageAllocatesNothingAndSignMessageOnce) {
   const RsaKeyPair kp = test_keypair(512, 9);
   const Bytes message = bytes_of("canonical rrset image");
 
-  long before = g_allocations.load();
+  long before = heap_shim::allocations();
   const Bytes sig = sign_message(kp.private_key, message);
-  const long sign_allocations = g_allocations.load() - before;
+  const long sign_allocations = heap_shim::allocations() - before;
 
-  before = g_allocations.load();
+  before = heap_shim::allocations();
   const bool valid = verify_message(kp.public_key, message, sig);
-  const long verify_allocations = g_allocations.load() - before;
+  const long verify_allocations = heap_shim::allocations() - before;
 
   EXPECT_TRUE(valid);
   EXPECT_EQ(sign_allocations, 1);  // the signature itself
@@ -366,11 +347,11 @@ TEST(HashAllocationTest, DigestsAndNsec3HashAllocateNothing) {
   const dns::Name name = dns::Name::parse("site-1.com.dlv.isc.org");
   const Bytes salt = {0xab, 0xcd, 0xef, 0x01};
 
-  const long before = g_allocations.load();
+  const long before = heap_shim::allocations();
   const Sha1::Digest sha1 = Sha1::digest(message);
   const Sha256::Digest sha256 = Sha256::digest(message);
   const Sha1::Digest hashed = zone::nsec3_hash(name, salt, 10);
-  const long allocations = g_allocations.load() - before;
+  const long allocations = heap_shim::allocations() - before;
 
   EXPECT_EQ(allocations, 0);
   EXPECT_NE(sha1, Sha1::Digest{});

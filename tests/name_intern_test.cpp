@@ -5,9 +5,6 @@
 // and the batch memo sit on the resolver's hottest paths, so lifetime and
 // data-race bugs here corrupt every experiment downstream.
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <malloc.h>
 #include <map>
 #include <set>
 #include <string>
@@ -25,35 +22,9 @@
 #include "sim/clock.h"
 
 // ---------------------------------------------------------------------------
-// Heap shim for the byte-accounting test: tracks the process's live heap via
-// malloc_usable_size so a test can measure the net footprint a cache
-// populate phase actually allocated. Counting is always on (the counter is
-// process-wide); tests read deltas around the phase they care about.
-namespace {
-std::atomic<long long> g_live_heap_bytes{0};
-
-long long live_heap() { return g_live_heap_bytes.load(); }
-
-void* counted_alloc(std::size_t size) {
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  g_live_heap_bytes += static_cast<long long>(malloc_usable_size(p));
-  return p;
-}
-
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_live_heap_bytes -= static_cast<long long>(malloc_usable_size(p));
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+// The byte-accounting test measures the net live heap a cache populate
+// phase actually allocated.
+#include "heap_shim.h"
 
 namespace lookaside {
 namespace {
@@ -391,7 +362,7 @@ TEST(CacheBytes, AccountingTracksRealHeapFootprint) {
   sim::SimClock clock;
   auto cache = std::make_unique<resolver::ResolverCache>(clock);
 
-  const long long heap_before = live_heap();
+  const long long heap_before = heap_shim::live_bytes();
   for (int i = 0; i < 400; ++i) {
     const std::string owner = "name" + std::to_string(i) + ".com.dlv.isc.org";
     const std::string next = "name" + std::to_string(i + 1) + ".com.dlv.isc.org";
@@ -408,7 +379,7 @@ TEST(CacheBytes, AccountingTracksRealHeapFootprint) {
                                         dns::ARdata{0x0A000001u + i}));
     cache->store(rrset, /*validated=*/false);
   }
-  const long long heap_delta = live_heap() - heap_before;
+  const long long heap_delta = heap_shim::live_bytes() - heap_before;
   ASSERT_GT(heap_delta, 0);
 
   // bytes() is a model, not a malloc ledger: it must stay the same order of
@@ -426,7 +397,7 @@ TEST(CacheBytes, AccountingTracksRealHeapFootprint) {
   // Destruction returns the footprint: the cache doesn't leak heap that
   // bytes() never billed.
   cache.reset();
-  const long long heap_after_destroy = live_heap() - heap_before;
+  const long long heap_after_destroy = heap_shim::live_bytes() - heap_before;
   EXPECT_LT(static_cast<double>(heap_after_destroy), actual * 0.1);
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for the resolver caches: positive TTLs, RFC 2308 negatives,
-// the aggressive NSEC store (wraps, exact matches, type bitmaps, expiry),
+// the aggressive NSEC store (wraps, exact matches, type bitmaps, expiry,
+// and the delegation and DS guards it shares with the SharedProofStore),
 // and zone-cut tracking.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "crypto/rng.h"
 #include "resolver/cache.h"
+#include "resolver/shared_store.h"
 #include "sim/clock.h"
 
 namespace lookaside::resolver {
@@ -220,6 +222,73 @@ TEST_F(CacheTest, NsecWalkReclaimsRunOfExpiredEntries) {
                               dns::RRType::kDlv),
             NsecCoverage::kNameCovered);
   EXPECT_EQ(cache_.nsec_count(dns::Name::parse("dlv.isc.org")), 1u);
+}
+
+TEST(NsecDenialRuleTest, CacheAndSharedStoreApplyTheSameGuards) {
+  // One chain for the zone com, held both privately and in a shared store:
+  // the apex (SOA), a secure and an insecure delegation (NS, no SOA) and a
+  // host whose span wraps back to the apex.
+  struct Span {
+    const char* owner;
+    const char* next;
+    std::vector<dns::RRType> types;
+  };
+  using T = dns::RRType;
+  const std::vector<Span> chain = {
+      {"com", "sec.com", {T::kNs, T::kSoa, T::kRrsig, T::kNsec, T::kDnskey}},
+      {"sec.com", "sub.com", {T::kNs, T::kDs, T::kRrsig, T::kNsec}},
+      {"sub.com", "www.com", {T::kNs, T::kRrsig, T::kNsec}},
+      {"www.com", "com", {T::kA, T::kRrsig, T::kNsec}},
+  };
+  struct Case {
+    const char* qname;
+    dns::RRType qtype;
+    NsecCoverage expected;
+  };
+  const std::vector<Case> cases = {
+      // A delegation owner denies DS at itself, nothing else...
+      {"sub.com", T::kDs, NsecCoverage::kTypeAbsent},
+      {"sub.com", T::kA, NsecCoverage::kNoProof},
+      // ...unless its bitmap lists DS (a secure delegation).
+      {"sec.com", T::kDs, NsecCoverage::kNoProof},
+      // Its span covers siblings but nothing below the cut.
+      {"tail.com", T::kA, NsecCoverage::kNameCovered},
+      {"a.sub.com", T::kA, NsecCoverage::kNoProof},
+      {"a.sub.com", T::kDs, NsecCoverage::kNoProof},
+      // An apex owner does not deny DS, but does deny an unlisted type.
+      {"com", T::kDs, NsecCoverage::kNoProof},
+      {"com", T::kTxt, NsecCoverage::kTypeAbsent},
+      {"aaa.com", T::kA, NsecCoverage::kNameCovered},
+      // A type listed in the bitmap is not denied; an unlisted one is.
+      {"www.com", T::kA, NsecCoverage::kNoProof},
+      {"www.com", T::kAaaa, NsecCoverage::kTypeAbsent},
+      // The wraparound span covers names past the last owner.
+      {"zzz.com", T::kA, NsecCoverage::kNameCovered},
+  };
+
+  const dns::Name apex = dns::Name::parse("com");
+  sim::SimClock clock;
+  ResolverCache cache(clock);
+  SharedProofStore store;
+  for (const Span& span : chain) {
+    dns::NsecRdata nsec;
+    nsec.next = dns::Name::parse(span.next);
+    nsec.types = span.types;
+    cache.store_nsec(apex, dns::ResourceRecord::make(
+                               dns::Name::parse(span.owner), 3600,
+                               dns::Rdata{nsec}));
+    store.store_nsec(apex, dns::Name::parse(span.owner),
+                     {nsec.next, span.types, /*expires_us=*/3'600'000'000,
+                      /*shard=*/0});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.qname) + " " + dns::rr_type_name(c.qtype));
+    const dns::Name qname = dns::Name::parse(c.qname);
+    EXPECT_EQ(nsec_check(cache, apex, qname, c.qtype), c.expected);
+    EXPECT_EQ(store.check_nsec(apex, qname, c.qtype, /*now_us=*/0,
+                               /*probing_shard=*/0),
+              c.expected);
+  }
 }
 
 TEST_F(CacheTest, NegativeProbePurgesExpiredSlots) {

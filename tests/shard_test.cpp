@@ -209,17 +209,10 @@ TEST(SharedProofStore, SiblingHitsAreAttributedCrossShard) {
   EXPECT_EQ(stats.cut_sibling_hits, 1u);
 }
 
-TEST(SharedProofStore, StripeCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SharedProofStore({1}).stripe_count(), 1u);
-  EXPECT_EQ(SharedProofStore({3}).stripe_count(), 4u);
-  EXPECT_EQ(SharedProofStore({16}).stripe_count(), 16u);
-  EXPECT_EQ(SharedProofStore({17}).stripe_count(), 32u);
-}
-
 // The TSan target: hammer one store from many threads, spanning every
 // stripe, with concurrent readers on the same zones the writers mutate.
 TEST(SharedProofStore, SurvivesConcurrentStoreAndCheck) {
-  SharedProofStore store({4});
+  SharedProofStore store;
   constexpr int kThreads = 8;
   constexpr int kZonesPerThread = 16;
   constexpr int kRounds = 50;

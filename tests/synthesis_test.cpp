@@ -1,12 +1,12 @@
 // RFC 8198 aggressive synthesis + vState verdict caching (DESIGN.md §4j):
-// the unified find_denial API (origin attribution), the sorted span
-// index against a linear reference model, hash-gated NSEC3 synthesis from
-// cached closest-encloser evidence, the validator's signature-verdict cache
-// (hit / expiry / key rollover / epoch flush / cross-shard sharing), and
-// the scenario-level contracts:
-// synthesis-on serving leaks exactly the sequential reference for any
-// shard count, and under a byte cap synthesis never leaks more than the
-// paper-era configuration.
+// the unified find_denial API (origin attribution), the span walk over the
+// ordered NSEC chain against a linear reference model, hash-gated NSEC3
+// synthesis from cached closest-encloser evidence, the validator's
+// signature-verdict cache (hit / expiry / key rollover / epoch flush /
+// cross-shard sharing), and the scenario-level contracts: synthesis-on
+// serving leaks exactly the sequential reference for any shard count, and
+// under a byte cap synthesis never leaks more than the paper-era
+// configuration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -39,9 +39,9 @@ dns::ResourceRecord nsec_span(const std::string& owner,
   return dns::ResourceRecord::make(name_of(owner), ttl, dns::Rdata{nsec});
 }
 
-// -- Span index vs linear reference model -------------------------------------
+// -- Span walk vs linear reference model --------------------------------------
 
-TEST(SpanIndex, MatchesLinearReferenceWalkOverTheWholeChain) {
+TEST(SpanWalk, MatchesLinearReferenceWalkOverTheWholeChain) {
   sim::SimClock clock;
   ResolverCache cache(clock);
   const dns::Name apex = name_of("example.com");
@@ -88,7 +88,7 @@ TEST(SpanIndex, MatchesLinearReferenceWalkOverTheWholeChain) {
   }
 }
 
-TEST(SpanIndex, SurvivesExpiryDrivenMutationOfTheChain) {
+TEST(SpanWalk, SurvivesExpiryDrivenMutationOfTheChain) {
   sim::SimClock clock;
   ResolverCache cache(clock);
   const dns::Name apex = name_of("example.com");
@@ -100,9 +100,8 @@ TEST(SpanIndex, SurvivesExpiryDrivenMutationOfTheChain) {
   EXPECT_TRUE(cache.find_denial(apex, name_of("b.example.com"),
                                 dns::RRType::kA, DenialSources::kSpans));
   clock.advance_seconds(60);
-  // The short span expired: probing it reclaims the entry (invalidating
-  // the index), and the long span must still answer through the rebuilt
-  // index afterwards.
+  // The short span expired: probing it reclaims the entry, and the long
+  // span must still answer from the shrunken chain afterwards.
   EXPECT_FALSE(cache.find_denial(apex, name_of("b.example.com"),
                                  dns::RRType::kA, DenialSources::kSpans));
   const ProofResult live =

@@ -65,7 +65,9 @@ TEST(UniverseTest, DeploymentRatesInCalibratedBands) {
     chained += info.ds_in_parent;
     deposited += info.dlv_deposited;
     glue += info.glue;
-    if (info.ds_in_parent) EXPECT_TRUE(info.dnssec_signed);
+    if (info.ds_in_parent) {
+      EXPECT_TRUE(info.dnssec_signed);
+    }
     if (info.dlv_deposited) {
       EXPECT_TRUE(info.dnssec_signed);
       EXPECT_FALSE(info.ds_in_parent);  // deposits are islands
