@@ -7,9 +7,9 @@
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
 #include "crypto/verify_batch.h"
-#include "dns/name_arena.h"
 #include "dlv/registry.h"
 #include "dns/codec.h"
+#include "dns/name_map.h"
 #include "resolver/cache.h"
 #include "resolver/resolver.h"
 #include "server/testbed.h"
@@ -176,43 +176,24 @@ void BM_NameHash(benchmark::State& state) {
 }
 BENCHMARK(BM_NameHash);
 
-void BM_NameIntern(benchmark::State& state) {
-  // Steady-state intern: every name is already in the arena, so this is
-  // the dedup path (one retuned-map probe + an id return) that store_nsec
-  // and rrsig_for pay per repeated owner.
-  dns::NameArena arena;
+void BM_NameMapProbeHit(benchmark::State& state) {
+  // The bare NameHashMap probe (control-byte prefilter + one Slot load):
+  // no cache sections, no TTL checks — the floor the <30ns probe-hit
+  // target is judged against.
+  dns::NameHashMap<std::uint32_t> map;
   std::vector<dns::Name> names;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     names.push_back(
         dns::Name::parse("host" + std::to_string(i) + ".example.com"));
-    (void)arena.intern(names.back());
+    map.get_or_insert(names.back()) = static_cast<std::uint32_t>(i);
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arena.intern(names[i]));
+    benchmark::DoNotOptimize(map.find(names[i]));
     i = (i + 1) % names.size();
   }
 }
-BENCHMARK(BM_NameIntern)->Arg(100)->Arg(10000);
-
-void BM_ProbeHit_arena(benchmark::State& state) {
-  // The bare retuned NameHashMap probe (control-byte prefilter + one Slot
-  // load), measured through the arena's find(): no cache sections, no TTL
-  // checks — the floor the <30ns probe-hit target is judged against.
-  dns::NameArena arena;
-  std::vector<dns::Name> names;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    names.push_back(
-        dns::Name::parse("host" + std::to_string(i) + ".example.com"));
-    (void)arena.intern(names.back());
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arena.find(names[i]));
-    i = (i + 1) % names.size();
-  }
-}
-BENCHMARK(BM_ProbeHit_arena)->Arg(100)->Arg(10000);
+BENCHMARK(BM_NameMapProbeHit)->Arg(100)->Arg(10000);
 
 void BM_RsaBatch(benchmark::State& state) {
   // A deduped verification: the batch memo hit that replaces a full RSA

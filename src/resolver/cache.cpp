@@ -75,12 +75,8 @@ std::size_t ResolverCache::servfail_cost(const dns::Name& name) {
 }
 
 std::size_t ResolverCache::nsec_cost(const dns::Name& owner,
-                                     const NsecEntry& entry) const {
-  // entry.next is interned; the cost formula still charges for the full
-  // name as if it were copied inline. Frozen deliberately: accounted cost
-  // drives eviction order, which the PR-5 cap-sweep Case-2 series pins —
-  // interning shrinks real memory (see arena_bytes()), not accounted bytes.
-  return kNsecOverhead + name_cost(owner) + name_cost(arena_.name(entry.next)) +
+                                     const NsecEntry& entry) {
+  return kNsecOverhead + name_cost(owner) + name_cost(entry.next) +
          entry.types.size() * sizeof(dns::RRType);
 }
 
@@ -285,7 +281,7 @@ void ResolverCache::store_nsec(const dns::Name& zone_apex,
   const auto* nsec = std::get_if<dns::NsecRdata>(&nsec_record.rdata);
   if (nsec == nullptr) return;
   NsecEntry entry;
-  entry.next = arena_.intern(nsec->next);
+  entry.next = nsec->next;
   entry.types = nsec->types;
   entry.expires_us = ttl_to_deadline(now(), nsec_record.ttl);
   entry.cost = static_cast<std::uint32_t>(nsec_cost(nsec_record.name, entry));
@@ -325,8 +321,8 @@ NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
       auto& [owner, entry] = *std::prev(it);
       bool type_listed = false;
       const NsecCoverage local =
-          nsec_denial(zone_apex, owner, arena_.name(entry.next), entry.types,
-                      qname, qtype, &type_listed);
+          nsec_denial(zone_apex, owner, entry.next, entry.types, qname, qtype,
+                      &type_listed);
       if (local != NsecCoverage::kNoProof) {
         entry.referenced = true;
         entry.chances = limits_.nsec_extra_chances;
@@ -764,9 +760,6 @@ void ResolverCache::clear() {
   nsec_by_zone_.clear();
   nsec3_evidence_.clear();
   zone_cuts_.clear();
-  // Interned ids die with the entries that held them; dropping the arena
-  // here is what bounds the "ids stable for cache lifetime" contract.
-  arena_.clear();
   bytes_ = 0;
   peak_bytes_ = 0;
   sweep_section_index_ = 0;

@@ -24,7 +24,6 @@
 
 #include "crypto/bytes.h"
 #include "dns/name.h"
-#include "dns/name_arena.h"
 #include "dns/name_map.h"
 #include "dns/record.h"
 #include "metrics/counters.h"
@@ -196,16 +195,11 @@ class ResolverCache {
   void set_limits(const CacheLimits& limits) { limits_ = limits; }
 
   /// Approximate current footprint in bytes across all five stores. The
-  /// accounting formulas are frozen (they decide eviction order, which the
-  /// PR-5 cap-sweep series pins); interning makes the *real* footprint
-  /// smaller than this number, never larger — see arena_bytes().
+  /// accounting formulas are frozen: they decide eviction order, which the
+  /// cap-sweep Case-2 series in BENCH_cache.json pins.
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
   /// High-water mark of bytes() since construction (or clear()).
   [[nodiscard]] std::uint64_t peak_bytes() const { return peak_bytes_; }
-
-  /// True measured footprint of the arena backing the interned sections —
-  /// what the duplicate name copies actually cost after interning.
-  [[nodiscard]] std::uint64_t arena_bytes() const { return arena_.bytes(); }
 
   /// Incremental expiry sweep: visits up to `max_slots` slots, resuming
   /// where the previous sweep stopped and rotating across the five stores,
@@ -235,12 +229,6 @@ class ResolverCache {
   [[nodiscard]] const metrics::CounterSet& counters() const { return counters_; }
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      // canonical_compare short-circuits equal names via the cached hash.
-      return a.canonical_compare(b) < 0;
-    }
-  };
   struct PositiveEntry {
     dns::RRset rrset;
     std::uint64_t expires_us = 0;
@@ -259,11 +247,7 @@ class ResolverCache {
     bool referenced = false;
   };
   struct NsecEntry {
-    /// Interned id of the span's next owner (DESIGN.md §4k): the chain
-    /// stores each distinct name once in the cache arena, so this duplicate
-    /// of the successor's owner name is pointer-width instead of a full
-    /// Name copy. Resolve with arena_.name().
-    dns::NameId next = dns::kInvalidNameId;
+    dns::Name next;
     std::vector<dns::RRType> types;
     std::uint64_t expires_us = 0;
     bool referenced = false;
@@ -289,7 +273,7 @@ class ResolverCache {
   // carries the per-zone resume hand for incremental sweeps, so a
   // 100k-entry DLV chain is reclaimed a few entries per tick instead of in
   // one stall.
-  using NsecChain = std::map<dns::Name, NsecEntry, CanonicalLess>;
+  using NsecChain = std::map<dns::Name, NsecEntry>;
   struct NsecZone {
     NsecChain chain;
     // Sweep/eviction resume position, shared by the expiry sweep and the
@@ -309,7 +293,7 @@ class ResolverCache {
     crypto::Bytes salt;
     std::uint16_t iterations = 0;
     /// Proven closest enclosers (wildcard absence included) -> expiry.
-    std::map<dns::Name, std::uint64_t, CanonicalLess> enclosers;
+    std::map<dns::Name, std::uint64_t> enclosers;
     struct HashedSpan {
       crypto::Bytes lo;  // owner hash
       crypto::Bytes hi;  // next_hashed
@@ -342,11 +326,8 @@ class ResolverCache {
   [[nodiscard]] static std::size_t positive_cost(const PositiveEntry& entry);
   [[nodiscard]] static std::size_t negative_cost(const dns::Name& name);
   [[nodiscard]] static std::size_t servfail_cost(const dns::Name& name);
-  /// Non-static: dereferences entry.next through the arena. The formula is
-  /// unchanged from the pre-interning layout — accounted cost must not move
-  /// or the pinned eviction order would.
-  [[nodiscard]] std::size_t nsec_cost(const dns::Name& owner,
-                                      const NsecEntry& entry) const;
+  [[nodiscard]] static std::size_t nsec_cost(const dns::Name& owner,
+                                             const NsecEntry& entry);
   [[nodiscard]] static std::size_t zone_cut_cost(const dns::Name& apex);
 
   void charge(std::size_t cost);
@@ -411,9 +392,6 @@ class ResolverCache {
   dns::NameHashMap<NsecZone> nsec_by_zone_;
   dns::NameHashMap<Nsec3ZoneEvidence> nsec3_evidence_;
   dns::NameHashMap<ZoneCutRecord> zone_cuts_;
-  // Interning arena for names the cache stores redundantly (NSEC span
-  // next-pointers today). Lives alongside the tables; cleared with them.
-  dns::NameArena arena_;
   // Sweep rotation state: which section the next sweep tick works on, plus
   // one resume cursor per section. Cursors carry the table generation they
   // were taken under (NameMapSweepCursor), so a rehash between sweep steps

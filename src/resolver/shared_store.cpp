@@ -14,18 +14,10 @@ SharedProofStore::SharedProofStore() {
 
 void SharedProofStore::store_nsec(const dns::Name& zone_apex,
                                   const dns::Name& owner, NsecProof proof) {
-  // Intern before taking the stripe lock (lock-order note in the header);
-  // republished spans from sibling shards dedupe to the same id here.
-  const dns::NameId next_id = arena_.intern(proof.next);
-  StoredNsec stored;
-  stored.next = next_id;
-  stored.types = std::move(proof.types);
-  stored.expires_us = proof.expires_us;
-  stored.shard = proof.shard;
   Stripe& stripe = stripe_for(zone_apex);
   {
     std::unique_lock lock(stripe.mutex);
-    stripe.nsec[zone_apex][owner] = std::move(stored);
+    stripe.nsec[zone_apex][owner] = std::move(proof);
   }
   nsec_stores_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -53,10 +45,9 @@ NsecCoverage SharedProofStore::check_nsec(const dns::Name& zone_apex,
     --it;
     if (it->second.expires_us > now_us) break;
   }
-  const StoredNsec& proof = it->second;
+  const NsecProof& proof = it->second;
   const NsecCoverage coverage =
-      nsec_denial(zone_apex, it->first, arena_.name(proof.next), proof.types,
-                  qname, qtype);
+      nsec_denial(zone_apex, it->first, proof.next, proof.types, qname, qtype);
   if (coverage == NsecCoverage::kNoProof) return coverage;
   if (expires_us != nullptr) *expires_us = proof.expires_us;
   const bool sibling = proof.shard != probing_shard;

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "dns/name.h"
-#include "dns/name_arena.h"
 #include "dns/rr_type.h"
 #include "resolver/denial.h"
 
@@ -51,9 +50,6 @@ class SharedProofStore {
 
   /// One validated NSEC span: owner (the map key) -> next, plus the type
   /// bitmap and expiry. `shard` is the publisher, for sibling accounting.
-  /// This is the *publish* type; internally the store interns `next` into a
-  /// shared name arena (§4k) and keeps only its 32-bit id, so N shards
-  /// republishing the same chain share one canonical byte string per name.
   struct NsecProof {
     dns::Name next;
     std::vector<dns::RRType> types;
@@ -142,19 +138,7 @@ class SharedProofStore {
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) < 0;
-    }
-  };
-  /// Stored form of NsecProof: `next` is an arena id, not a Name copy.
-  struct StoredNsec {
-    dns::NameId next = dns::kInvalidNameId;
-    std::vector<dns::RRType> types;
-    std::uint64_t expires_us = 0;
-    std::uint32_t shard = 0;
-  };
-  using NsecChain = std::map<dns::Name, StoredNsec, CanonicalLess>;
+  using NsecChain = std::map<dns::Name, NsecProof>;
   struct CutEntry {
     std::uint64_t expires_us = 0;
     std::uint32_t shard = 0;
@@ -168,8 +152,8 @@ class SharedProofStore {
   };
   struct Stripe {
     mutable std::shared_mutex mutex;
-    std::map<dns::Name, NsecChain, CanonicalLess> nsec;
-    std::map<dns::Name, CutEntry, CanonicalLess> cuts;
+    std::map<dns::Name, NsecChain> nsec;
+    std::map<dns::Name, CutEntry> cuts;
     std::unordered_map<std::uint64_t, VerdictEntry> verdicts;
   };
 
@@ -186,13 +170,6 @@ class SharedProofStore {
   // Stripes are boxed: shared_mutex is immovable and the vector is sized
   // once at construction.
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  // Cross-shard intern table for span `next` names. Lock order: store_nsec
-  // interns (arena exclusive) *before* taking its stripe lock and holds the
-  // two never at once; check_nsec derefs (arena shared) *under* its stripe
-  // lock. No path acquires a stripe while holding the arena exclusively,
-  // so the order is acyclic. Ids are never reclaimed (the arena only
-  // grows), which is what makes the returned Name& stable for readers.
-  dns::SharedNameArena arena_;
   std::atomic<std::uint64_t> nsec_stores_{0};
   std::atomic<std::uint64_t> nsec_hits_{0};
   std::atomic<std::uint64_t> nsec_sibling_hits_{0};

@@ -38,12 +38,7 @@ class ServerDirectory {
   [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) < 0;
-    }
-  };
-  std::map<dns::Name, std::shared_ptr<sim::Endpoint>, CanonicalLess> zones_;
+  std::map<dns::Name, std::shared_ptr<sim::Endpoint>> zones_;
   std::function<sim::Endpoint*(const dns::Name&)> fallback_;
 };
 

@@ -34,12 +34,16 @@ dns::ResourceRecord SignedZone::rrsig_for(const dns::RRset& rrset) {
   rrsig.key_tag = is_dnskey ? keys_.ksk_tag() : keys_.zsk_tag();
   rrsig.signer = zone_.apex();
 
-  const auto cache_key =
-      std::make_pair(owner_arena_.intern(rrset.name()), rrset.type());
-  const auto it = corrupt_ ? signature_cache_.end()
-                           : signature_cache_.find(cache_key);
-  if (it != signature_cache_.end()) {
-    rrsig.signature = it->second;
+  auto* slots =
+      corrupt_ ? nullptr : &signature_cache_.get_or_insert(rrset.name());
+  const dns::Bytes* cached = nullptr;
+  if (slots != nullptr) {
+    for (const auto& [type, signature] : *slots) {
+      if (type == rrset.type()) cached = &signature;
+    }
+  }
+  if (cached != nullptr) {
+    rrsig.signature = *cached;
   } else {
     const dns::Bytes signed_data = dns::rrsig_signed_data(rrsig, rrset);
     const crypto::RsaPrivateKey& key =
@@ -48,7 +52,8 @@ dns::ResourceRecord SignedZone::rrsig_for(const dns::RRset& rrset) {
     if (corrupt_) {
       rrsig.signature[rrsig.signature.size() / 2] ^= 0x01;
     } else {
-      signature_cache_.emplace(cache_key, rrsig.signature);
+      slots->emplace_back(rrset.type(), rrsig.signature);
+      ++signatures_computed_;
     }
   }
   return dns::ResourceRecord::make(rrset.name(), rrset.ttl(),

@@ -8,11 +8,10 @@
 // clustering).
 #pragma once
 
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "dns/name_arena.h"
+#include "dns/name_map.h"
 #include "zone/keys.h"
 #include "zone/nsec3.h"
 #include "zone/zone.h"
@@ -94,17 +93,16 @@ class SignedZone {
 
   /// Drops the signature cache (after zone mutation); the NSEC3 chain is
   /// also marked dirty so the next denial proof rebuilds it, keeping
-  /// per-deposit cost O(1) instead of a rebuild per mutation. The owner
-  /// arena goes with it — interned ids only live in the cache keys.
+  /// per-deposit cost O(1) instead of a rebuild per mutation.
   void invalidate_signature_cache() {
     signature_cache_.clear();
-    owner_arena_.clear();
+    signatures_computed_ = 0;
     nsec3_dirty_ = true;
   }
 
   /// Cache statistics: number of distinct RRsets signed so far.
   [[nodiscard]] std::size_t signatures_computed() const {
-    return signature_cache_.size();
+    return signatures_computed_;
   }
 
  private:
@@ -135,13 +133,12 @@ class SignedZone {
   bool nsec3_dirty_ = false;
   Nsec3Params nsec3_params_;
   std::vector<Nsec3Link> nsec3_chain_;  // sorted by digest, digests unique
-  // Cache key: (interned owner id, type) — a few hot owners key thousands
-  // of signed RRsets, so the owner name is stored once in the arena and the
-  // key is 8 bytes instead of a std::string copy per entry (§4k).
-  // Signatures of corrupted zones are not cached so toggling corruption
-  // mid-test behaves.
-  dns::NameArena owner_arena_;
-  std::map<std::pair<dns::NameId, dns::RRType>, dns::Bytes> signature_cache_;
+  // Cached signatures by owner, then type. An owner holds about one signed
+  // RRset, so its slot list is a one- or two-entry scan. Signatures of
+  // corrupted zones are not cached so toggling corruption mid-test behaves.
+  dns::NameHashMap<std::vector<std::pair<dns::RRType, dns::Bytes>>>
+      signature_cache_;
+  std::size_t signatures_computed_ = 0;
 };
 
 }  // namespace lookaside::zone

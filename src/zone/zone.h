@@ -87,13 +87,8 @@ class Zone {
   }
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) < 0;
-    }
-  };
   using TypeMap = std::map<dns::RRType, dns::RRset>;
-  using NameMap = std::map<dns::Name, TypeMap, CanonicalLess>;
+  using NameMap = std::map<dns::Name, TypeMap>;
 
   dns::Name apex_;
   dns::SoaRdata soa_;

@@ -1,116 +1,34 @@
-// Interned-name arena, root-hash de-aliasing, sweep-cursor rehash safety,
-// byte-accounting truthfulness, and batched-verification dedupe (§4k).
+// Root-hash de-aliasing, sweep-cursor rehash safety, byte-accounting
+// truthfulness (the accounted bytes against the live heap, and the live heap
+// of a capped cache and of a purged shared store), and batched-verification
+// dedupe (§4f, §4k).
 //
-// The `intern` label runs this suite under ASan and TSan in CI: the arena
-// and the batch memo sit on the resolver's hottest paths, so lifetime and
-// data-race bugs here corrupt every experiment downstream.
+// The `intern` label runs this suite under ASan and TSan in CI: the name
+// table and the batch memo sit on the resolver's hottest paths, so lifetime
+// and data-race bugs here corrupt every experiment downstream.
 #include <algorithm>
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "dns/name.h"
-#include "dns/name_arena.h"
 #include "dns/name_map.h"
 #include "resolver/cache.h"
 #include "resolver/config.h"
+#include "resolver/shared_store.h"
 #include "sim/clock.h"
 
 // ---------------------------------------------------------------------------
-// The byte-accounting test measures the net live heap a cache populate
-// phase actually allocated.
+// The byte-accounting tests measure the net live heap a cache or store
+// actually allocated.
 #include "heap_shim.h"
 
 namespace lookaside {
 namespace {
-
-// ---------------------------------------------------------------------------
-// NameArena
-
-TEST(NameArena, InternIsIdempotentAndDerefsToCanonicalName) {
-  dns::NameArena arena;
-  const dns::Name a = dns::Name::parse("www.example.com");
-  const dns::Name b = dns::Name::parse("mail.example.com");
-
-  const dns::NameId id_a = arena.intern(a);
-  const dns::NameId id_b = arena.intern(b);
-  EXPECT_NE(id_a, id_b);
-  EXPECT_EQ(arena.intern(a), id_a);
-  EXPECT_EQ(arena.intern(dns::Name::parse("www.example.com")), id_a);
-  EXPECT_EQ(arena.size(), 2u);
-
-  EXPECT_EQ(arena.name(id_a), a);
-  EXPECT_EQ(arena.name(id_b), b);
-  EXPECT_EQ(arena.find(a), id_a);
-  EXPECT_EQ(arena.find(dns::Name::parse("absent.example.com")),
-            dns::kInvalidNameId);
-}
-
-TEST(NameArena, IdsAndReferencesStayStableAcrossGrowth) {
-  dns::NameArena arena;
-  std::vector<std::pair<dns::NameId, dns::Name>> interned;
-  for (int i = 0; i < 5000; ++i) {
-    dns::Name name =
-        dns::Name::parse("host" + std::to_string(i) + ".example.com");
-    interned.emplace_back(arena.intern(name), std::move(name));
-  }
-  // The index rehashed many times on the way to 5000 entries; every id
-  // assigned before any of those rehashes must still deref to its name.
-  for (const auto& [id, name] : interned) {
-    EXPECT_EQ(arena.name(id), name);
-    EXPECT_EQ(arena.find(name), id);
-  }
-  EXPECT_EQ(arena.size(), interned.size());
-}
-
-TEST(NameArena, BytesTracksFootprintAndClearResets) {
-  dns::NameArena arena;
-  const std::uint64_t empty_bytes = arena.bytes();
-  for (int i = 0; i < 256; ++i) {
-    arena.intern(dns::Name::parse("n" + std::to_string(i) + ".example.com"));
-  }
-  EXPECT_GT(arena.bytes(), empty_bytes);
-  arena.clear();
-  EXPECT_EQ(arena.size(), 0u);
-  EXPECT_LE(arena.bytes(), empty_bytes);
-  // Ids restart from zero after clear (dense id contract).
-  EXPECT_EQ(arena.intern(dns::Name::parse("fresh.example.com")), 0u);
-}
-
-TEST(SharedNameArena, ConcurrentInternConvergesToOneIdPerName) {
-  dns::SharedNameArena arena;
-  constexpr int kThreads = 8;
-  constexpr int kNames = 200;
-  std::vector<std::vector<dns::NameId>> ids(
-      kThreads, std::vector<dns::NameId>(kNames, dns::kInvalidNameId));
-
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&arena, &ids, t] {
-      for (int i = 0; i < kNames; ++i) {
-        // Every thread interns the same name set (contended dedupe) and
-        // immediately derefs through the shared lock.
-        const dns::Name name =
-            dns::Name::parse("shared" + std::to_string(i) + ".example.com");
-        const dns::NameId id = arena.intern(name);
-        ids[t][i] = id;
-        EXPECT_EQ(arena.name(id), name);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  EXPECT_EQ(arena.size(), static_cast<std::size_t>(kNames));
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[t], ids[0]);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Root-hash de-aliasing (§4k audit finding #1)
@@ -385,10 +303,9 @@ TEST(CacheBytes, AccountingTracksRealHeapFootprint) {
   // bytes() is a model, not a malloc ledger: it must stay the same order of
   // magnitude as the real allocation delta — an accounting that drifts to a
   // fraction of (or a multiple of) the true footprint makes the byte cap
-  // meaningless. The arena is part of the advertised footprint.
+  // meaningless.
   const double billed = static_cast<double>(cache->bytes());
   const double actual = static_cast<double>(heap_delta);
-  EXPECT_GT(cache->arena_bytes(), 0u);
   EXPECT_GE(billed, actual * 0.25)
       << "bytes()=" << billed << " vs heap delta " << actual;
   EXPECT_LE(billed, actual * 4.0)
@@ -401,12 +318,78 @@ TEST(CacheBytes, AccountingTracksRealHeapFootprint) {
   EXPECT_LT(static_cast<double>(heap_after_destroy), actual * 0.1);
 }
 
+/// NSEC span number `i` under dlv.isc.org: span<i> -> span<i+1>, so every
+/// span has its own owner and its own next name.
+dns::ResourceRecord dlv_span(int i) {
+  dns::NsecRdata nsec;
+  nsec.next =
+      dns::Name::parse("span" + std::to_string(i + 1) + ".com.dlv.isc.org");
+  nsec.types = {dns::RRType::kA, dns::RRType::kRrsig, dns::RRType::kNsec};
+  return dns::ResourceRecord::make(
+      dns::Name::parse("span" + std::to_string(i) + ".com.dlv.isc.org"), 3600,
+      dns::Rdata{nsec});
+}
+
+TEST(CacheBytes, CappedCacheHeapStaysNearTheCapUnderNsecChurn) {
+  // The byte cap stands in for BIND's max-cache-size, so it has to bound
+  // the heap, not only bytes(): once the cache is full, every span it
+  // stores evicts older ones, and whatever the evicted spans held must go
+  // with them. A side table that keeps each span's `next` name after the
+  // span is gone grows the heap by every distinct name ever stored.
+  constexpr std::uint64_t kCap = 16 * 1024;
+  sim::SimClock clock;
+  resolver::ResolverCache cache(clock);
+  cache.set_limits(resolver::CacheLimits{kCap});
+  const dns::Name zone = dns::Name::parse("dlv.isc.org");
+  int span = 0;
+  for (; span < 500; ++span) {
+    cache.store_nsec(zone, dlv_span(span));
+    cache.maintain();
+  }
+  ASSERT_LE(cache.bytes(), kCap);
+
+  const long long heap_warm = heap_shim::live_bytes();
+  for (; span < 4'500; ++span) {
+    cache.store_nsec(zone, dlv_span(span));
+    cache.maintain();
+  }
+  const long long growth = heap_shim::live_bytes() - heap_warm;
+  EXPECT_LE(cache.bytes(), kCap);
+  EXPECT_LE(growth, static_cast<long long>(kCap))
+      << "4,000 spans stored past the cap grew the live heap by " << growth
+      << " B while bytes() reads " << cache.bytes();
+}
+
+TEST(CacheBytes, SharedStorePurgeReturnsItsHeap) {
+  // purge_expired is the shared store's only reclaim path; a span it
+  // reclaims must give back everything the span held.
+  resolver::SharedProofStore store;
+  const dns::Name zone = dns::Name::parse("dlv.isc.org");
+  const long long heap_before = heap_shim::live_bytes();
+  for (int span = 0; span < 4'000; ++span) {
+    const dns::ResourceRecord record = dlv_span(span);
+    store.store_nsec(zone, record.name,
+                     {std::get<dns::NsecRdata>(record.rdata).next,
+                      {dns::RRType::kA},
+                      /*expires_us=*/1'000,
+                      /*shard=*/0});
+  }
+  const long long filled = heap_shim::live_bytes() - heap_before;
+  ASSERT_GT(filled, 0);
+
+  EXPECT_EQ(store.purge_expired(/*now_us=*/2'000), 4'000u);
+  EXPECT_EQ(store.nsec_count(zone), 0u);
+  const long long left = heap_shim::live_bytes() - heap_before;
+  EXPECT_LE(left, filled / 10)
+      << left << " of " << filled << " B stay in use after the purge";
+}
+
 TEST(CacheBytes, EvictionOrderUnchangedByInterning) {
   // The cap-sweep Case-2 count is a direct observable of clock-eviction
   // order. This replicates bench_cache_churn's smoke cell (synthesis off,
   // 16 KiB cap) and pins its Case-2 volume to the committed baseline
-  // (bench/baselines/BENCH_cache.smoke.json): interning the cache's names
-  // must not move a single eviction.
+  // (bench/baselines/BENCH_cache.smoke.json): how the cache stores its
+  // names must not move a single eviction.
   core::UniverseExperiment::Options options;
   options.universe_size = 10'000;
   options.resolver_config = resolver::ResolverConfig::bind_yum();

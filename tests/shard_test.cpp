@@ -210,17 +210,35 @@ TEST(SharedProofStore, SiblingHitsAreAttributedCrossShard) {
 }
 
 // The TSan target: hammer one store from many threads, spanning every
-// stripe, with concurrent readers on the same zones the writers mutate.
+// stripe, with concurrent readers on the same zones the writers mutate and
+// a purger that frees short-lived spans (and the names they hold) while
+// readers walk the same chains.
 TEST(SharedProofStore, SurvivesConcurrentStoreAndCheck) {
   SharedProofStore store;
   constexpr int kThreads = 8;
   constexpr int kZonesPerThread = 16;
   constexpr int kRounds = 50;
+  // Short-lived spans expire at 1 µs; the readers check at 0 and the
+  // purger reclaims at kPurgeAt, so only the short-lived spans go.
+  constexpr std::uint64_t kPurgeAt = 1;
   std::atomic<std::uint64_t> covered{0};
+  std::atomic<int> writers_left{kThreads};
+  std::thread purger([&store, &writers_left] {
+    while (writers_left.load(std::memory_order_acquire) > 0) {
+      (void)store.purge_expired(kPurgeAt);
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store, &covered, t] {
+    threads.emplace_back([&store, &covered, &writers_left, t] {
+      // This writer's short-lived span, x<t> -> y<t>, sorts after the
+      // shared a -> m span, so the readers' check never lands on it.
+      std::string short_owner = "x";
+      short_owner += std::to_string(t);
+      std::string short_next = "y";
+      short_next += std::to_string(t);
       for (int round = 0; round < kRounds; ++round) {
         for (int z = 0; z < kZonesPerThread; ++z) {
           // Writers and readers collide on the shared zone set; each
@@ -233,6 +251,11 @@ TEST(SharedProofStore, SurvivesConcurrentStoreAndCheck) {
                            {name_of("m." + zone_text),
                             {dns::RRType::kA},
                             1'000'000'000,
+                            static_cast<std::uint32_t>(t)});
+          store.store_nsec(zone, zone.with_prefix_label(short_owner),
+                           {zone.with_prefix_label(short_next),
+                            {dns::RRType::kA},
+                            kPurgeAt,
                             static_cast<std::uint32_t>(t)});
           store.store_zone_cut(zone, 1'000'000'000,
                                static_cast<std::uint32_t>(t));
@@ -253,15 +276,17 @@ TEST(SharedProofStore, SurvivesConcurrentStoreAndCheck) {
           (void)store.check_verdict(vkey, 0, static_cast<std::uint32_t>(t));
         }
       }
+      writers_left.fetch_sub(1, std::memory_order_release);
     });
   }
   for (std::thread& thread : threads) thread.join();
+  purger.join();
+  (void)store.purge_expired(kPurgeAt);
 
   // Every check after the first store of its zone must have hit.
   EXPECT_GT(covered.load(), 0u);
   const SharedProofStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.nsec_stores,
-            static_cast<std::uint64_t>(kThreads) * kZonesPerThread * kRounds);
+  EXPECT_EQ(stats.nsec_stores, 2u * kThreads * kZonesPerThread * kRounds);
   EXPECT_EQ(stats.nsec_hits, covered.load());
   for (int z = 0; z < kZonesPerThread; ++z) {
     EXPECT_EQ(store.nsec_count(name_of("zone" + std::to_string(z) +
