@@ -64,7 +64,6 @@ CellResult run_cell(std::uint64_t cap_bytes, bool synthesis,
   options.universe_size = universe;
   options.resolver_config = resolver::ResolverConfig::bind_yum();
   options.resolver_config.max_cache_bytes = cap_bytes;
-  options.resolver_config.ns_fetch_probability = 0.0;
   if (synthesis) {
     options.resolver_config.aggressive_synthesis = true;
     options.resolver_config.verdict_cache_entries =

@@ -6,7 +6,6 @@
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
-#include "crypto/verify_batch.h"
 #include "dlv/registry.h"
 #include "dns/codec.h"
 #include "dns/name_map.h"
@@ -194,21 +193,6 @@ void BM_NameMapProbeHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NameMapProbeHit)->Arg(100)->Arg(10000);
-
-void BM_RsaBatch(benchmark::State& state) {
-  // A deduped verification: the batch memo hit that replaces a full RSA
-  // verify when the same (signed data, signature, key) repeats within one
-  // resolve step. Compare against BM_RsaVerify256 for the per-repeat win.
-  crypto::VerifyBatch batch;
-  crypto::VerifyBatchScope scope(batch);
-  for (std::uint64_t k = 0; k < 64; ++k) batch.record(k * 0x9E3779B97F4A7C15ULL, true);
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.lookup(k * 0x9E3779B97F4A7C15ULL));
-    k = (k + 1) % 64;
-  }
-}
-BENCHMARK(BM_RsaBatch);
 
 void BM_CacheProbe_Hit(benchmark::State& state) {
   sim::SimClock clock;

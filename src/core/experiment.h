@@ -52,7 +52,10 @@ class UniverseExperiment {
     resolver::ResolverConfig resolver_config =
         resolver::ResolverConfig::bind_yum();
     workload::StubOptions stub;
-    double ns_fetch_probability = 0.30;  // Table 4's NS query band
+    /// Share of zones whose NS RRset the resolver also fetches (Table 4's
+    /// NS query band). Overrides resolver_config.ns_fetch_probability,
+    /// whatever that was set to.
+    double ns_fetch_probability = 0.30;
     std::uint32_t dlv_negative_ttl = 3600;
     /// Optional structured tracer; when set it is attached to the clock,
     /// the network, the world's servers and the resolver.

@@ -409,13 +409,7 @@ ProofResult ResolverCache::nsec3_synth_lookup(const dns::Name& zone_apex,
       zone::nsec3_hash(next_closer, zone->salt, zone->iterations);
   out.hash_ops = zone::nsec3_hash_ops(zone->iterations);
   for (const Nsec3ZoneEvidence::HashedSpan& span : zone->spans) {
-    if (span.expires_us <= now_us) continue;
-    // Span bounds keep their wire length: compare as Bytes would.
-    const bool wraps = span.hi <= span.lo;
-    const bool above_lo = zone::compare_hashes(digest, span.lo) > 0;
-    const bool below_hi = zone::compare_hashes(digest, span.hi) < 0;
-    const bool inside = wraps ? (above_lo || below_hi) : (above_lo && below_hi);
-    if (inside) {
+    if (span.expires_us > now_us && nsec3_covers(digest, span.lo, span.hi)) {
       witness = &span;
       break;
     }

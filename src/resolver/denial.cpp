@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "zone/nsec3.h"
+
 namespace lookaside::resolver {
 
 NsecCoverage nsec_denial(const dns::Name& zone_apex, const dns::Name& owner,
@@ -35,6 +37,15 @@ NsecCoverage nsec_denial(const dns::Name& zone_apex, const dns::Name& owner,
     return NsecCoverage::kNoProof;
   }
   return NsecCoverage::kNameCovered;
+}
+
+bool nsec3_covers(std::span<const std::uint8_t> digest,
+                  std::span<const std::uint8_t> lo,
+                  std::span<const std::uint8_t> hi) {
+  const bool above_lo = zone::compare_hashes(digest, lo) > 0;
+  const bool below_hi = zone::compare_hashes(digest, hi) < 0;
+  if (zone::compare_hashes(lo, hi) < 0) return above_lo && below_hi;
+  return above_lo || below_hi;  // the wrapping span
 }
 
 }  // namespace lookaside::resolver

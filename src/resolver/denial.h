@@ -15,6 +15,7 @@
 //
 // nsec_denial is the one NSEC denial rule: the private chain and the shared
 // store each find their span, then let it decide what the span proves.
+// nsec3_covers is the one NSEC3 span rule, for proof checks and synthesis.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +85,14 @@ enum class NsecCoverage {
                                        const dns::Name& qname,
                                        dns::RRType qtype,
                                        bool* type_listed = nullptr);
+
+/// Whether `digest` falls strictly inside the hashed NSEC3 span (`lo`,
+/// `hi`) (RFC 5155 §8.3). The chain's last span wraps: when `hi` <= `lo` it
+/// covers everything above `lo` and everything below `hi`. Hashes compare
+/// as two Bytes would, since presented hashes keep their wire length.
+[[nodiscard]] bool nsec3_covers(std::span<const std::uint8_t> digest,
+                                std::span<const std::uint8_t> lo,
+                                std::span<const std::uint8_t> hi);
 
 /// Bitmask selecting which proof classes a lookup may consult.
 struct DenialSources {

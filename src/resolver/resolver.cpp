@@ -522,7 +522,7 @@ void RecursiveResolver::charge_nsec3_cost(std::uint64_t hash_ops) {
 }
 
 RecursiveResolver::Nsec3Policy RecursiveResolver::handle_nsec3_denial(
-    const GroupedSection& authority, const dns::Name& qname,
+    const GroupedSection& authority, const dns::Name& qname, dns::RRType qtype,
     const dns::Name& zone_apex, const dns::RRset* keys) {
   const dns::Nsec3Rdata* nsec3 = Validator::first_nsec3(authority);
   if (nsec3 == nullptr) return Nsec3Policy::kNone;
@@ -550,8 +550,8 @@ RecursiveResolver::Nsec3Policy RecursiveResolver::handle_nsec3_denial(
     // an unvalidated zone.
     return Nsec3Policy::kDowngraded;
   }
-  const Nsec3Check check =
-      validator_.check_nsec3_denial(authority, qname, zone_apex, *keys);
+  const Nsec3Check check = validator_.check_nsec3_denial(
+      authority, qname, qtype, zone_apex, *keys);
   charge_nsec3_cost(check.hash_ops);
   if (!check.proven) return Nsec3Policy::kRejected;
   if (config_.aggressive_synthesis && check.has_evidence) {
@@ -573,6 +573,7 @@ RecursiveResolver::Nsec3Policy RecursiveResolver::handle_nsec3_denial(
 
 ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
                                                       const dns::Name& qname,
+                                                      dns::RRType qtype,
                                                       int depth) {
   if (fetched.from_cache) {
     return fetched.cached_validated ? ValidationStatus::kSecure
@@ -606,8 +607,8 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
     }
     // NSEC3 proofs carry their own signature checks plus the iterated-hash
     // verification (and its modeled CPU bill) behind the RFC 9276 cap.
-    switch (handle_nsec3_denial(fetched.authority, qname, fetched.auth_zone,
-                                &zone_keys)) {
+    switch (handle_nsec3_denial(fetched.authority, qname, qtype,
+                                fetched.auth_zone, &zone_keys)) {
       case Nsec3Policy::kRejected:
         return ValidationStatus::kBogus;
       case Nsec3Policy::kDowngraded:
@@ -616,7 +617,16 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
       case Nsec3Policy::kAccepted:
         break;
     }
-    cache_validated_nsecs(fetched.authority, fetched.auth_zone, zone_keys);
+    // Every NSEC RRset passed the loop above: store it without a second
+    // signature check.
+    if (config_.aggressive_negative_caching) {
+      for (const dns::RRset& rrset : fetched.authority.rrsets) {
+        if (rrset.type() != dns::RRType::kNsec) continue;
+        for (const dns::ResourceRecord& record : rrset.records()) {
+          cache_.store_nsec(fetched.auth_zone, record);
+        }
+      }
+    }
   }
   return ValidationStatus::kSecure;
 }
@@ -814,7 +824,8 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
     // hashes the candidate's ancestor chain at the zone's iteration count
     // and charges that CPU to the virtual clock, unless the RFC 9276 cap
     // already disposed of the proof without hashing.
-    switch (handle_nsec3_denial(authority, candidate, apex, dlv_keys)) {
+    switch (handle_nsec3_denial(authority, candidate, dns::RRType::kDlv, apex,
+                                dlv_keys)) {
       case Nsec3Policy::kRejected:
         if (config_.nsec3_strict) {
           result.dlv.nsec3_rejected = true;
@@ -903,13 +914,6 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
   ResolveResult result;
   current_ = &result;
 
-  // One RSA dedup window per resolution (DESIGN.md §4k): every signature
-  // check below — trust-chain descent, answer RRsets, denial NSECs, DLV
-  // candidates — shares the batch, so identical tuples the verdict cache
-  // missed run the modular exponentiation once. RAII keeps the window
-  // exception-safe; nested resolves (none today) would stack cleanly.
-  crypto::VerifyBatchScope verify_window(validator_.verify_batch());
-
   std::uint64_t span_id = 0;
   std::uint64_t span_start_us = 0;
   bool pushed_query_context = false;
@@ -962,8 +966,9 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
       result.response.header.rcode = fetched.kind == Fetched::Kind::kNxDomain
                                          ? dns::RCode::kNxDomain
                                          : dns::RCode::kNoError;
-      result.status = validate ? validate_response(fetched, current_name, 0)
-                               : ValidationStatus::kIndeterminate;
+      result.status =
+          validate ? validate_response(fetched, current_name, qtype, 0)
+                   : ValidationStatus::kIndeterminate;
       if (result.status == ValidationStatus::kBogus) {
         result.response.header.rcode = dns::RCode::kServFail;
         result.response.answers.clear();
@@ -973,7 +978,7 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
 
     // kAnswer.
     ValidationStatus leg_status =
-        validate ? validate_response(fetched, current_name, 0)
+        validate ? validate_response(fetched, current_name, qtype, 0)
                  : ValidationStatus::kIndeterminate;
 
     // RFC 5074: look aside when the chain of trust did not conclude secure.

@@ -155,13 +155,11 @@ class RecursiveResolver : public sim::Endpoint {
   [[nodiscard]] Validator& validator() { return validator_; }
   [[nodiscard]] const ResolverConfig& config() const { return config_; }
 
-  /// Attaches a SharedProofStore (nullable) to every subsystem that can
-  /// publish to it: the cache (NSEC spans, zone cuts) and the validator
-  /// (signature verdicts). Sibling shards then synthesize denials and skip
-  /// RSA from each other's work (DESIGN.md §4i/§4j).
+  /// Attaches a SharedProofStore (nullable) to the cache, which then
+  /// publishes and consults NSEC spans and zone cuts there, so sibling
+  /// shards suppress each other's registry queries (DESIGN.md §4i).
   void attach_shared(SharedProofStore* store, std::uint32_t shard_id = 0) {
     cache_.attach_shared(store, shard_id);
-    validator_.attach_shared(store, shard_id);
   }
   /// Counters: "servers.marked_dead", "servers.skipped_dead",
   /// "servfail.cached", "servfail.cache_hit", "dlv.timeout",
@@ -237,9 +235,11 @@ class RecursiveResolver : public sim::Endpoint {
                                       const dns::DnskeyRdata* anchor,
                                       int depth, dns::RRset* out_keys);
 
-  /// Validates a fetched answer end to end.
+  /// Validates a fetched answer to (qname, qtype) end to end. A denial's
+  /// SOA and NSEC RRsets are verified here and its NSECs cached directly.
   ValidationStatus validate_response(const Fetched& fetched,
-                                     const dns::Name& qname, int depth);
+                                     const dns::Name& qname, dns::RRType qtype,
+                                     int depth);
 
   /// RFC 5074 look-aside. Returns the DS found (if any); logs every DLV
   /// query into `result`. Consults the primary DLV domain, then each
@@ -258,8 +258,9 @@ class RecursiveResolver : public sim::Endpoint {
   /// nullptr when unavailable or failing validation.
   const dns::RRset* dlv_zone_keys(const dns::Name& apex, int depth);
 
-  /// Caches validated NSEC records from `section` into the aggressive store
-  /// for `zone` when `keys` verify them.
+  /// Caches NSEC records from `section` into the aggressive store for
+  /// `zone` when `keys` verify them: for denials no earlier step verified
+  /// (a DS-absence proof on the descent, a DLV candidate's denial).
   void cache_validated_nsecs(const GroupedSection& section,
                              const dns::Name& zone, const dns::RRset& keys);
 
@@ -272,10 +273,10 @@ class RecursiveResolver : public sim::Endpoint {
   };
 
   /// NSEC3 leg of denial processing: applies the RFC 9276 iteration cap
-  /// *before* hashing, verifies the proof via the validator otherwise, and
+  /// *before* hashing, verifies the (qname, qtype) proof otherwise, and
   /// charges the modeled hash CPU to the virtual clock.
   Nsec3Policy handle_nsec3_denial(const GroupedSection& authority,
-                                  const dns::Name& qname,
+                                  const dns::Name& qname, dns::RRType qtype,
                                   const dns::Name& zone_apex,
                                   const dns::RRset* keys);
 

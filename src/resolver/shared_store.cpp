@@ -93,43 +93,6 @@ bool SharedProofStore::has_zone_cut(const dns::Name& apex,
   return true;
 }
 
-void SharedProofStore::store_verdict(std::uint64_t key, bool valid,
-                                     std::uint64_t expires_us,
-                                     std::uint32_t shard) {
-  Stripe& stripe = stripe_for_key(key);
-  {
-    std::unique_lock lock(stripe.mutex);
-    stripe.verdicts[key] = VerdictEntry{valid, expires_us, shard};
-  }
-  verdict_stores_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::optional<bool> SharedProofStore::check_verdict(std::uint64_t key,
-                                                    std::uint64_t now_us,
-                                                    std::uint32_t probing_shard,
-                                                    bool* cross_shard) {
-  Stripe& stripe = stripe_for_key(key);
-  std::shared_lock lock(stripe.mutex);
-  const auto it = stripe.verdicts.find(key);
-  if (it == stripe.verdicts.end() || it->second.expires_us <= now_us) {
-    return std::nullopt;
-  }
-  const bool sibling = it->second.shard != probing_shard;
-  if (cross_shard != nullptr) *cross_shard = sibling;
-  verdict_hits_.fetch_add(1, std::memory_order_relaxed);
-  if (sibling) verdict_sibling_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.valid;
-}
-
-std::size_t SharedProofStore::verdict_count() const {
-  std::size_t count = 0;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock lock(stripe->mutex);
-    count += stripe->verdicts.size();
-  }
-  return count;
-}
-
 std::size_t SharedProofStore::purge_expired(std::uint64_t now_us) {
   std::size_t reclaimed = 0;
   for (const auto& stripe : stripes_) {
@@ -154,14 +117,6 @@ std::size_t SharedProofStore::purge_expired(std::uint64_t now_us) {
         ++it;
       }
     }
-    for (auto it = stripe->verdicts.begin(); it != stripe->verdicts.end();) {
-      if (it->second.expires_us <= now_us) {
-        it = stripe->verdicts.erase(it);
-        ++reclaimed;
-      } else {
-        ++it;
-      }
-    }
   }
   return reclaimed;
 }
@@ -176,10 +131,6 @@ SharedProofStore::Stats SharedProofStore::stats() const {
   stats.cut_hits = cut_hits_.load(std::memory_order_relaxed);
   stats.cut_sibling_hits =
       cut_sibling_hits_.load(std::memory_order_relaxed);
-  stats.verdict_stores = verdict_stores_.load(std::memory_order_relaxed);
-  stats.verdict_hits = verdict_hits_.load(std::memory_order_relaxed);
-  stats.verdict_sibling_hits =
-      verdict_sibling_hits_.load(std::memory_order_relaxed);
   return stats;
 }
 

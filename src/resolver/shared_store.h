@@ -9,7 +9,8 @@
 // (RFC 8198 / RFC 5074 §5) and known zone cuts. A shard that finds a
 // sibling's span here skips the registry round trip entirely, restoring the
 // aggregation privacy profile of one big shared cache while keeping the hot
-// positive/negative paths shard-private and lock-free.
+// positive/negative paths shard-private and lock-free. Signature verdicts
+// stay shard-private too, in each validator's own cache (DESIGN.md §4j).
 //
 // Concurrency: lock striping keyed by name hash over kStripes stripes.
 // NSEC chains stripe by *zone apex* — a coverage check is a predecessor
@@ -31,9 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/name.h"
@@ -65,9 +64,6 @@ class SharedProofStore {
     std::uint64_t cut_stores = 0;
     std::uint64_t cut_hits = 0;
     std::uint64_t cut_sibling_hits = 0;
-    std::uint64_t verdict_stores = 0;
-    std::uint64_t verdict_hits = 0;
-    std::uint64_t verdict_sibling_hits = 0;
   };
 
   SharedProofStore();
@@ -94,9 +90,10 @@ class SharedProofStore {
                                         std::uint64_t* expires_us = nullptr,
                                         bool* cross_shard = nullptr);
 
-  /// Published span count for `zone_apex` (live and expired — the store
-  /// reclaims lazily via purge_expired). Used for leak-cause attribution:
-  /// "does the resolver know *anything* about this zone's chain".
+  /// Published span count for `zone_apex`, live and expired: no serving
+  /// path purges the store, so an expired span stays counted until
+  /// purge_expired runs. Used for leak-cause attribution: "does the
+  /// resolver know *anything* about this zone's chain".
   [[nodiscard]] std::size_t nsec_count(const dns::Name& zone_apex) const;
 
   // -- Zone cuts -------------------------------------------------------------
@@ -108,24 +105,6 @@ class SharedProofStore {
   /// Whether a live published cut exists at `apex`.
   [[nodiscard]] bool has_zone_cut(const dns::Name& apex, std::uint64_t now_us,
                                   std::uint32_t probing_shard);
-
-  // -- Validation verdicts (vState sharing, DESIGN.md §4j) -------------------
-
-  /// Publishes one signature-verification verdict under its 64-bit content
-  /// key (signed data ⊕ signature ⊕ key material — see
-  /// Validator::verdict_key), valid until `expires_us` (the RRSIG
-  /// expiration). Striped by the key's low bits.
-  void store_verdict(std::uint64_t key, bool valid, std::uint64_t expires_us,
-                     std::uint32_t shard);
-
-  /// Published verdict for `key` if live at `now_us`; `*cross_shard`
-  /// reports whether a *different* shard published it.
-  [[nodiscard]] std::optional<bool> check_verdict(
-      std::uint64_t key, std::uint64_t now_us, std::uint32_t probing_shard,
-      bool* cross_shard = nullptr);
-
-  /// Published verdict count (live and expired).
-  [[nodiscard]] std::size_t verdict_count() const;
 
   // -- Maintenance -----------------------------------------------------------
 
@@ -145,16 +124,10 @@ class SharedProofStore {
   };
   /// One lock stripe. NSEC chains keyed by zone apex live whole in the
   /// apex's stripe; cuts keyed by the cut name live in the name's stripe.
-  struct VerdictEntry {
-    bool valid = false;
-    std::uint64_t expires_us = 0;
-    std::uint32_t shard = 0;
-  };
   struct Stripe {
     mutable std::shared_mutex mutex;
     std::map<dns::Name, NsecChain> nsec;
     std::map<dns::Name, CutEntry> cuts;
-    std::unordered_map<std::uint64_t, VerdictEntry> verdicts;
   };
 
   [[nodiscard]] Stripe& stripe_for(const dns::Name& name) {
@@ -162,9 +135,6 @@ class SharedProofStore {
   }
   [[nodiscard]] const Stripe& stripe_for(const dns::Name& name) const {
     return *stripes_[name.hash() & (kStripes - 1)];
-  }
-  [[nodiscard]] Stripe& stripe_for_key(std::uint64_t key) {
-    return *stripes_[key & (kStripes - 1)];
   }
 
   // Stripes are boxed: shared_mutex is immovable and the vector is sized
@@ -176,9 +146,6 @@ class SharedProofStore {
   std::atomic<std::uint64_t> cut_stores_{0};
   std::atomic<std::uint64_t> cut_hits_{0};
   std::atomic<std::uint64_t> cut_sibling_hits_{0};
-  std::atomic<std::uint64_t> verdict_stores_{0};
-  std::atomic<std::uint64_t> verdict_hits_{0};
-  std::atomic<std::uint64_t> verdict_sibling_hits_{0};
 };
 
 }  // namespace lookaside::resolver

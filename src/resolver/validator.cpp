@@ -1,9 +1,10 @@
 #include "resolver/validator.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/dnssec_algo.h"
-#include "resolver/shared_store.h"
+#include "resolver/denial.h"
 #include "zone/keys.h"
 #include "zone/nsec3.h"
 
@@ -48,14 +49,6 @@ std::optional<bool> Validator::verdict_probe(std::uint64_t key,
     }
     verdicts_.erase(it);
   }
-  if (shared_ != nullptr) {
-    if (const auto shared =
-            shared_->check_verdict(key, now_us, shard_id_)) {
-      counters_.add("verdict.rsa_skipped");
-      counters_.add("verdict.shared_hit");
-      return shared;
-    }
-  }
   counters_.add("verdict.miss");
   return std::nullopt;
 }
@@ -69,9 +62,6 @@ void Validator::verdict_insert(std::uint64_t key, bool valid,
     counters_.add("verdict.flush");
   }
   verdicts_[key] = Verdict{valid, expires_us};
-  if (shared_ != nullptr) {
-    shared_->store_verdict(key, valid, expires_us, shard_id_);
-  }
 }
 
 SigCheck Validator::verify_rrset(
@@ -122,41 +112,18 @@ SigCheck Validator::verify_rrset(
       // rejected expired signatures, so a live verdict can never outlast
       // the signature it memoizes. RSA verification is host CPU, not
       // virtual-clock time, so the cache cannot perturb leak determinism.
-      const bool batching = batch_.active();
       std::uint64_t vkey = 0;
-      if (verdict_capacity_ > 0 || batching) {
-        vkey = verdict_key(signed_data, sig->signature, *key);
-      }
       if (verdict_capacity_ > 0) {
+        vkey = verdict_key(signed_data, sig->signature, *key);
         if (const auto cached = verdict_probe(vkey, clock_->now_us())) {
           if (*cached) return SigCheck::kValid;
           better(SigCheck::kInvalid);
           continue;
         }
       }
-      // Batched verification (DESIGN.md §4k): within one resolve window a
-      // tuple that missed the verdict cache still dedups against the
-      // verifications this resolution already ran. The repeat feeds its
-      // outcome back through verdict_insert — the same write the executed
-      // verify would have done — so the verdict.* counters and shared-store
-      // contents are identical with batching on or off.
-      if (batching) {
-        if (const auto memo = batch_.lookup(vkey)) {
-          counters_.add("verify.batch_deduped");
-          if (verdict_capacity_ > 0) {
-            verdict_insert(vkey, *memo, sig_expires_us);
-          }
-          if (*memo) return SigCheck::kValid;
-          better(SigCheck::kInvalid);
-          continue;
-        }
-      }
       const bool verified =
           crypto::verify_message(*rsa, signed_data, sig->signature);
-      if (batching) {
-        batch_.record(vkey, verified);
-        counters_.add("verify.batch_unique");
-      }
+      counters_.add("verify.batch_unique");
       if (verdict_capacity_ > 0) {
         verdict_insert(vkey, verified, sig_expires_us);
       }
@@ -246,6 +213,7 @@ const dns::Nsec3Rdata* Validator::first_nsec3(const GroupedSection& authority) {
 
 Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
                                          const dns::Name& qname,
+                                         dns::RRType qtype,
                                          const dns::Name& zone_apex,
                                          const dns::RRset& dnskeys) {
   Nsec3Check out;
@@ -283,24 +251,21 @@ Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
   if (spans.empty()) return out;
 
   // Presented hashes keep their wire length; compare_hashes orders a
-  // digest against them as two Bytes would compare.
-  const auto matches = [&spans](const crypto::Sha1::Digest& digest) {
+  // digest against them as two Bytes would compare. `matches` returns the
+  // NSEC3 whose owner hash is the digest, or nullptr.
+  const auto matches =
+      [&spans](const crypto::Sha1::Digest& digest) -> const dns::Nsec3Rdata* {
     for (const Span& span : spans) {
-      if (zone::compare_hashes(digest, span.owner_hash) == 0) return true;
+      if (zone::compare_hashes(digest, span.owner_hash) == 0) {
+        return span.rdata;
+      }
     }
-    return false;
+    return nullptr;
   };
   const auto covered = [&spans](const crypto::Sha1::Digest& digest) {
     for (const Span& span : spans) {
-      const crypto::Bytes& lo = span.owner_hash;
-      const crypto::Bytes& hi = span.rdata->next_hashed;
-      const bool above_lo = zone::compare_hashes(digest, lo) > 0;
-      const bool below_hi = zone::compare_hashes(digest, hi) < 0;
-      if (lo < hi) {
-        if (above_lo && below_hi) return true;
-      } else {
-        // Wraparound span (last NSEC3 points back to the first).
-        if (above_lo || below_hi) return true;
+      if (nsec3_covers(digest, span.owner_hash, span.rdata->next_hashed)) {
+        return true;
       }
     }
     return false;
@@ -315,8 +280,14 @@ Nsec3Check Validator::check_nsec3_denial(const GroupedSection& authority,
   // iterated hash — this loop is where the attacker's CPU bill lands.
   if (!qname.is_subdomain_of(zone_apex)) return out;
   const crypto::Sha1::Digest qname_hash = hash_name(qname);
-  if (matches(qname_hash)) {
-    out.proven = true;  // NODATA: qname exists, proof is the matching NSEC3
+  if (const dns::Nsec3Rdata* match = matches(qname_hash)) {
+    // NODATA (RFC 5155 §8.5): qname exists, and the matching NSEC3's
+    // bitmap must list neither qtype nor CNAME.
+    const auto lists = [match](dns::RRType type) {
+      return std::find(match->types.begin(), match->types.end(), type) !=
+             match->types.end();
+    };
+    out.proven = !lists(qtype) && !lists(dns::RRType::kCname);
     return out;
   }
   dns::Name closest = qname;

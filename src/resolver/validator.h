@@ -14,15 +14,12 @@
 #include <vector>
 
 #include "crypto/rsa.h"
-#include "crypto/verify_batch.h"
 #include "dns/message.h"
 #include "dns/record.h"
 #include "metrics/counters.h"
 #include "sim/clock.h"
 
 namespace lookaside::resolver {
-
-class SharedProofStore;
 
 /// Outcome of verifying one RRset.
 enum class SigCheck {
@@ -71,27 +68,12 @@ class Validator {
     if (entries == 0) verdicts_.clear();
   }
 
-  /// Attaches a shared store (nullable): verdicts are then written through
-  /// and consulted on local misses, so sibling shards skip RSA for
-  /// signatures any shard already checked.
-  void attach_shared(SharedProofStore* store, std::uint32_t shard_id = 0) {
-    shared_ = store;
-    shard_id_ = shard_id;
-  }
-
   /// Counters: "verdict.rsa_skipped" (cache hits that skipped an RSA
-  /// verify), "verdict.miss", "verdict.shared_hit", "verdict.flush",
-  /// "verify.batch_unique" (verifications executed inside a batch window),
-  /// "verify.batch_deduped" (in-window repeats answered without RSA).
+  /// verify), "verdict.miss", "verdict.flush", and "verify.batch_unique",
+  /// the number of RSA verifications executed (the name perfbench reads).
   [[nodiscard]] const metrics::CounterSet& counters() const {
     return counters_;
   }
-
-  /// The per-resolve-step RSA dedup window (DESIGN.md §4k). The resolver
-  /// opens a crypto::VerifyBatchScope over it at resolve() entry; while a
-  /// window is open, identical (signed data, signature, key) tuples that
-  /// miss the verdict cache run RSA once and answer repeats from the memo.
-  [[nodiscard]] crypto::VerifyBatch& verify_batch() { return batch_; }
 
   /// 64-bit content key for one verification: FNV-1a over the signed data,
   /// the signature bytes and the key material. Key rollover invalidates by
@@ -126,13 +108,15 @@ class Validator {
   [[nodiscard]] static const dns::Nsec3Rdata* first_nsec3(
       const GroupedSection& authority);
 
-  /// Verifies an NSEC3 denial for `qname` (RFC 5155 §8.4-§8.7): signature
-  /// checks over every NSEC3 RRset, closest-encloser discovery by hashing
-  /// qname's ancestor chain, a covering span for the next-closer name and
-  /// for the wildcard at the closest encloser. NODATA proofs (matching
-  /// NSEC3 at qname) are accepted directly.
+  /// Verifies an NSEC3 denial for (`qname`, `qtype`) (RFC 5155 §8.4-§8.7):
+  /// signature checks over every NSEC3 RRset, closest-encloser discovery by
+  /// hashing qname's ancestor chain, a covering span for the next-closer
+  /// name and for the wildcard at the closest encloser. A NSEC3 matching
+  /// qname proves NODATA only when its bitmap lists neither qtype nor
+  /// CNAME (§8.5).
   [[nodiscard]] Nsec3Check check_nsec3_denial(const GroupedSection& authority,
                                               const dns::Name& qname,
+                                              dns::RRType qtype,
                                               const dns::Name& zone_apex,
                                               const dns::RRset& dnskeys);
 
@@ -142,7 +126,7 @@ class Validator {
     std::uint64_t expires_us = 0;  // the RRSIG expiration
   };
 
-  /// Cached (or shared) verdict for `key` live at `now_us`, else nullopt.
+  /// Cached verdict for `key` live at `now_us`, else nullopt.
   [[nodiscard]] std::optional<bool> verdict_probe(std::uint64_t key,
                                                   std::uint64_t now_us);
   void verdict_insert(std::uint64_t key, bool valid, std::uint64_t expires_us);
@@ -152,9 +136,6 @@ class Validator {
       key_cache_;
   std::unordered_map<std::uint64_t, Verdict> verdicts_;
   std::size_t verdict_capacity_ = 0;
-  crypto::VerifyBatch batch_;
-  SharedProofStore* shared_ = nullptr;  // nullable; not owned
-  std::uint32_t shard_id_ = 0;
   metrics::CounterSet counters_;
 };
 

@@ -339,7 +339,6 @@ TEST(CacheLifecycleEndToEnd, CappedResolverHoldsBytesUnderCapAndLeaksMore) {
   core::UniverseExperiment::Options base;
   base.universe_size = 4'000;
   base.resolver_config = ResolverConfig::bind_yum();
-  base.resolver_config.ns_fetch_probability = 0.0;
 
   // Unbounded control run.
   core::UniverseExperiment unbounded(base);

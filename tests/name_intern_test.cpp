@@ -1,11 +1,11 @@
 // Root-hash de-aliasing, sweep-cursor rehash safety, byte-accounting
 // truthfulness (the accounted bytes against the live heap, and the live heap
-// of a capped cache and of a purged shared store), and batched-verification
-// dedupe (§4f, §4k).
+// of a capped cache and of a purged shared store), and one RSA verification
+// per signature check a resolution needs (§4f, §4k).
 //
 // The `intern` label runs this suite under ASan and TSan in CI: the name
-// table and the batch memo sit on the resolver's hottest paths, so lifetime
-// and data-race bugs here corrupt every experiment downstream.
+// table sits on the resolver's hottest paths, so lifetime and data-race
+// bugs here corrupt every experiment downstream.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -394,7 +394,6 @@ TEST(CacheBytes, EvictionOrderUnchangedByInterning) {
   options.universe_size = 10'000;
   options.resolver_config = resolver::ResolverConfig::bind_yum();
   options.resolver_config.max_cache_bytes = 16 * 1024;
-  options.resolver_config.ns_fetch_probability = 0.0;
   core::UniverseExperiment experiment(options);
   for (std::uint64_t round = 0; round < 3; ++round) {
     for (std::uint64_t rank = 1; rank <= 250; ++rank) {
@@ -407,51 +406,46 @@ TEST(CacheBytes, EvictionOrderUnchangedByInterning) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched verification (§4k)
+// Verify once (§4k)
 
-/// bind_yum over a 10k universe. Its verdict cache is off, so every skipped
-/// RSA verification is the within-resolution batch memo alone.
-core::UniverseExperiment::Options batch_experiment_options() {
+/// bind_yum over a 10k universe.
+core::UniverseExperiment::Options verify_once_options() {
   core::UniverseExperiment::Options options;
   options.universe_size = 10'000;
   options.resolver_config = resolver::ResolverConfig::bind_yum();
-  options.resolver_config.ns_fetch_probability = 0.0;
   return options;
 }
 
-TEST(VerifyBatch, DedupesRepeatVerificationWithinOneResolution) {
-  // A validated NXDOMAIN from a signed TLD verifies its authority NSECs
-  // twice in one resolution: once for the denial proof, once when the spans
-  // are cached for aggressive reuse. With the verdict cache off (bind_yum
-  // default) the batch memo is the only thing standing between those and
-  // two full RSA verifications.
-  core::UniverseExperiment experiment(batch_experiment_options());
+TEST(VerifyOnce, NonexistentSldVerifiesEachDenialRrsetOnce) {
+  // A validated NXDOMAIN from a signed TLD verifies its SOA and NSEC RRsets
+  // for the denial proof, then caches the NSECs for aggressive reuse
+  // without checking them again. With the verdict cache on, a second check
+  // of the same RRset would read as a verdict hit.
+  core::UniverseExperiment::Options options = verify_once_options();
+  options.resolver_config.verdict_cache_entries =
+      resolver::ResolverConfig::kDefaultVerdictCacheEntries;
+  core::UniverseExperiment experiment(options);
 
   const dns::Name tld = experiment.world().universe().domain_at(1).parent();
   (void)experiment.stub().visit(tld.with_prefix_label("definitely-not-there"));
 
   const auto& counters = experiment.resolver().validator().counters();
-  EXPECT_GE(counters.value("verify.batch_deduped"), 1u);
-  EXPECT_GT(counters.value("verify.batch_unique"), 0u);
-  // Verdict cache is off in this configuration: the dedupe above is the
-  // within-resolution batch alone.
+  EXPECT_EQ(counters.value("verify.batch_unique"), 5u);
   EXPECT_EQ(counters.value("verdict.rsa_skipped"), 0u);
 }
 
-TEST(VerifyBatch, FixedChurnWorkloadKeepsItsExactVerifySchedule) {
+TEST(VerifyOnce, FixedChurnWorkloadKeepsItsExactVerifySchedule) {
   // Two rounds, 2,100 s apart, of the top 40 domains plus 8 nonexistent
   // SLDs under the signed TLDs. The counts are virtual-clock deterministic,
   // so any change means the resolver now verifies a different set of
-  // (signed data, key) pairs, or batches a different share of them.
-  core::UniverseExperiment experiment(batch_experiment_options());
+  // (signed data, key) pairs. The verdict cache is off (bind_yum), so
+  // every check a resolution makes runs RSA.
+  core::UniverseExperiment experiment(verify_once_options());
   const workload::Universe& universe = experiment.world().universe();
   for (std::uint64_t round = 0; round < 2; ++round) {
     for (std::uint64_t rank = 1; rank <= 40; ++rank) {
       (void)experiment.stub().visit(universe.domain_at(rank));
     }
-    // The chained NXDOMAIN holds the within-resolution repeat: its
-    // authority NSECs are verified for the denial proof and again when
-    // the spans are cached.
     for (std::uint64_t rank = 1; rank <= 8; ++rank) {
       const dns::Name tld = universe.domain_at(rank).parent();
       (void)experiment.stub().visit(tld.with_prefix_label(
@@ -462,7 +456,6 @@ TEST(VerifyBatch, FixedChurnWorkloadKeepsItsExactVerifySchedule) {
 
   const auto& counters = experiment.resolver().validator().counters();
   EXPECT_EQ(counters.value("verify.batch_unique"), 151u);
-  EXPECT_EQ(counters.value("verify.batch_deduped"), 10u);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST_F(Nsec3ZoneTest, NxdomainProofVerifiesWithMeteredCost) {
   const resolver::GroupedSection authority =
       as_authority(zone_->nsec3_nxdomain_proof(missing));
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
-      authority, missing, dns::Name::parse("dlv.example"),
+      authority, missing, dns::RRType::kDlv, dns::Name::parse("dlv.example"),
       zone_->dnskey_rrset());
   EXPECT_TRUE(check.proven);
   EXPECT_EQ(check.iterations, 11);
@@ -184,13 +184,20 @@ TEST_F(Nsec3ZoneTest, NxdomainProofVerifiesWithMeteredCost) {
 }
 
 TEST_F(Nsec3ZoneTest, NodataProofVerifies) {
+  // RFC 5155 §8.5: the NSEC3 matching qname proves NODATA only for a type
+  // its bitmap omits. alpha holds an A record, so A is not denied.
+  const dns::Name apex = dns::Name::parse("dlv.example");
   const dns::Name present = dns::Name::parse("alpha.dlv.example");
   const resolver::GroupedSection authority =
       as_authority(zone_->nsec3_nodata_proof(present));
-  const resolver::Nsec3Check check = validator_.check_nsec3_denial(
-      authority, present, dns::Name::parse("dlv.example"),
-      zone_->dnskey_rrset());
-  EXPECT_TRUE(check.proven);
+  EXPECT_TRUE(validator_
+                  .check_nsec3_denial(authority, present, dns::RRType::kAaaa,
+                                      apex, zone_->dnskey_rrset())
+                  .proven);
+  EXPECT_FALSE(validator_
+                   .check_nsec3_denial(authority, present, dns::RRType::kA,
+                                       apex, zone_->dnskey_rrset())
+                   .proven);
 }
 
 TEST_F(Nsec3ZoneTest, ProofWithoutClosestEncloserDoesNotVerify) {
@@ -206,7 +213,8 @@ TEST_F(Nsec3ZoneTest, ProofWithoutClosestEncloserDoesNotVerify) {
     proofs.push_back(std::move(proof));
   }
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
-      as_authority(proofs), missing, apex, zone_->dnskey_rrset());
+      as_authority(proofs), missing, dns::RRType::kDlv, apex,
+      zone_->dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
 
@@ -214,7 +222,7 @@ TEST_F(Nsec3ZoneTest, QnameOutsideApexDoesNotVerify) {
   const resolver::GroupedSection authority = as_authority(
       zone_->nsec3_nxdomain_proof(dns::Name::parse("gamma.dlv.example")));
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
-      authority, dns::Name::parse("gamma.other.example"),
+      authority, dns::Name::parse("gamma.other.example"), dns::RRType::kDlv,
       dns::Name::parse("dlv.example"), zone_->dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
@@ -225,8 +233,8 @@ TEST_F(Nsec3ZoneTest, TamperedProofDoesNotVerify) {
   auto& rdata = std::get<dns::Nsec3Rdata>(proofs.front().nsec.rdata);
   rdata.next_hashed[0] ^= 0x01;  // break the span (and the signature)
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
-      as_authority(proofs), missing, dns::Name::parse("dlv.example"),
-      zone_->dnskey_rrset());
+      as_authority(proofs), missing, dns::RRType::kDlv,
+      dns::Name::parse("dlv.example"), zone_->dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
 

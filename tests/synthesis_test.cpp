@@ -2,11 +2,10 @@
 // the unified find_denial API (origin attribution), the span walk over the
 // ordered NSEC chain against a linear reference model, hash-gated NSEC3
 // synthesis from cached closest-encloser evidence, the validator's
-// signature-verdict cache (hit / expiry / key rollover / epoch flush /
-// cross-shard sharing), and the scenario-level contracts: synthesis-on
-// serving leaks exactly the sequential reference for any shard count, and
-// under a byte cap synthesis never leaks more than the paper-era
-// configuration.
+// signature-verdict cache (hit / expiry / key rollover / epoch flush), and
+// the scenario-level contracts: synthesis-on serving leaks exactly the
+// sequential reference for any shard count, and under a byte cap synthesis
+// never leaks more than the paper-era configuration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -402,25 +401,6 @@ TEST_F(VerdictCacheTest, EpochFlushBoundsTheTable) {
   EXPECT_EQ(counter("verdict.rsa_skipped"), 0u);
 }
 
-TEST_F(VerdictCacheTest, VerdictsCrossShardsThroughTheSharedStore) {
-  SharedProofStore store;
-  sim::SimClock clock_b;
-  Validator sibling(clock_b);
-  sibling.set_verdict_cache_entries(64);
-  validator_.attach_shared(&store, 0);
-  sibling.attach_shared(&store, 1);
-
-  const dns::ResourceRecord sig = make_signature(*keys_);
-  EXPECT_EQ(validator_.verify_rrset(rrset_, {sig}, dnskeys_),
-            SigCheck::kValid);
-  EXPECT_GE(store.verdict_count(), 1u);
-
-  EXPECT_EQ(sibling.verify_rrset(rrset_, {sig}, dnskeys_), SigCheck::kValid);
-  EXPECT_EQ(sibling.counters().value("verdict.rsa_skipped"), 1u);
-  EXPECT_EQ(sibling.counters().value("verdict.shared_hit"), 1u);
-  EXPECT_EQ(store.stats().verdict_sibling_hits, 1u);
-}
-
 // -- Scenario-level contracts -------------------------------------------------
 
 serve::ScenarioOptions synth_mix(bool synthesis) {
@@ -477,7 +457,6 @@ std::uint64_t capped_case2(bool synthesis, std::uint64_t cap_bytes) {
   options.universe_size = 10'000;
   options.resolver_config = ResolverConfig::bind_yum();
   options.resolver_config.max_cache_bytes = cap_bytes;
-  options.resolver_config.ns_fetch_probability = 0.0;
   if (synthesis) {
     options.resolver_config.aggressive_synthesis = true;
     options.resolver_config.verdict_cache_entries =
