@@ -3,11 +3,11 @@
 //
 // Every cell of the clients grid is served three ways:
 //
-//   shared    N shards attached to one striped SharedProofStore, arrivals
-//             dispatched in global order — the privacy-preserving sharded
-//             deployment. Its merged Case-2 set must equal the sequential
-//             reference *exactly*, for any --shards value, or the bench
-//             exits nonzero.
+//   shared    N shards attached to one SharedProofStore, arrivals
+//             dispatched in global order on one thread — the
+//             privacy-preserving sharded deployment. Its merged Case-2
+//             set must equal the sequential reference *exactly*, for any
+//             --shards value, or the bench exits nonzero.
 //   private   N shard-private stacks served genuinely in parallel (one
 //             worker per shard) — the fast but re-leaking deployment. Its
 //             merged Case-2 must be >= the reference; when it re-leaks,
@@ -122,8 +122,7 @@ bool check_shards(const ModeRun& run, const char* mode, std::uint32_t clients,
   bool ok = true;
   for (std::size_t s = 0; s < run.summary.shards.size(); ++s) {
     const serve::ShardReport& report = run.summary.shards[s];
-    const obs::LeakLedger* ledger =
-        const_cast<bench::ShardObs&>(*run.obs[s]).ledger();
+    const obs::LeakLedger* ledger = run.obs[s]->ledger();
     if (ledger == nullptr) continue;
     if (ledger->case2_total() != report.summary.case2_total) {
       std::cout << "[serve] FAIL: clients=" << clients << " mode=" << mode
@@ -291,7 +290,7 @@ int main(int argc, char** argv) {
   bench::banner("Sharded serving: shared proof store vs. private vs. sequential");
   std::cout << "Each cell routes a ClientMix schedule across " << shards
             << " resolver shard(s) (" << serve::route_name(*route)
-            << " consistent-hash), twice: once with the striped shared\n"
+            << " consistent-hash), twice: once with the shared\n"
                "proof store (must leak exactly the sequential reference's\n"
                "Case-2 set), once shard-private in parallel (re-leaks; the\n"
                "store must strictly reduce it). --shards N, --route, --jobs\n"

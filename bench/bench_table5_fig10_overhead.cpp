@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
                "cap N.\n\n";
 
   bench::ObsSession obs_session(bench::ArgParser(argc, argv).obs());
+  bench::ShardObs shard_obs(obs_session, /*primary=*/true);
 
   const std::uint64_t max_n =
       std::min<std::uint64_t>(bench::max_scale(100'000), 100'000);
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
     core::UniverseExperiment::Options options;
     // Trace only the largest size; the stream then covers the baseline run
     // followed by the remedy run of that row.
-    if (n == ladder.back()) options.tracer = obs_session.tracer();
+    if (n == ladder.back()) options.tracer = shard_obs.tracer();
     const core::OverheadRow row =
         core::measure_overhead(n, core::RemedyMode::kTxt, options);
     table.row()
@@ -76,6 +77,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper's Table 5: time ratios 18.68%->29.20%, traffic\n"
                "6.67%->9.83%, queries 10.79%->19.66% from 100 to 100k.\n";
 
+  shard_obs.merge_into(obs_session);
   obs_session.finish(std::cout);
   return 0;
 }

@@ -224,49 +224,26 @@ class ArgParser {
   unsigned jobs_;
 };
 
-/// Owns the tracer + sinks a bench attaches to its experiment. With no
-/// flags given, `tracer()` is nullptr and the run is unobserved (no cost).
+/// A bench's observability outputs. Experiments trace through ShardObs
+/// bundles, never through the session: one primary ShardObs carries the
+/// session's stream sinks (JSONL trace, summary), and every ShardObs folds
+/// its metrics, ledger and profiles in through merge_into(). finish() then
+/// writes the files. With no flags given every ShardObs tracer is nullptr
+/// and the run is unobserved (no cost).
 class ObsSession {
  public:
   explicit ObsSession(ObsArgs args) : args_(std::move(args)) {
     if (!args_.trace_out.empty()) {
       jsonl_ = std::make_shared<obs::JsonlFileSink>(args_.trace_out);
-      tracer_.add_sink(jsonl_);
     }
-    if (!args_.metrics_out.empty()) {
-      metrics_sink_ = std::make_shared<obs::MetricsSink>(registry_);
-      tracer_.add_sink(metrics_sink_);
-    }
-    if (args_.summary) {
-      summary_ = std::make_shared<obs::SummarySink>();
-      tracer_.add_sink(summary_);
-    }
-    if (!args_.ledger_out.empty()) enable_ledger();
-    if (!args_.profile_out.empty()) enable_profiles();
+    if (args_.summary) summary_ = std::make_shared<obs::SummarySink>();
+    ledger_requested_ = !args_.ledger_out.empty();
   }
 
   /// Turns the leak ledger on even without --ledger-out (the cache/serve
   /// benches always account causes so their JSON can carry the breakdown).
-  /// Adds a session-level ledger + timeline to the shared tracer for
-  /// single-tracer drivers; sharded drivers get per-shard copies via
-  /// ShardObs and merge them back in shard order.
-  void enable_ledger() {
-    if (ledger_sink_ != nullptr) return;
-    ledger_sink_ = std::make_shared<obs::LeakLedger>();
-    tracer_.add_sink(ledger_sink_);
-    ensure_timeline();
-  }
-
-  /// Per-query critical-path profiles (implied by --profile-out).
-  void enable_profiles() {
-    profiles_requested_ = true;
-    ensure_timeline();
-  }
-
-  /// Tracer to hand to the experiment; nullptr when no sinks were asked for.
-  [[nodiscard]] obs::Tracer* tracer() {
-    return tracer_.has_sinks() ? &tracer_ : nullptr;
-  }
+  /// Each ShardObs made afterwards carries a ledger for merge_into().
+  void enable_ledger() { ledger_requested_ = true; }
 
   /// Attaches the session's stream sinks (JSONL, summary) to a
   /// shard-private tracer. Exactly one shard per sweep may call this — the
@@ -277,12 +254,15 @@ class ObsSession {
   }
 
   [[nodiscard]] obs::MetricsRegistry& registry() { return registry_; }
-  [[nodiscard]] bool metrics_enabled() const { return metrics_sink_ != nullptr; }
-  [[nodiscard]] bool ledger_enabled() const { return ledger_sink_ != nullptr; }
-  [[nodiscard]] bool profiles_enabled() const { return profiles_requested_; }
+  [[nodiscard]] bool metrics_enabled() const {
+    return !args_.metrics_out.empty();
+  }
+  [[nodiscard]] bool ledger_enabled() const { return ledger_requested_; }
+  [[nodiscard]] bool profiles_enabled() const {
+    return !args_.profile_out.empty();
+  }
 
-  /// The merged cross-shard ledger. Single-tracer drivers see the session
-  /// sink folded in by finish(); sharded drivers populate it through
+  /// The merged cross-shard ledger, populated through
   /// ShardObs::merge_into() in shard order.
   [[nodiscard]] obs::LeakLedger& merged_ledger() { return merged_ledger_; }
 
@@ -294,21 +274,21 @@ class ObsSession {
     }
   }
 
-  /// Flushes sinks, writes the metrics file and reports what was produced.
+  /// Writes the metrics, ledger and profile files and reports what was
+  /// produced. Call after every ShardObs::merge_into().
   void finish(std::ostream& out) {
-    if (!tracer_.has_sinks()) return;
-    tracer_.flush();
-    if (ledger_sink_ != nullptr) merged_ledger_.merge_from(*ledger_sink_);
-    if (timeline_sink_ != nullptr && profiles_requested_) {
-      append_profiles(timeline_sink_->timeline());
+    if (jsonl_ == nullptr && !metrics_enabled() && summary_ == nullptr &&
+        !ledger_enabled() && !profiles_enabled()) {
+      return;
     }
     out << "\n";
     if (jsonl_ != nullptr) {
+      jsonl_->flush();
       out << "[obs] trace: " << args_.trace_out << " ("
           << jsonl_->events_written() << " events"
           << (jsonl_->ok() ? "" : "; WRITE FAILED") << ")\n";
     }
-    if (!args_.metrics_out.empty()) {
+    if (metrics_enabled()) {
       // Lost-event accounting rides in the same export: a nonzero
       // obs_trace_dropped means the trace under-reports and every derived
       // artifact (ledger, profiles) inherits that caveat.
@@ -328,7 +308,7 @@ class ObsSession {
                                                           : "; WRITE FAILED")
           << ")\n";
     }
-    if (!args_.profile_out.empty()) {
+    if (profiles_enabled()) {
       out << "[obs] profiles: " << args_.profile_out << " ("
           << profile_lines_.size() << " queries"
           << (write_profiles(args_.profile_out) ? "" : "; WRITE FAILED")
@@ -338,12 +318,6 @@ class ObsSession {
   }
 
  private:
-  void ensure_timeline() {
-    if (timeline_sink_ != nullptr) return;
-    timeline_sink_ = std::make_shared<obs::TimelineSink>();
-    tracer_.add_sink(timeline_sink_);
-  }
-
   [[nodiscard]] bool write_profiles(const std::string& path) const {
     std::ofstream file(path, std::ios::trunc);
     if (!file) return false;
@@ -352,19 +326,16 @@ class ObsSession {
   }
 
   ObsArgs args_;
-  obs::Tracer tracer_;
   obs::MetricsRegistry registry_;
   std::shared_ptr<obs::JsonlFileSink> jsonl_;
-  std::shared_ptr<obs::MetricsSink> metrics_sink_;
   std::shared_ptr<obs::SummarySink> summary_;
-  std::shared_ptr<obs::LeakLedger> ledger_sink_;
-  std::shared_ptr<obs::TimelineSink> timeline_sink_;
   obs::LeakLedger merged_ledger_;
   std::vector<std::string> profile_lines_;
-  bool profiles_requested_ = false;
+  bool ledger_requested_ = false;
 };
 
-/// Per-shard observability bundle for engine-parallel sweeps. Every shard
+/// Per-shard observability bundle, the one way a bench traces an
+/// experiment (a driver that runs no sweep has one shard). Every shard
 /// that wants tracing owns one: a private Tracer plus a private
 /// MetricsRegistry (when the session exports metrics), so worker threads
 /// never share a mutable sink. The designated primary shard additionally
@@ -404,7 +375,7 @@ class ShardObs {
 
   /// This shard's ledger / timeline, for per-cell acceptance checks before
   /// the merge. Null unless the session enabled the corresponding feature.
-  [[nodiscard]] obs::LeakLedger* ledger() { return ledger_.get(); }
+  [[nodiscard]] const obs::LeakLedger* ledger() const { return ledger_.get(); }
   [[nodiscard]] const obs::SpanTimeline* timeline() const {
     return timeline_ == nullptr ? nullptr : &timeline_->timeline();
   }

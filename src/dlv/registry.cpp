@@ -7,6 +7,8 @@ namespace lookaside::dlv {
 
 namespace {
 
+constexpr std::uint32_t kRecordTtl = 3600;
+
 dns::SoaRdata registry_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
   dns::SoaRdata soa;
   soa.primary_ns = apex.with_prefix_label("ns");
@@ -21,9 +23,9 @@ dns::SoaRdata registry_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
 
 zone::Zone make_empty_zone(const DlvRegistry::Options& options) {
   zone::Zone out(options.apex, registry_soa(options.apex, options.negative_ttl),
-                 options.record_ttl);
+                 kRecordTtl);
   out.add(dns::ResourceRecord::make(
-      options.apex, options.record_ttl,
+      options.apex, kRecordTtl,
       dns::NsRdata{options.apex.with_prefix_label("ns")}));
   return out;
 }
@@ -66,7 +68,7 @@ dns::Name DlvRegistry::dlv_name_for(const dns::Name& domain) const {
 
 void DlvRegistry::deposit(const dns::Name& domain, dns::DsRdata ds) {
   zone_->zone().add(dns::ResourceRecord::make_typed(
-      dlv_name_for(domain), dns::RRType::kDlv, options_.record_ttl,
+      dlv_name_for(domain), dns::RRType::kDlv, kRecordTtl,
       dns::Rdata{std::move(ds)}));
   zone_->invalidate_signature_cache();
   ++record_count_;

@@ -53,7 +53,6 @@ class DlvRegistry : public sim::Endpoint {
     dns::Name apex = dns::Name::parse("dlv.isc.org");
     std::size_t key_bits = 512;
     std::uint64_t seed = 0xD17;
-    std::uint32_t record_ttl = 3600;
     std::uint32_t negative_ttl = 3600;
     /// §6.2.2: register and serve crypto_hash(domain) instead of the name.
     bool hashed_registration = false;

@@ -159,14 +159,6 @@ std::vector<Event> read_jsonl_events(std::istream& in, TraceReadStats* stats) {
   return out;
 }
 
-std::vector<Event> read_jsonl_events(std::istream& in,
-                                     std::size_t* malformed) {
-  TraceReadStats stats;
-  std::vector<Event> out = read_jsonl_events(in, &stats);
-  if (malformed != nullptr) *malformed = stats.malformed;
-  return out;
-}
-
 std::vector<Event> read_jsonl_file(const std::string& path,
                                    TraceReadStats* stats) {
   std::ifstream in(path);
@@ -175,14 +167,6 @@ std::vector<Event> read_jsonl_file(const std::string& path,
     return {};
   }
   return read_jsonl_events(in, stats);
-}
-
-std::vector<Event> read_jsonl_file(const std::string& path,
-                                   std::size_t* malformed) {
-  TraceReadStats stats;
-  std::vector<Event> out = read_jsonl_file(path, &stats);
-  if (malformed != nullptr) *malformed = stats.malformed;
-  return out;
 }
 
 }  // namespace lookaside::obs

@@ -34,15 +34,8 @@ struct TraceReadStats {
 [[nodiscard]] std::vector<Event> read_jsonl_events(
     std::istream& in, TraceReadStats* stats = nullptr);
 
-/// Back-compat overload counting only malformed lines.
-[[nodiscard]] std::vector<Event> read_jsonl_events(std::istream& in,
-                                                   std::size_t* malformed);
-
 /// Convenience: opens `path` and reads it. Empty result on open failure.
 [[nodiscard]] std::vector<Event> read_jsonl_file(
     const std::string& path, TraceReadStats* stats = nullptr);
-
-[[nodiscard]] std::vector<Event> read_jsonl_file(const std::string& path,
-                                                 std::size_t* malformed);
 
 }  // namespace lookaside::obs

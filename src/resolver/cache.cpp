@@ -1,7 +1,6 @@
 #include "resolver/cache.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "dns/rdata.h"
 #include "obs/tracer.h"
@@ -308,17 +307,11 @@ NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
   if (!qname.is_subdomain_of(zone_apex)) return NsecCoverage::kNoProof;
   if (NsecZone* zone = nsec_by_zone_.find(zone_apex)) {
     NsecChain& chain = zone->chain;
-    // Greatest live owner <= qname. Expired entries met on the walk are
-    // reclaimed and skipped: a stale closer entry must not shadow a live
-    // covering proof further left in the chain.
-    const std::uint64_t now_us = now();
-    auto it = chain.upper_bound(qname);
-    while (it != chain.begin() && std::prev(it)->second.expires_us <= now_us) {
-      release(std::prev(it)->second.cost);
-      it = chain.erase(std::prev(it));
-    }
-    if (it != chain.begin()) {
-      auto& [owner, entry] = *std::prev(it);
+    const auto live = live_predecessor(
+        chain, qname, now(),
+        [this](const NsecEntry& stale) { release(stale.cost); });
+    if (live != chain.end()) {
+      auto& [owner, entry] = *live;
       bool type_listed = false;
       const NsecCoverage local =
           nsec_denial(zone_apex, owner, entry.next, entry.types, qname, qtype,

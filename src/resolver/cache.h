@@ -173,7 +173,7 @@ class ResolverCache {
 
   // -- Shared proof store (multi-shard serving, DESIGN.md §4i) ----------------
 
-  /// Attaches a striped shared NSEC/zone-cut store (nullable to detach).
+  /// Attaches the shared NSEC/zone-cut store (nullable to detach).
   /// Afterwards this cache consults the store whenever its private NSEC
   /// chain or zone-cut table misses, and writes every validated NSEC span
   /// and zone cut through so sibling shards can suppress the same upstream

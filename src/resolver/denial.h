@@ -14,11 +14,13 @@
 // RFC 8198 synthesis from cached NSEC3 closest-encloser evidence.
 //
 // nsec_denial is the one NSEC denial rule: the private chain and the shared
-// store each find their span, then let it decide what the span proves.
+// store each find their span with live_predecessor, the one walk, then let
+// nsec_denial decide what the span proves.
 // nsec3_covers is the one NSEC3 span rule, for proof checks and synthesis.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 
 #include "dns/name.h"
@@ -85,6 +87,25 @@ enum class NsecCoverage {
                                        const dns::Name& qname,
                                        dns::RRType qtype,
                                        bool* type_listed = nullptr);
+
+/// The span nsec_denial judges: in `chain`, an owner-ordered map whose
+/// entries carry `expires_us`, the greatest owner <= qname whose entry is
+/// live at `now_us`, or `chain.end()` when none is. Expired entries the
+/// walk meets are passed to `reclaim` and erased: a stale closer entry must
+/// not shadow a live covering proof further left in the chain.
+template <typename Chain, typename Reclaim>
+[[nodiscard]] typename Chain::iterator live_predecessor(
+    Chain& chain, const dns::Name& qname, std::uint64_t now_us,
+    Reclaim&& reclaim) {
+  auto it = chain.upper_bound(qname);
+  while (it != chain.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->second.expires_us > now_us) return prev;
+    reclaim(prev->second);
+    it = chain.erase(prev);
+  }
+  return chain.end();
+}
 
 /// Whether `digest` falls strictly inside the hashed NSEC3 span (`lo`,
 /// `hi`) (RFC 5155 §8.3). The chain's last span wraps: when `hi` <= `lo` it

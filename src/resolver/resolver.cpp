@@ -23,6 +23,27 @@ std::uint32_t soa_negative_ttl(const GroupedSection& authority) {
   return kDefaultNegativeTtl;
 }
 
+/// Whether one NSEC record in `authority` proves `wanted` for (qname,
+/// qtype) under `zone_apex` by the one NSEC denial rule. nsec_denial judges
+/// a span whose owner sorts at or before qname (a chain walk finds no
+/// other), so a record that sorts after qname proves nothing here either.
+bool nsec_proves(const GroupedSection& authority, const dns::Name& zone_apex,
+                 const dns::Name& qname, dns::RRType qtype,
+                 NsecCoverage wanted) {
+  for (const dns::RRset& rrset : authority.rrsets) {
+    if (rrset.type() != dns::RRType::kNsec) continue;
+    for (const dns::ResourceRecord& record : rrset.records()) {
+      const auto* nsec = std::get_if<dns::NsecRdata>(&record.rdata);
+      if (nsec != nullptr && record.name.canonical_compare(qname) <= 0 &&
+          nsec_denial(zone_apex, record.name, nsec->next, nsec->types, qname,
+                      qtype) == wanted) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 double hash_unit_interval(const dns::Name& name) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (char c : name.internal_text()) {
@@ -613,7 +634,19 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
         return ValidationStatus::kBogus;
       case Nsec3Policy::kDowngraded:
         return ValidationStatus::kInsecure;
-      case Nsec3Policy::kNone:
+      case Nsec3Policy::kNone: {
+        // No NSEC3: a verified signature proves only that the zone signed
+        // some span. One NSEC must deny (qname, qtype) itself, and a denial
+        // with no NSEC proves nothing (RFC 4035 §5.4).
+        const NsecCoverage wanted = fetched.kind == Fetched::Kind::kNxDomain
+                                        ? NsecCoverage::kNameCovered
+                                        : NsecCoverage::kTypeAbsent;
+        if (!nsec_proves(fetched.authority, fetched.auth_zone, qname, qtype,
+                         wanted)) {
+          return ValidationStatus::kBogus;
+        }
+        break;
+      }
       case Nsec3Policy::kAccepted:
         break;
     }

@@ -18,13 +18,14 @@
 //   re-prove (and re-leak to the DLV registry) denial spans their siblings
 //   already proved, so merged Case-2 exceeds the single-resolver count.
 //
-//   Striped shared proof store (shared_store = true). Shards attach one
+//   Shared proof store (shared_store = true). Shards attach one
 //   SharedProofStore: validated NSEC spans and zone cuts are written
 //   through, so a shard skips the registry round trip for any span a
 //   sibling already proved. Whether shard B sees shard A's proof depends on
 //   execution order, so this mode dispatches arrivals in global
 //   (time, client, seq) order on one thread — the deterministic schedule a
-//   conservative parallel discrete-event simulation would also produce.
+//   conservative parallel discrete-event simulation would also produce —
+//   and that thread is the store's only user, so the store takes no locks.
 //   Proofs then become visible in exactly arrival order, which restores the
 //   single-resolver Case-2 profile: the merged leak output is invariant
 //   across shard counts (byte-identical canonical merge), and equals the
@@ -88,7 +89,7 @@ struct ShardedOptions {
   ScenarioOptions base;
   std::uint32_t shards = 1;
   ShardRoute route = ShardRoute::kClient;
-  /// Attach one striped SharedProofStore across all shards (and switch to
+  /// Attach one SharedProofStore across all shards (and switch to
   /// the deterministic global-order dispatch described above).
   bool shared_store = false;
   /// Worker threads for shard-private parallel serving; 0 = one per shard.

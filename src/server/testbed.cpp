@@ -7,7 +7,10 @@ namespace lookaside::server {
 
 namespace {
 
-dns::SoaRdata make_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
+constexpr std::uint32_t kRecordTtl = 3600;
+constexpr std::uint32_t kNegativeTtl = 3600;
+
+dns::SoaRdata make_soa(const dns::Name& apex) {
   dns::SoaRdata soa;
   soa.primary_ns = apex.is_root() ? dns::Name::parse("a.root-servers.net")
                                   : apex.with_prefix_label("ns1");
@@ -17,7 +20,7 @@ dns::SoaRdata make_soa(const dns::Name& apex, std::uint32_t negative_ttl) {
   soa.refresh = 7200;
   soa.retry = 3600;
   soa.expire = 1209600;
-  soa.minimum_ttl = negative_ttl;
+  soa.minimum_ttl = kNegativeTtl;
   return soa;
 }
 
@@ -66,9 +69,8 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   }
 
   // --- Root zone (always signed; the paper's world post-2010). ---
-  zone::Zone root_zone(dns::Name::root(),
-                       make_soa(dns::Name::root(), options.negative_ttl),
-                       options.default_ttl);
+  zone::Zone root_zone(dns::Name::root(), make_soa(dns::Name::root()),
+                       kRecordTtl);
   crypto::SplitMix64 root_rng(crypto::derive_seed(options.seed, 0));
   zone::ZoneKeys root_keys =
       zone::ZoneKeys::generate(options.key_bits, root_rng);
@@ -85,21 +87,20 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   std::uint64_t key_label = 100;
   for (const SldSpec& spec : slds) {
     const dns::Name name = dns::Name::parse(spec.name);
-    zone::Zone sld_zone(name, make_soa(name, options.negative_ttl),
-                        options.default_ttl);
+    zone::Zone sld_zone(name, make_soa(name), kRecordTtl);
     const dns::Name ns_host = name.with_prefix_label("ns1");
-    sld_zone.add(dns::ResourceRecord::make(name, options.default_ttl,
+    sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
                                            dns::NsRdata{ns_host}));
-    sld_zone.add(dns::ResourceRecord::make(ns_host, options.default_ttl,
+    sld_zone.add(dns::ResourceRecord::make(ns_host, kRecordTtl,
                                            dns::ARdata{synth_address(ns_host)}));
-    sld_zone.add(dns::ResourceRecord::make(name, options.default_ttl,
+    sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
                                            dns::ARdata{synth_address(name)}));
-    sld_zone.add(dns::ResourceRecord::make(name, options.default_ttl,
+    sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
                                            synth_address6(name)));
     for (const std::string& host : spec.extra_hosts) {
       const dns::Name host_name = name.with_prefix_label(host);
       sld_zone.add(dns::ResourceRecord::make(
-          host_name, options.default_ttl, dns::ARdata{synth_address(host_name)}));
+          host_name, kRecordTtl, dns::ARdata{synth_address(host_name)}));
     }
 
     BuiltSld entry;
@@ -126,23 +127,22 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   std::uint64_t tld_label = 10;
   for (const std::string& tld : tld_set) {
     const dns::Name tld_name = dns::Name::parse(tld);
-    zone::Zone tld_zone(tld_name, make_soa(tld_name, options.negative_ttl),
-                        options.default_ttl);
+    zone::Zone tld_zone(tld_name, make_soa(tld_name), kRecordTtl);
     const dns::Name tld_ns = tld_name.with_prefix_label("ns1");
-    tld_zone.add(dns::ResourceRecord::make(tld_name, options.default_ttl,
+    tld_zone.add(dns::ResourceRecord::make(tld_name, kRecordTtl,
                                            dns::NsRdata{tld_ns}));
-    tld_zone.add(dns::ResourceRecord::make(tld_ns, options.default_ttl,
+    tld_zone.add(dns::ResourceRecord::make(tld_ns, kRecordTtl,
                                            dns::ARdata{synth_address(tld_ns)}));
     for (const BuiltSld& entry : built) {
       if (entry.name.parent() != tld_name) continue;
       const dns::Name ns_host = entry.name.with_prefix_label("ns1");
-      tld_zone.add(dns::ResourceRecord::make(entry.name, options.default_ttl,
+      tld_zone.add(dns::ResourceRecord::make(entry.name, kRecordTtl,
                                              dns::NsRdata{ns_host}));
       tld_zone.add(dns::ResourceRecord::make(
-          ns_host, options.default_ttl, dns::ARdata{synth_address(ns_host)}));
+          ns_host, kRecordTtl, dns::ARdata{synth_address(ns_host)}));
       if (entry.spec.dnssec_signed && entry.spec.ds_in_parent) {
         tld_zone.add(dns::ResourceRecord::make(
-            entry.name, options.default_ttl,
+            entry.name, kRecordTtl,
             dns::Rdata{entry.signed_zone->ds_for_parent()}));
       }
     }
@@ -153,12 +153,12 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
 
     // Root delegation + DS for the (signed) TLD.
     const dns::Name root_ns_host = tld_name.with_prefix_label("ns1");
-    root_zone.add(dns::ResourceRecord::make(tld_name, options.default_ttl,
+    root_zone.add(dns::ResourceRecord::make(tld_name, kRecordTtl,
                                             dns::NsRdata{root_ns_host}));
     root_zone.add(dns::ResourceRecord::make(
-        root_ns_host, options.default_ttl, dns::ARdata{synth_address(root_ns_host)}));
+        root_ns_host, kRecordTtl, dns::ARdata{synth_address(root_ns_host)}));
     root_zone.add(dns::ResourceRecord::make(
-        tld_name, options.default_ttl, dns::Rdata{signed_tld->ds_for_parent()}));
+        tld_name, kRecordTtl, dns::Rdata{signed_tld->ds_for_parent()}));
 
     auto authority = std::make_shared<ZoneAuthority>("tld:" + tld, signed_tld);
     authorities_[tld] = authority;

@@ -31,8 +31,6 @@ struct SldSpec {
 struct TestbedOptions {
   std::size_t key_bits = 512;
   std::uint64_t seed = 1;
-  std::uint32_t default_ttl = 3600;
-  std::uint32_t negative_ttl = 3600;
 };
 
 /// Builds and owns the full server-side hierarchy.

@@ -1,7 +1,8 @@
 // Root-hash de-aliasing, sweep-cursor rehash safety, byte-accounting
 // truthfulness (the accounted bytes against the live heap, and the live heap
-// of a capped cache and of a purged shared store), and one RSA verification
-// per signature check a resolution needs (§4f, §4k).
+// of a capped cache and of a shared store whose probes reclaimed every
+// expired proof), and one RSA verification per signature check a resolution
+// needs (§4f, §4k).
 //
 // The `intern` label runs this suite under ASan and TSan in CI: the name
 // table sits on the resolver's hottest paths, so lifetime and data-race
@@ -361,10 +362,13 @@ TEST(CacheBytes, CappedCacheHeapStaysNearTheCapUnderNsecChurn) {
 }
 
 TEST(CacheBytes, SharedStorePurgeReturnsItsHeap) {
-  // purge_expired is the shared store's only reclaim path; a span it
-  // reclaims must give back everything the span held.
+  // The shared store reclaims on probe: one coverage check past the last
+  // owner walks every expired span, and a cut check meets the expired cut.
+  // What they reclaim must give back everything it held.
   resolver::SharedProofStore store;
   const dns::Name zone = dns::Name::parse("dlv.isc.org");
+  const dns::Name cut = dns::Name::parse("com.dlv.isc.org");
+  const dns::Name past_last = dns::Name::parse("zzz.com.dlv.isc.org");
   const long long heap_before = heap_shim::live_bytes();
   for (int span = 0; span < 4'000; ++span) {
     const dns::ResourceRecord record = dlv_span(span);
@@ -374,14 +378,18 @@ TEST(CacheBytes, SharedStorePurgeReturnsItsHeap) {
                       /*expires_us=*/1'000,
                       /*shard=*/0});
   }
+  store.store_zone_cut(cut, /*expires_us=*/1'000, /*shard=*/0);
   const long long filled = heap_shim::live_bytes() - heap_before;
   ASSERT_GT(filled, 0);
 
-  EXPECT_EQ(store.purge_expired(/*now_us=*/2'000), 4'000u);
+  EXPECT_EQ(store.check_nsec(zone, past_last, dns::RRType::kA,
+                             /*now_us=*/2'000, /*probing_shard=*/0),
+            resolver::NsecCoverage::kNoProof);
+  EXPECT_FALSE(store.has_zone_cut(cut, /*now_us=*/2'000, /*probing_shard=*/0));
   EXPECT_EQ(store.nsec_count(zone), 0u);
   const long long left = heap_shim::live_bytes() - heap_before;
   EXPECT_LE(left, filled / 10)
-      << left << " of " << filled << " B stay in use after the purge";
+      << left << " of " << filled << " B stay in use after the probes";
 }
 
 TEST(CacheBytes, EvictionOrderUnchangedByInterning) {

@@ -346,10 +346,10 @@ TEST(TraceReaderTest, CountsMalformedLines) {
       "{\"kind\":\"unknown_kind\"}\n" +
       "\n" +  // blank lines are skipped, not malformed
       to_jsonl(numbered_event(2)) + "\n");
-  std::size_t malformed = 0;
-  const std::vector<Event> events = read_jsonl_events(in, &malformed);
+  TraceReadStats stats;
+  const std::vector<Event> events = read_jsonl_events(in, &stats);
   EXPECT_EQ(events.size(), 2u);
-  EXPECT_EQ(malformed, 2u);
+  EXPECT_EQ(stats.malformed, 2u);
 }
 
 TEST(TraceReaderTest, TruncatedTrailingRecordIsSkippedAndCounted) {

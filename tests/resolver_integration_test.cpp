@@ -1,15 +1,18 @@
 // End-to-end integration tests: testbed hierarchy + DLV registry + recursive
 // resolver, exercising the paper's core scenarios (secure chain, island of
 // security rescued by DLV, Case-2 leakage, aggressive negative caching,
-// misconfiguration leakage, bogus data, remedies).
+// misconfiguration leakage, bogus data and spliced denials, remedies).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "dlv/registry.h"
 #include "resolver/resolver.h"
 #include "server/testbed.h"
+#include "server/zone_authority.h"
 #include "sim/clock.h"
+#include "zone/signed_zone.h"
 
 namespace lookaside {
 namespace {
@@ -171,6 +174,81 @@ TEST(IntegrationTest, NxDomainProvenAndCached) {
   const ResolveResult second = fixture.resolve("nosuchname.com");
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.response.header.rcode, dns::RCode::kNxDomain);
+}
+
+/// Answers as `inner` does, except that its denial for (`qname`, `qtype`)
+/// carries `decoy` in place of the NSEC and the NSEC's RRSIG: a validly
+/// signed span of the same zone that does not prove that denial.
+class NsecSplicer : public sim::Endpoint {
+ public:
+  NsecSplicer(std::shared_ptr<server::ZoneAuthority> inner, dns::Name qname,
+              dns::RRType qtype, zone::NsecProof decoy)
+      : inner_(std::move(inner)),
+        qname_(std::move(qname)),
+        qtype_(qtype),
+        decoy_(std::move(decoy)) {}
+
+  [[nodiscard]] std::string endpoint_id() const override {
+    return inner_->endpoint_id();
+  }
+
+  [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
+    dns::Message response = inner_->handle_query(query);
+    if (query.question().name != qname_ || query.question().type != qtype_) {
+      return response;
+    }
+    std::erase_if(response.authorities, [](const dns::ResourceRecord& record) {
+      const auto* sig = std::get_if<dns::RrsigRdata>(&record.rdata);
+      return record.type == dns::RRType::kNsec ||
+             (sig != nullptr && sig->type_covered == dns::RRType::kNsec);
+    });
+    response.authorities.push_back(decoy_.nsec);
+    response.authorities.push_back(decoy_.rrsig);
+    return response;
+  }
+
+ private:
+  std::shared_ptr<server::ZoneAuthority> inner_;
+  dns::Name qname_;
+  dns::RRType qtype_;
+  zone::NsecProof decoy_;
+};
+
+/// Resolves (qname, qtype) under chained.com, whose authority splices the
+/// proof `decoy` takes from the zone into that denial. chained.com's NSEC
+/// chain is the apex -> ns1 span and the wrapping ns1 -> apex span.
+template <typename Decoy>
+ResolveResult resolve_spliced(const std::string& qname, dns::RRType qtype,
+                              Decoy decoy) {
+  IntegrationFixture fixture(ResolverConfig::bind_manual_correct());
+  server::Testbed& testbed = fixture.testbed_;
+  testbed.directory().register_zone(
+      dns::Name::parse("chained.com"),
+      std::make_shared<NsecSplicer>(testbed.authority("chained.com"),
+                                    dns::Name::parse(qname), qtype,
+                                    decoy(*testbed.signed_sld("chained.com"))));
+  return fixture.resolve(qname, qtype);
+}
+
+TEST(IntegrationTest, SplicedNsecDoesNotProveNxDomain) {
+  // alpha sorts between the apex and ns1. The wrapping span covers only
+  // names after ns1, though its next name is the apex.
+  const ResolveResult result = resolve_spliced(
+      "alpha.chained.com", dns::RRType::kA, [](zone::SignedZone& zone) {
+        return zone.nxdomain_proof(dns::Name::parse("zzz.chained.com"));
+      });
+  EXPECT_EQ(result.status, ValidationStatus::kBogus);
+  EXPECT_EQ(result.response.header.rcode, dns::RCode::kServFail);
+}
+
+TEST(IntegrationTest, SplicedNsecDoesNotProveNoData) {
+  // ns1 exists without a TXT record; the apex NSEC's span ends at ns1.
+  const ResolveResult result = resolve_spliced(
+      "ns1.chained.com", dns::RRType::kTxt, [](zone::SignedZone& zone) {
+        return zone.nodata_proof(dns::Name::parse("chained.com"));
+      });
+  EXPECT_EQ(result.status, ValidationStatus::kBogus);
+  EXPECT_EQ(result.response.header.rcode, dns::RCode::kServFail);
 }
 
 TEST(IntegrationTest, MissingTrustAnchorSendsEvenSecureDomainsToDlv) {
