@@ -123,6 +123,19 @@ void BM_NameCanonicalCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_NameCanonicalCompare);
 
+void BM_NameCopy(benchmark::State& state) {
+  // A universe SLD (14 octets, inside std::string's inline buffer) or its
+  // DLV-suffixed form (26 octets, which allocates its text).
+  const dns::Name sld = dns::Name::parse("site-2s-k7.com");
+  const dns::Name name =
+      state.range(0) == 14 ? sld : sld.concat(dns::Name::parse("dlv.isc.org"));
+  for (auto _ : state) {
+    dns::Name copy = name;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_NameCopy)->Arg(14)->Arg(26);
+
 dns::Message sample_response() {
   dns::Message message = dns::Message::make_response(dns::Message::make_query(
       1, dns::Name::parse("example.com"), dns::RRType::kA, true, true));

@@ -59,12 +59,9 @@ class CompressionTable {
 template <typename Writer>
 void encode_compressed_name(const Name& name, Writer& writer,
                             CompressionTable& table) {
-  const std::string& text = name.internal_text();
-  for (std::size_t i = 0; i < name.label_count(); ++i) {
-    const std::string_view label = name.label(i);
-    const std::string_view suffix(
-        label.data(),
-        static_cast<std::size_t>(text.data() + text.size() - label.data()));
+  for (std::string_view rest = name.internal_text(); !rest.empty();) {
+    const std::string_view suffix = rest;
+    const std::string_view label = Name::pop_label(rest);
     const std::size_t offset = table.find(suffix);
     if (offset != CompressionTable::kNotFound) {
       writer.u16(static_cast<std::uint16_t>(kPointerMask | offset));

@@ -3,16 +3,16 @@
 //
 // Names are normalized to lower case at construction (DNS comparison is
 // case-insensitive; 0x20 case randomization is out of scope, see DESIGN.md).
-// Internally a name is one contiguous string plus label offsets, which keeps
-// million-domain simulations allocation-light.
+// A name is its dotted text and that text's hash. No label holds a '.'
+// (parse splits on dots; the wire decoders reject one), so the dots mark
+// every label boundary and copying a name copies just one string.
 #pragma once
 
-#include <compare>
-#include <cstdint>
-#include <functional>
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "crypto/bytes.h"
 
@@ -35,10 +35,21 @@ class Name {
   static Name root() { return Name{}; }
 
   [[nodiscard]] bool is_root() const { return text_.empty(); }
-  [[nodiscard]] std::size_t label_count() const { return label_starts_.size(); }
+  [[nodiscard]] std::size_t label_count() const {
+    return is_root() ? 0 : 1 + std::count(text_.begin(), text_.end(), '.');
+  }
 
   /// Label `i` counted from the leftmost (most specific) label.
   [[nodiscard]] std::string_view label(std::size_t i) const;
+
+  /// Removes and returns the leftmost label of `rest`, a name's internal
+  /// text or a label-aligned suffix of it; the wire loops walk labels so.
+  static std::string_view pop_label(std::string_view& rest) {
+    const std::size_t dot = std::min(rest.find('.'), rest.size());
+    const std::string_view label = rest.substr(0, dot);
+    rest.remove_prefix(std::min(dot + 1, rest.size()));
+    return label;
+  }
 
   /// Name with the leftmost label removed; parent of root throws
   /// std::logic_error. ("www.example.com" -> "example.com").
@@ -67,13 +78,15 @@ class Name {
   /// Uncompressed wire form: length-prefixed labels + root octet.
   [[nodiscard]] Bytes to_wire() const;
 
-  /// Octets to_wire() would produce.
-  [[nodiscard]] std::size_t wire_length() const;
+  /// Octets to_wire() would produce: the text, whose dots become length
+  /// octets, plus the first label's length octet and the root octet.
+  [[nodiscard]] std::size_t wire_length() const {
+    return is_root() ? 1 : text_.size() + 2;
+  }
 
   friend bool operator==(const Name& a, const Name& b) {
     return a.hash_ == b.hash_ && a.text_ == b.text_;
   }
-  friend bool operator!=(const Name& a, const Name& b) { return !(a == b); }
   /// operator< is canonical order so Name sorts the way NSEC chains need.
   friend bool operator<(const Name& a, const Name& b) {
     return a.canonical_compare(b) < 0;
@@ -103,10 +116,13 @@ class Name {
   // FNV-1a 64-bit offset basis: the hash of zero input bytes.
   static constexpr std::size_t kEmptyHash = 14695981039346656037ULL;
 
+  /// Adopts `text`, already validated and lowercase, and hashes it.
+  explicit Name(std::string text)
+      : text_(std::move(text)), hash_(hash_text(text_)) {}
+
   [[nodiscard]] static std::size_t hash_text(std::string_view text);
 
-  std::string text_;                         // lowercase, no trailing dot
-  std::vector<std::uint16_t> label_starts_;  // index of each label's start
+  std::string text_;  // lowercase, no trailing dot
   std::size_t hash_ = kRootHash;
 };
 

@@ -12,8 +12,8 @@ namespace {
 /// compressed).
 template <typename Writer>
 void encode_name(const Name& name, Writer& writer) {
-  for (std::size_t i = 0; i < name.label_count(); ++i) {
-    const std::string_view label = name.label(i);
+  for (std::string_view rest = name.internal_text(); !rest.empty();) {
+    const std::string_view label = Name::pop_label(rest);
     writer.u8(static_cast<std::uint8_t>(label.size()));
     writer.raw(reinterpret_cast<const std::uint8_t*>(label.data()),
                label.size());

@@ -149,8 +149,8 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
       trace_event(obs::EventKind::kRetry, question.name, question.type,
                   "attempt=" + std::to_string(attempt), server_id);
     }
-    const auto response = network_->exchange(endpoint_id(), server, query,
-                                             policy.rto_for_attempt(attempt));
+    auto response = network_->exchange(endpoint_id(), server, query,
+                                       policy.rto_for_attempt(attempt));
     if (current_ != nullptr) ++current_->upstream_exchanges;
     if (!response.has_value()) continue;
     // A truncated response is useless over simulated UDP: treat it like a

@@ -1,5 +1,7 @@
 #include "workload/stub.h"
 
+#include <utility>
+
 namespace lookaside::workload {
 
 namespace {
@@ -31,8 +33,8 @@ dns::Message StubClient::ask(const dns::Name& name, dns::RRType type) {
   const dns::Message query = dns::Message::make_query(
       next_id_++, name, type, /*recursion_desired=*/true, options_.dnssec_ok);
   ++queries_sent_;
-  const auto response = network_->exchange("stub", *resolver_, query);
-  return response.value_or(dns::Message{});
+  auto response = network_->exchange("stub", *resolver_, query);
+  return std::move(response).value_or(dns::Message{});
 }
 
 VisitOutcome StubClient::visit(const dns::Name& domain) {

@@ -244,21 +244,36 @@ class TldAuthority : public sim::Endpoint {
     if (sign) section.push_back(signer_.sign(rrset, with_ksk));
   }
 
+  /// Signed NSEC at `owner` listing `types`. Its span ends at `0.<owner>`,
+  /// before any name the universe serves beneath `owner`.
+  void append_nsec(dns::Message& response, const dns::Name& owner,
+                   std::vector<dns::RRType> types) {
+    dns::NsecRdata nsec;
+    nsec.next = owner.with_prefix_label("0");
+    nsec.types = std::move(types);
+    dns::RRset rrset(owner, dns::RRType::kNsec);
+    rrset.add(
+        dns::ResourceRecord::make(owner, kNegativeTtl, dns::Rdata{nsec}));
+    append(response.authorities, rrset, true);
+  }
+
   void append_no_ds_proof(dns::Message& response, const dns::Name& cut) {
     // NSEC at the cut itself: name exists, bitmap has NS only.
-    dns::NsecRdata nsec;
-    nsec.next = cut.with_prefix_label("0");  // first canonical successor
-    nsec.types = {dns::RRType::kNs, dns::RRType::kRrsig, dns::RRType::kNsec};
-    dns::RRset rrset(cut, dns::RRType::kNsec);
-    rrset.add(
-        dns::ResourceRecord::make(cut, kNegativeTtl, dns::Rdata{nsec}));
-    append(response.authorities, rrset, true);
+    append_nsec(response, cut,
+                {dns::RRType::kNs, dns::RRType::kRrsig, dns::RRType::kNsec});
   }
 
   void nodata(dns::Message& response, const dns::Name& qname,
               bool want_dnssec) {
     append(response.authorities, soa_rrset(), want_dnssec);
-    if (want_dnssec && qname != apex_) append_no_ds_proof(response, qname);
+    if (!want_dnssec) return;
+    if (qname == apex_) {
+      append_nsec(response, apex_,
+                  {dns::RRType::kSoa, dns::RRType::kNs, dns::RRType::kDnskey,
+                   dns::RRType::kRrsig, dns::RRType::kNsec});
+    } else {
+      append_no_ds_proof(response, qname);
+    }
   }
 
   void nxdomain(dns::Message& response, const dns::Name& qname,

@@ -30,8 +30,8 @@ crypto::Sha1::Digest nsec3_hash(const dns::Name& name,
   // name is canonical already: labels are lowercased on parse.
   std::array<std::uint8_t, 2 * kMaxOctets> input;
   auto at = input.begin();
-  for (std::size_t i = 0; i < name.label_count(); ++i) {
-    const std::string_view label = name.label(i);
+  for (std::string_view rest = name.internal_text(); !rest.empty();) {
+    const std::string_view label = dns::Name::pop_label(rest);
     *at++ = static_cast<std::uint8_t>(label.size());
     at = std::copy(label.begin(), label.end(), at);
   }

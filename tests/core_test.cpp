@@ -86,6 +86,19 @@ TEST(UniverseExperimentTest, ShuffleChangesWhoLeaksNotScale) {
   EXPECT_LT(b, a * 2 + 10);
 }
 
+TEST(UniverseExperimentTest, TldApexNoDataValidatesAsSecure) {
+  // A type the TLD apex does not hold gets a NODATA whose signed apex NSEC
+  // lists the apex's types; without that NSEC the denial is bogus.
+  UniverseExperiment::Options options = small_options(1'000);
+  options.resolver_config = resolver::ResolverConfig::bind_yum();
+  UniverseExperiment experiment(options);
+  const resolver::ResolveResult result = experiment.resolver().resolve(
+      {dns::Name::parse("de"), dns::RRType::kTxt});
+  EXPECT_EQ(result.response.header.rcode, dns::RCode::kNoError);
+  EXPECT_TRUE(result.response.answers.empty());
+  EXPECT_EQ(result.status, resolver::ValidationStatus::kSecure);
+}
+
 TEST(SecuredExperimentTest, Table3Reproduced) {
   // yum (anchors present): only islands touch DLV; everything validates.
   const SecuredRunResult yum =

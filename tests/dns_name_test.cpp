@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/rng.h"
 #include "dns/name.h"
 #include "dns/name_map.h"
+#include "dns/rdata.h"
+#include "workload/universe.h"
 
 namespace lookaside::dns {
 namespace {
@@ -187,6 +191,144 @@ TEST(NameHashTest, MemoizedHashMatchesCanonicalText) {
     hashes.insert(Name::parse("d" + std::to_string(i) + ".com").hash());
   }
   EXPECT_EQ(hashes.size(), 1'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Known answers for name order, labels, parents, wire form and hashes. The
+// digests were recorded on the label-offset representation and must hold
+// for any representation of Name.
+
+/// FNV-1a 64 over length-prefixed fields.
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<std::uint8_t>(value >> (8 * i)));
+    }
+  }
+  void add(std::string_view bytes) {
+    add(bytes.size());
+    for (const char c : bytes) byte(static_cast<std::uint8_t>(c));
+  }
+  void add(const Bytes& bytes) {
+    add(std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size()));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ULL;
+  }
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+/// A seeded corpus of 4,000-odd names: universe SLDs, their www hosts and
+/// DLV-suffixed forms, provider nameserver hosts, wire-decoded names whose
+/// labels hold '-', upper case and octets 0x80 and above, a 63-octet label,
+/// 127-label names, and every name of up to three labels over a small label
+/// set, so that names are label prefixes and suffixes of one another.
+std::vector<Name> known_answer_corpus() {
+  std::vector<Name> names;
+  crypto::SplitMix64 rng(26);
+  const workload::Universe universe({/*seed=*/42, /*size=*/100'000});
+  const Name dlv = Name::parse("dlv.isc.org");
+  for (int i = 0; i < 1'000; ++i) {
+    const Name sld = universe.domain_at(1 + rng.next_below(universe.size()));
+    names.push_back(sld);
+    names.push_back(sld.concat(dlv));
+    if (i % 4 == 0) names.push_back(sld.with_prefix_label("www"));
+  }
+  for (std::uint64_t provider = 0; provider < 300; ++provider) {
+    names.push_back(universe.provider_ns_host(provider * 7));
+  }
+
+  constexpr std::string_view kWireAlphabet = "abyzAZ09-";
+  for (int i = 0; i < 1'200; ++i) {
+    Bytes wire;
+    const std::uint64_t labels = 1 + rng.next_below(4);
+    for (std::uint64_t l = 0; l < labels; ++l) {
+      const std::uint64_t length = 1 + rng.next_below(6);
+      wire.push_back(static_cast<std::uint8_t>(length));
+      for (std::uint64_t k = 0; k < length; ++k) {
+        const std::uint64_t pick = rng.next_below(kWireAlphabet.size() + 3);
+        const std::uint64_t octet = pick < kWireAlphabet.size()
+                                        ? kWireAlphabet[pick]
+                                        : 0x80 + rng.next_below(0x80);
+        wire.push_back(static_cast<std::uint8_t>(octet));
+      }
+    }
+    wire.push_back(0);
+    ByteReader reader(wire);
+    names.push_back(decode_uncompressed_name(reader));
+  }
+
+  const std::vector<std::string> small = {"a", "aa", "ab", "b", "a-", "z"};
+  for (const std::string& x : small) {
+    names.push_back(Name::parse(x));
+    for (const std::string& y : small) {
+      names.push_back(Name::parse(x + "." + y));
+      for (const std::string& z : small) {
+        names.push_back(Name::parse(x + "." + y + "." + z));
+      }
+    }
+  }
+
+  names.push_back(Name::root());
+  names.push_back(Name::parse(std::string(63, 'q') + ".com"));
+  names.push_back(Name::parse(std::string(62, 'q') + ".com"));
+  std::string deep = "a";
+  std::string deep_mixed = "a";
+  for (int i = 1; i < 127; ++i) {
+    deep += ".a";
+    deep_mixed += '.';
+    deep_mixed += static_cast<char>('a' + i % 26);
+  }
+  names.push_back(Name::parse(deep));
+  names.push_back(Name::parse(deep_mixed));
+  names.push_back(Name::parse(deep).parent());
+  return names;
+}
+
+TEST(NameKnownAnswerTest, OrderLabelsParentsWireAndHashes) {
+  const std::vector<Name> corpus = known_answer_corpus();
+  ASSERT_EQ(corpus.size(), 4'014u);
+
+  Digest order;
+  std::vector<Name> sorted = corpus;
+  std::sort(sorted.begin(), sorted.end());
+  for (const Name& name : sorted) order.add(name.internal_text());
+  crypto::SplitMix64 rng(7);
+  for (const Name& name : corpus) {
+    const Name& other = corpus[rng.next_below(corpus.size())];
+    order.add(static_cast<std::uint64_t>(name.canonical_compare(other) + 1));
+  }
+
+  Digest labels;
+  Digest parents;
+  Digest wire;
+  Digest hashes;
+  for (const Name& name : corpus) {
+    labels.add(name.label_count());
+    for (std::size_t i = 0; i < name.label_count(); ++i) {
+      labels.add(name.label(i));
+    }
+    wire.add(name.to_wire());
+    wire.add(name.wire_length());
+    hashes.add(name.hash());
+    if (!name.is_root()) {
+      const Name parent = name.parent();
+      parents.add(parent.internal_text());
+      hashes.add(parent.hash());
+    }
+  }
+
+  EXPECT_EQ(order.value(), 12309400879780477770ULL);
+  EXPECT_EQ(labels.value(), 10776291414575047498ULL);
+  EXPECT_EQ(parents.value(), 10482198303041956382ULL);
+  EXPECT_EQ(wire.value(), 15270750025496679964ULL);
+  EXPECT_EQ(hashes.value(), 10006864222599283047ULL);
 }
 
 TEST(NameHashMapTest, InsertFindEraseAcrossRehashes) {

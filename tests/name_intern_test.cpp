@@ -1,8 +1,9 @@
-// Root-hash de-aliasing, sweep-cursor rehash safety, byte-accounting
-// truthfulness (the accounted bytes against the live heap, and the live heap
-// of a capped cache and of a shared store whose probes reclaimed every
-// expired proof), and one RSA verification per signature check a resolution
-// needs (§4f, §4k).
+// Root-hash de-aliasing, sweep-cursor rehash safety, allocation pins for
+// names and for a warm stub visit, byte-accounting truthfulness (the
+// accounted bytes against the live heap, and the live heap of a capped
+// cache and of a shared store whose probes reclaimed every expired proof),
+// and one RSA verification per signature check a resolution needs (§4f,
+// §4k).
 //
 // The `intern` label runs this suite under ASan and TSan in CI: the name
 // table sits on the resolver's hottest paths, so lifetime and data-race
@@ -22,6 +23,7 @@
 #include "resolver/config.h"
 #include "resolver/shared_store.h"
 #include "sim/clock.h"
+#include "workload/stub.h"
 
 // ---------------------------------------------------------------------------
 // The byte-accounting tests measure the net live heap a cache or store
@@ -272,6 +274,110 @@ TEST(NameMapSweep, StoresLowerTheDueTimeAndVisitsRaiseIt) {
   EXPECT_EQ(visits, 2u);
   lap(dns::kSweepAll, 700);  // kSweepAll visits whatever is stored
   EXPECT_EQ(visits, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Allocation pins (§4k): a Name is its text, so copying one costs what
+// copying the text costs, and reading its labels costs nothing.
+
+/// Allocations made while `f` runs.
+template <typename F>
+long allocations_of(F&& f) {
+  const long before = heap_shim::allocations();
+  f();
+  return heap_shim::allocations() - before;
+}
+
+/// Names of every shape the workloads copy: root, TLD, universe SLD, www
+/// host, DLV-suffixed SLD and host, provider nameserver host and a 63-octet
+/// label.
+std::vector<dns::Name> pinned_names() {
+  std::vector<dns::Name> names;
+  for (const std::string& text :
+       {std::string(), std::string("de"), std::string("site-2s-k7.com"),
+        std::string("www.site-2s-k7.com"),
+        std::string("site-2s-k7.com.dlv.isc.org"),
+        std::string("www.site-2s-k7.com.dlv.isc.org"),
+        std::string("ns1.hostprov1b.net"), std::string(63, 'q') + ".org"}) {
+    names.push_back(dns::Name::parse(text));
+  }
+  return names;
+}
+
+TEST(NameAllocations, CopyingANameCostsWhatCopyingItsTextCosts) {
+  // The text and the memoized hash are the whole name. Phrased against
+  // std::string so the pin holds for any inline-buffer capacity.
+  static_assert(sizeof(dns::Name) == sizeof(std::string) + sizeof(std::size_t));
+  for (const dns::Name& name : pinned_names()) {
+    constexpr int kCopies = 16;
+    std::vector<dns::Name> names;
+    std::vector<std::string> texts;
+    names.reserve(kCopies);
+    texts.reserve(kCopies);
+    const long name_copies = allocations_of([&] {
+      for (int i = 0; i < kCopies; ++i) names.push_back(name);
+    });
+    const long text_copies = allocations_of([&] {
+      for (int i = 0; i < kCopies; ++i) texts.push_back(name.internal_text());
+    });
+    EXPECT_EQ(name_copies, text_copies) << name.to_text();
+    EXPECT_EQ(names.back(), name);
+    EXPECT_EQ(texts.back(), name.internal_text());
+  }
+}
+
+TEST(NameAllocations, ParentAllocatesOnlyItsText) {
+  for (const dns::Name& name : pinned_names()) {
+    if (name.is_root()) continue;
+    std::vector<dns::Name> parents;
+    std::vector<std::string> texts;
+    parents.reserve(1);
+    texts.reserve(1);
+    const long parent =
+        allocations_of([&] { parents.push_back(name.parent()); });
+    const long text = allocations_of(
+        [&] { texts.emplace_back(parents.back().internal_text()); });
+    EXPECT_EQ(parent, text) << name.to_text();
+  }
+}
+
+TEST(NameAllocations, LabelsAndCanonicalCompareAllocateNothing) {
+  const std::vector<dns::Name> names = pinned_names();
+  std::size_t sink = 0;
+  const long allocations = allocations_of([&] {
+    for (const dns::Name& a : names) {
+      sink += a.label_count();
+      for (std::size_t i = 0; i < a.label_count(); ++i) {
+        sink += a.label(i).size();
+      }
+      for (const dns::Name& b : names) {
+        sink += static_cast<std::size_t>(a.canonical_compare(b) + 1);
+      }
+    }
+  });
+  EXPECT_EQ(allocations, 0);
+  EXPECT_GT(sink, 0u);
+}
+
+TEST(NameAllocations, WarmStubVisitAllocatesItsPinnedCount) {
+  // One warm visit of rank 1 in a 1,000-domain bind_yum world: every
+  // answer comes from the cache. The count is exact so that copies cannot
+  // creep back onto the warm path. A change that moves it on purpose
+  // updates kWarmVisitAllocations to the count the failure prints and says
+  // why in CHANGES.md.
+  constexpr long kWarmVisitAllocations = 10;
+  core::UniverseExperiment::Options options;
+  options.universe_size = 1'000;
+  options.resolver_config = resolver::ResolverConfig::bind_yum();
+  core::UniverseExperiment experiment(options);
+  const dns::Name domain = experiment.world().universe().domain_at(1);
+  (void)experiment.stub().visit(domain);  // cold: fills the caches
+  (void)experiment.stub().visit(domain);  // first warm visit
+  workload::VisitOutcome outcome;
+  const long allocations =
+      allocations_of([&] { outcome = experiment.stub().visit(domain); });
+  EXPECT_TRUE(outcome.got_address);
+  EXPECT_EQ(allocations, kWarmVisitAllocations);
 }
 
 // ---------------------------------------------------------------------------
