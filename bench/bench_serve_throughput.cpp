@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "crypto/fnv.h"
 #include "metrics/table.h"
 #include "obs/leak_ledger.h"
 #include "serve/sharded.h"
@@ -54,14 +55,9 @@ std::string fixed(double value, int digits) {
 /// FNV-1a over the sorted leaked-domain set: a compact, shard-count-stable
 /// identity for the merged leak file.
 std::string leaked_digest(const std::set<std::string>& domains) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = crypto::kFnv1aBasis;
   for (const std::string& domain : domains) {
-    for (const char c : domain) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 0x100000001b3ULL;
-    }
-    hash ^= '\n';
-    hash *= 0x100000001b3ULL;
+    hash = crypto::fnv1a("\n", crypto::fnv1a(domain, hash));
   }
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%016llx",

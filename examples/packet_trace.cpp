@@ -18,7 +18,7 @@ int main() {
       {{"example.com", /*signed=*/true, /*ds_in_parent=*/false, false, {}}});
   dlv::DlvRegistry registry(dlv::DlvRegistry::Options{});
   registry.deposit(dns::Name::parse("example.com"),
-                   testbed.signed_sld("example.com")->ds_for_parent());
+                   testbed.signed_sld("example.com")->signer().ds_for_parent());
   testbed.directory().register_zone(
       registry.apex(),
       std::shared_ptr<sim::Endpoint>(&registry, [](sim::Endpoint*) {}));

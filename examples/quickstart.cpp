@@ -28,7 +28,7 @@ int main() {
   //    deposits its key there — that is what DLV is for.
   dlv::DlvRegistry registry(dlv::DlvRegistry::Options{});
   registry.deposit(dns::Name::parse("island.com"),
-                   testbed.signed_sld("island.com")->ds_for_parent());
+                   testbed.signed_sld("island.com")->signer().ds_for_parent());
   testbed.directory().register_zone(
       registry.apex(),
       std::shared_ptr<sim::Endpoint>(&registry, [](sim::Endpoint*) {}));

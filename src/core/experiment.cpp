@@ -115,7 +115,7 @@ SecuredRunResult run_secured_45(const resolver::ResolverConfig& config,
   registry.attach_clock(clock);
   for (const std::string& island : workload::secured_45_island_names()) {
     registry.deposit(dns::Name::parse(island),
-                     testbed.signed_sld(island)->ds_for_parent());
+                     testbed.signed_sld(island)->signer().ds_for_parent());
   }
   // ISC's real registry held thousands of unrelated deposits, so NSEC
   // ranges were narrow and each of the 45 domains produced its own DLV

@@ -67,10 +67,9 @@ dns::Name DlvRegistry::dlv_name_for(const dns::Name& domain) const {
 }
 
 void DlvRegistry::deposit(const dns::Name& domain, dns::DsRdata ds) {
-  zone_->zone().add(dns::ResourceRecord::make_typed(
-      dlv_name_for(domain), dns::RRType::kDlv, kRecordTtl,
-      dns::Rdata{std::move(ds)}));
-  zone_->invalidate_signature_cache();
+  zone_->add(dns::ResourceRecord::make_typed(dlv_name_for(domain),
+                                            dns::RRType::kDlv, kRecordTtl,
+                                            dns::Rdata{std::move(ds)}));
   ++record_count_;
 }
 

@@ -60,13 +60,7 @@ Name Name::parse(std::string_view text) {
 std::size_t Name::hash_text(std::string_view text) {
   // Empty internal text is the root; it must hash to kRootHash no matter
   // which construction path produced it (see kRootHash in name.h).
-  if (text.empty()) return kRootHash;
-  std::size_t h = kEmptyHash;  // FNV-1a 64
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return text.empty() ? kRootHash : crypto::fnv1a(text);
 }
 
 std::string_view Name::label(std::size_t i) const {

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "crypto/bytes.h"
+#include "crypto/fnv.h"
 
 namespace lookaside::dns {
 
@@ -110,12 +111,9 @@ class Name {
   /// eviction order under max_cache_bytes is a pinned observable and must
   /// not shift underneath a hash-constant fix.
   static constexpr std::size_t kRootHash =
-      14695981039346656037ULL ^ (0x7FULL << 45);
+      crypto::kFnv1aBasis ^ (0x7FULL << 45);
 
  private:
-  // FNV-1a 64-bit offset basis: the hash of zero input bytes.
-  static constexpr std::size_t kEmptyHash = 14695981039346656037ULL;
-
   /// Adopts `text`, already validated and lowercase, and hashes it.
   explicit Name(std::string text)
       : text_(std::move(text)), hash_(hash_text(text_)) {}

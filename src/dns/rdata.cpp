@@ -233,6 +233,10 @@ void encode_rdata(const Rdata& rdata, CountingWriter& writer) {
   write_rdata(rdata, writer);
 }
 
+void encode_rdata(const Rdata& rdata, HashingWriter& writer) {
+  write_rdata(rdata, writer);
+}
+
 std::size_t rdata_wire_length(const Rdata& rdata) {
   CountingWriter counter;
   encode_rdata(rdata, counter);

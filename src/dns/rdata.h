@@ -180,10 +180,12 @@ using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, PtrRdata,
 /// kDs; records module overrides to kDlv where needed.
 [[nodiscard]] RRType rdata_type(const Rdata& rdata);
 
-/// Encodes `rdata` (without the RDLENGTH prefix) to `writer`. Both
-/// overloads run the same encoder; the counting one only adds up lengths.
+/// Encodes `rdata` (without the RDLENGTH prefix) to `writer`. Every
+/// overload runs the same encoder; the counting one only adds up lengths
+/// and the hashing one only folds the octets into a hash.
 void encode_rdata(const Rdata& rdata, ByteWriter& writer);
 void encode_rdata(const Rdata& rdata, CountingWriter& writer);
+void encode_rdata(const Rdata& rdata, HashingWriter& writer);
 
 /// Decodes RDATA of `type` from exactly `rdlength` bytes of `reader`.
 /// Throws WireFormatError on malformed input.

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "crypto/bytes.h"
+#include "crypto/fnv.h"
 
 namespace lookaside::dns {
 
@@ -82,6 +83,31 @@ class CountingWriter {
 
  private:
   std::size_t size_ = 0;
+};
+
+/// ByteWriter's interface folding each octet into a running FNV-1a 64
+/// instead of storing it: a fingerprint of an encoding without allocating.
+class HashingWriter {
+ public:
+  void u8(std::uint8_t value) { raw(&value, 1); }
+  void u16(std::uint16_t value) {
+    const std::uint8_t octets[] = {static_cast<std::uint8_t>(value >> 8),
+                                   static_cast<std::uint8_t>(value)};
+    raw(octets, 2);
+  }
+  void u32(std::uint32_t value) {
+    u16(static_cast<std::uint16_t>(value >> 16));
+    u16(static_cast<std::uint16_t>(value));
+  }
+  void raw(const Bytes& data) { hash_ = crypto::fnv1a(data, hash_); }
+  void raw(const std::uint8_t* data, std::size_t len) {
+    hash_ = crypto::fnv1a({data, len}, hash_);
+  }
+
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = crypto::kFnv1aBasis;
 };
 
 /// Reads big-endian integers and raw bytes; throws WireFormatError on

@@ -179,6 +179,21 @@ void ResolverCache::mark_validated(const dns::Name& name, dns::RRType type) {
 
 // -- Negative cache ----------------------------------------------------------
 
+void ResolverCache::forget(const dns::Name& name, dns::RRType type) {
+  PositiveSlots* positive = positive_.find(name);
+  if (auto* slot = find_type(positive, type)) {
+    release(slot->second->cost);
+    positive->erase(positive->begin() + (slot - positive->data()));
+    if (positive->empty()) positive_.erase(name);
+  }
+  auto* negative = negative_.find(name);
+  if (auto* slot = find_type(negative, type)) {
+    release(negative_cost(name));
+    negative->erase(negative->begin() + (slot - negative->data()));
+    if (negative->empty()) negative_.erase(name);
+  }
+}
+
 void ResolverCache::store_negative(const dns::Name& name, dns::RRType type,
                                    std::uint32_t ttl, bool nxdomain) {
   const NegativeRecord record{ttl_to_deadline(now(), ttl), nxdomain, false};

@@ -93,6 +93,11 @@ class ResolverCache {
   /// Upgrades an existing entry to validated (after post-hoc validation).
   void mark_validated(const dns::Name& name, dns::RRType type);
 
+  /// Drops the positive and the negative entry for exactly (name, type):
+  /// data that failed validation, which a later probe would otherwise
+  /// serve as insecure.
+  void forget(const dns::Name& name, dns::RRType type);
+
   // -- Negative cache (RFC 2308) -------------------------------------------
 
   void store_negative(const dns::Name& name, dns::RRType type,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/fnv.h"
 #include "obs/tracer.h"
 
 namespace lookaside::resolver {
@@ -42,15 +43,6 @@ bool nsec_proves(const GroupedSection& authority, const dns::Name& zone_apex,
     }
   }
   return false;
-}
-
-double hash_unit_interval(const dns::Name& name) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : name.internal_text()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return static_cast<double>(hash >> 11) * 0x1.0p-53;
 }
 
 }  // namespace
@@ -107,7 +99,8 @@ void RecursiveResolver::trace_event(obs::EventKind kind,
 
 bool RecursiveResolver::ns_fetch_coin(const dns::Name& zone) const {
   return config_.ns_fetch_probability > 0.0 &&
-         hash_unit_interval(zone) < config_.ns_fetch_probability;
+         crypto::fnv1a_unit(zone.internal_text()) <
+             config_.ns_fetch_probability;
 }
 
 // ---------------------------------------------------------------------------
@@ -466,9 +459,16 @@ ValidationStatus RecursiveResolver::validate_descent(
     Fetched ds_fetch = fetch(child, dns::RRType::kDs, depth + 1);
     if (ds_fetch.kind == Fetched::Kind::kNoData ||
         ds_fetch.kind == Fetched::Kind::kNxDomain) {
-      // Proven (or cached) absence of DS: the delegation is insecure.
-      if (!ds_fetch.from_cache) {
-        cache_validated_nsecs(ds_fetch.authority, parent, trusted);
+      // Proven (or cached) absence of DS: the delegation is insecure. A
+      // fresh denial that proves nothing is an on-path downgrade, and its
+      // negative entry must not answer the next DS query.
+      if (!ds_fetch.from_cache &&
+          validate_denial(ds_fetch.authority,
+                          ds_fetch.kind == Fetched::Kind::kNxDomain, child,
+                          dns::RRType::kDs, parent,
+                          trusted) == ValidationStatus::kBogus) {
+        cache_.forget(child, dns::RRType::kDs);
+        return ValidationStatus::kBogus;
       }
       return ValidationStatus::kInsecure;
     }
@@ -612,52 +612,56 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
     }
     cache_.mark_validated(rrset.name(), rrset.type());
   }
-  // Negative responses: verify the denial (SOA + NSEC/NSEC3) and feed the
-  // aggressive cache.
   if (fetched.kind == Fetched::Kind::kNxDomain ||
       fetched.kind == Fetched::Kind::kNoData) {
-    for (const dns::RRset& rrset : fetched.authority.rrsets) {
-      if (rrset.type() != dns::RRType::kSoa &&
-          rrset.type() != dns::RRType::kNsec) {
-        continue;
-      }
-      if (validator_.verify_rrset(rrset, fetched.authority.rrsigs,
-                                  zone_keys) != SigCheck::kValid) {
+    return validate_denial(fetched.authority,
+                           fetched.kind == Fetched::Kind::kNxDomain, qname,
+                           qtype, fetched.auth_zone, zone_keys);
+  }
+  return ValidationStatus::kSecure;
+}
+
+ValidationStatus RecursiveResolver::validate_denial(
+    const GroupedSection& authority, bool nxdomain, const dns::Name& qname,
+    dns::RRType qtype, const dns::Name& zone_apex, const dns::RRset& keys) {
+  for (const dns::RRset& rrset : authority.rrsets) {
+    if (rrset.type() != dns::RRType::kSoa &&
+        rrset.type() != dns::RRType::kNsec) {
+      continue;
+    }
+    if (validator_.verify_rrset(rrset, authority.rrsigs, keys) !=
+        SigCheck::kValid) {
+      return ValidationStatus::kBogus;
+    }
+  }
+  // NSEC3 proofs carry their own signature checks plus the iterated-hash
+  // verification (and its modeled CPU bill) behind the RFC 9276 cap.
+  switch (handle_nsec3_denial(authority, qname, qtype, zone_apex, &keys)) {
+    case Nsec3Policy::kRejected:
+      return ValidationStatus::kBogus;
+    case Nsec3Policy::kDowngraded:
+      return ValidationStatus::kInsecure;
+    case Nsec3Policy::kNone: {
+      // No NSEC3: a verified signature proves only that the zone signed
+      // some span. One NSEC must deny (qname, qtype) itself, and a denial
+      // with no NSEC proves nothing (RFC 4035 §5.4).
+      const NsecCoverage wanted = nxdomain ? NsecCoverage::kNameCovered
+                                           : NsecCoverage::kTypeAbsent;
+      if (!nsec_proves(authority, zone_apex, qname, qtype, wanted)) {
         return ValidationStatus::kBogus;
       }
+      break;
     }
-    // NSEC3 proofs carry their own signature checks plus the iterated-hash
-    // verification (and its modeled CPU bill) behind the RFC 9276 cap.
-    switch (handle_nsec3_denial(fetched.authority, qname, qtype,
-                                fetched.auth_zone, &zone_keys)) {
-      case Nsec3Policy::kRejected:
-        return ValidationStatus::kBogus;
-      case Nsec3Policy::kDowngraded:
-        return ValidationStatus::kInsecure;
-      case Nsec3Policy::kNone: {
-        // No NSEC3: a verified signature proves only that the zone signed
-        // some span. One NSEC must deny (qname, qtype) itself, and a denial
-        // with no NSEC proves nothing (RFC 4035 §5.4).
-        const NsecCoverage wanted = fetched.kind == Fetched::Kind::kNxDomain
-                                        ? NsecCoverage::kNameCovered
-                                        : NsecCoverage::kTypeAbsent;
-        if (!nsec_proves(fetched.authority, fetched.auth_zone, qname, qtype,
-                         wanted)) {
-          return ValidationStatus::kBogus;
-        }
-        break;
-      }
-      case Nsec3Policy::kAccepted:
-        break;
-    }
-    // Every NSEC RRset passed the loop above: store it without a second
-    // signature check.
-    if (config_.aggressive_negative_caching) {
-      for (const dns::RRset& rrset : fetched.authority.rrsets) {
-        if (rrset.type() != dns::RRType::kNsec) continue;
-        for (const dns::ResourceRecord& record : rrset.records()) {
-          cache_.store_nsec(fetched.auth_zone, record);
-        }
+    case Nsec3Policy::kAccepted:
+      break;
+  }
+  // Every NSEC RRset passed the loop above: store it without a second
+  // signature check.
+  if (config_.aggressive_negative_caching) {
+    for (const dns::RRset& rrset : authority.rrsets) {
+      if (rrset.type() != dns::RRType::kNsec) continue;
+      for (const dns::ResourceRecord& record : rrset.records()) {
+        cache_.store_nsec(zone_apex, record);
       }
     }
   }
@@ -1003,6 +1007,7 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
           validate ? validate_response(fetched, current_name, qtype, 0)
                    : ValidationStatus::kIndeterminate;
       if (result.status == ValidationStatus::kBogus) {
+        cache_.forget(current_name, qtype);
         result.response.header.rcode = dns::RCode::kServFail;
         result.response.answers.clear();
       }
@@ -1079,6 +1084,11 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
 
     result.status = leg_status;
     if (leg_status == ValidationStatus::kBogus) {
+      // Data that failed validation must not come back from the cache,
+      // where it would read insecure.
+      for (const dns::RRset& rrset : fetched.answer.rrsets) {
+        cache_.forget(rrset.name(), rrset.type());
+      }
       result.response.header.rcode = dns::RCode::kServFail;
       result.response.answers.clear();
       break;

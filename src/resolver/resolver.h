@@ -235,11 +235,22 @@ class RecursiveResolver : public sim::Endpoint {
                                       const dns::DnskeyRdata* anchor,
                                       int depth, dns::RRset* out_keys);
 
-  /// Validates a fetched answer to (qname, qtype) end to end. A denial's
-  /// SOA and NSEC RRsets are verified here and its NSECs cached directly.
+  /// Validates a fetched answer to (qname, qtype) end to end.
   ValidationStatus validate_response(const Fetched& fetched,
                                      const dns::Name& qname, dns::RRType qtype,
                                      int depth);
+
+  /// Checks a fresh denial (NXDOMAIN when `nxdomain`, else NODATA) of
+  /// (qname, qtype) by `zone_apex`, whose validated DNSKEY RRset is `keys`:
+  /// the SOA and NSEC signatures, then the NSEC3 proof behind the RFC 9276
+  /// cap, or one NSEC that denies (qname, qtype) itself. Secure when
+  /// proven (its NSECs are then cached), insecure when an over-cap NSEC3
+  /// proof was accepted unverified, bogus otherwise.
+  ValidationStatus validate_denial(const GroupedSection& authority,
+                                   bool nxdomain, const dns::Name& qname,
+                                   dns::RRType qtype,
+                                   const dns::Name& zone_apex,
+                                   const dns::RRset& keys);
 
   /// RFC 5074 look-aside. Returns the DS found (if any); logs every DLV
   /// query into `result`. Consults the primary DLV domain, then each
@@ -259,8 +270,8 @@ class RecursiveResolver : public sim::Endpoint {
   const dns::RRset* dlv_zone_keys(const dns::Name& apex, int depth);
 
   /// Caches NSEC records from `section` into the aggressive store for
-  /// `zone` when `keys` verify them: for denials no earlier step verified
-  /// (a DS-absence proof on the descent, a DLV candidate's denial).
+  /// `zone` when `keys` verify them: for a DLV candidate's denial, which no
+  /// earlier step verified.
   void cache_validated_nsecs(const GroupedSection& section,
                              const dns::Name& zone, const dns::RRset& keys);
 

@@ -4,39 +4,23 @@
 #include <stdexcept>
 
 #include "crypto/dnssec_algo.h"
+#include "crypto/fnv.h"
 #include "resolver/denial.h"
 #include "zone/keys.h"
 #include "zone/nsec3.h"
 
 namespace lookaside::resolver {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, const std::uint8_t* data,
-                    std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-}  // namespace
-
 std::uint64_t Validator::verdict_key(const dns::Bytes& signed_data,
                                      const crypto::Bytes& signature,
                                      const dns::DnskeyRdata& key) {
-  std::uint64_t hash = fnv1a(kFnvOffset, signed_data.data(),
-                             signed_data.size());
-  hash = fnv1a(hash, signature.data(), signature.size());
-  hash = fnv1a(hash, key.public_key.data(), key.public_key.size());
+  std::uint64_t hash = crypto::fnv1a(signed_data);
+  hash = crypto::fnv1a(signature, hash);
+  hash = crypto::fnv1a(key.public_key, hash);
   const std::uint16_t tag = key.key_tag();
   const std::uint8_t tag_bytes[2] = {static_cast<std::uint8_t>(tag >> 8),
                                      static_cast<std::uint8_t>(tag & 0xFF)};
-  return fnv1a(hash, tag_bytes, 2);
+  return crypto::fnv1a(tag_bytes, hash);
 }
 
 std::optional<bool> Validator::verdict_probe(std::uint64_t key,

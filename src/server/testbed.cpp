@@ -3,56 +3,47 @@
 #include <set>
 #include <stdexcept>
 
+#include "crypto/fnv.h"
+
 namespace lookaside::server {
 
 namespace {
 
 constexpr std::uint32_t kRecordTtl = 3600;
-constexpr std::uint32_t kNegativeTtl = 3600;
 
-dns::SoaRdata make_soa(const dns::Name& apex) {
+}  // namespace
+
+dns::SoaRdata synthetic_soa(const dns::Name& apex) {
   dns::SoaRdata soa;
   soa.primary_ns = apex.is_root() ? dns::Name::parse("a.root-servers.net")
                                   : apex.with_prefix_label("ns1");
   soa.responsible = apex.is_root() ? dns::Name::parse("nstld.verisign-grs.com")
                                    : apex.with_prefix_label("hostmaster");
-  soa.serial = 2026070500;
+  soa.serial = 2026070501;
   soa.refresh = 7200;
   soa.retry = 3600;
   soa.expire = 1209600;
-  soa.minimum_ttl = kNegativeTtl;
+  soa.minimum_ttl = 3600;
   return soa;
 }
 
-std::uint32_t synth_address(const dns::Name& name) {
-  // Deterministic fake IPv4 per name, in 203.0.113.0/24-style doc space.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : name.internal_text()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return 0xCB007100u | static_cast<std::uint32_t>(hash & 0xFF);
+std::uint32_t synthetic_v4(const dns::Name& name) {
+  // 203.0.113.0/24 (TEST-NET-3).
+  return 0xCB007100u |
+         static_cast<std::uint32_t>(crypto::fnv1a(name.internal_text()) & 0xFF);
 }
 
-dns::AaaaRdata synth_address6(const dns::Name& name) {
+dns::AaaaRdata synthetic_v6(const dns::Name& name) {
+  // 2001:db8::/64 (documentation prefix), the hash in the interface id.
   dns::AaaaRdata out;
-  out.address[0] = 0x20;
-  out.address[1] = 0x01;
-  out.address[2] = 0x0d;
-  out.address[3] = 0xb8;
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (char c : name.internal_text()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
+  out.address = {0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  const std::uint64_t hash = crypto::fnv1a(name.internal_text());
   for (int i = 0; i < 8; ++i) {
     out.address[static_cast<std::size_t>(8 + i)] =
         static_cast<std::uint8_t>(hash >> (8 * i));
   }
   return out;
 }
-
-}  // namespace
 
 Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   crypto::SplitMix64 seeder(options.seed);
@@ -69,7 +60,7 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   }
 
   // --- Root zone (always signed; the paper's world post-2010). ---
-  zone::Zone root_zone(dns::Name::root(), make_soa(dns::Name::root()),
+  zone::Zone root_zone(dns::Name::root(), synthetic_soa(dns::Name::root()),
                        kRecordTtl);
   crypto::SplitMix64 root_rng(crypto::derive_seed(options.seed, 0));
   zone::ZoneKeys root_keys =
@@ -87,20 +78,20 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   std::uint64_t key_label = 100;
   for (const SldSpec& spec : slds) {
     const dns::Name name = dns::Name::parse(spec.name);
-    zone::Zone sld_zone(name, make_soa(name), kRecordTtl);
+    zone::Zone sld_zone(name, synthetic_soa(name), kRecordTtl);
     const dns::Name ns_host = name.with_prefix_label("ns1");
     sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
                                            dns::NsRdata{ns_host}));
     sld_zone.add(dns::ResourceRecord::make(ns_host, kRecordTtl,
-                                           dns::ARdata{synth_address(ns_host)}));
+                                           dns::ARdata{synthetic_v4(ns_host)}));
     sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
-                                           dns::ARdata{synth_address(name)}));
+                                           dns::ARdata{synthetic_v4(name)}));
     sld_zone.add(dns::ResourceRecord::make(name, kRecordTtl,
-                                           synth_address6(name)));
+                                           synthetic_v6(name)));
     for (const std::string& host : spec.extra_hosts) {
       const dns::Name host_name = name.with_prefix_label(host);
       sld_zone.add(dns::ResourceRecord::make(
-          host_name, kRecordTtl, dns::ARdata{synth_address(host_name)}));
+          host_name, kRecordTtl, dns::ARdata{synthetic_v4(host_name)}));
     }
 
     BuiltSld entry;
@@ -110,7 +101,7 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
       crypto::SplitMix64 rng(crypto::derive_seed(options.seed, ++key_label));
       auto signed_zone = std::make_shared<zone::SignedZone>(
           std::move(sld_zone), zone::ZoneKeys::generate(options.key_bits, rng));
-      signed_zone->set_corrupt_signatures(spec.corrupt_signatures);
+      signed_zone->signer().set_corrupt_signatures(spec.corrupt_signatures);
       entry.signed_zone = signed_zone;
       entry.authority = std::make_shared<ZoneAuthority>(
           "auth:" + spec.name, signed_zone);
@@ -127,23 +118,23 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
   std::uint64_t tld_label = 10;
   for (const std::string& tld : tld_set) {
     const dns::Name tld_name = dns::Name::parse(tld);
-    zone::Zone tld_zone(tld_name, make_soa(tld_name), kRecordTtl);
+    zone::Zone tld_zone(tld_name, synthetic_soa(tld_name), kRecordTtl);
     const dns::Name tld_ns = tld_name.with_prefix_label("ns1");
     tld_zone.add(dns::ResourceRecord::make(tld_name, kRecordTtl,
                                            dns::NsRdata{tld_ns}));
     tld_zone.add(dns::ResourceRecord::make(tld_ns, kRecordTtl,
-                                           dns::ARdata{synth_address(tld_ns)}));
+                                           dns::ARdata{synthetic_v4(tld_ns)}));
     for (const BuiltSld& entry : built) {
       if (entry.name.parent() != tld_name) continue;
       const dns::Name ns_host = entry.name.with_prefix_label("ns1");
       tld_zone.add(dns::ResourceRecord::make(entry.name, kRecordTtl,
                                              dns::NsRdata{ns_host}));
       tld_zone.add(dns::ResourceRecord::make(
-          ns_host, kRecordTtl, dns::ARdata{synth_address(ns_host)}));
+          ns_host, kRecordTtl, dns::ARdata{synthetic_v4(ns_host)}));
       if (entry.spec.dnssec_signed && entry.spec.ds_in_parent) {
         tld_zone.add(dns::ResourceRecord::make(
             entry.name, kRecordTtl,
-            dns::Rdata{entry.signed_zone->ds_for_parent()}));
+            dns::Rdata{entry.signed_zone->signer().ds_for_parent()}));
       }
     }
 
@@ -156,9 +147,10 @@ Testbed::Testbed(TestbedOptions options, const std::vector<SldSpec>& slds) {
     root_zone.add(dns::ResourceRecord::make(tld_name, kRecordTtl,
                                             dns::NsRdata{root_ns_host}));
     root_zone.add(dns::ResourceRecord::make(
-        root_ns_host, kRecordTtl, dns::ARdata{synth_address(root_ns_host)}));
+        root_ns_host, kRecordTtl, dns::ARdata{synthetic_v4(root_ns_host)}));
     root_zone.add(dns::ResourceRecord::make(
-        tld_name, kRecordTtl, dns::Rdata{signed_tld->ds_for_parent()}));
+        tld_name, kRecordTtl,
+        dns::Rdata{signed_tld->signer().ds_for_parent()}));
 
     auto authority = std::make_shared<ZoneAuthority>("tld:" + tld, signed_tld);
     authorities_[tld] = authority;
@@ -198,15 +190,13 @@ void Testbed::set_txt_dlv_signal(const std::string& sld, bool has_dlv_record) {
   if (it == authorities_.end()) {
     throw std::invalid_argument("unknown SLD: " + sld);
   }
-  const dns::Name name = dns::Name::parse(sld);
-  dns::TxtRdata txt{{has_dlv_record ? "dlv=1" : "dlv=0"}};
+  dns::ResourceRecord txt = dns::ResourceRecord::make(
+      dns::Name::parse(sld), kRecordTtl,
+      dns::TxtRdata{{has_dlv_record ? "dlv=1" : "dlv=0"}});
   if (auto signed_zone = it->second->signed_zone()) {
-    signed_zone->zone().add(
-        dns::ResourceRecord::make(name, 3600, std::move(txt)));
-    signed_zone->invalidate_signature_cache();
+    signed_zone->add(std::move(txt));
   } else {
-    it->second->plain_zone()->add(
-        dns::ResourceRecord::make(name, 3600, std::move(txt)));
+    it->second->plain_zone()->add(std::move(txt));
   }
 }
 

@@ -18,6 +18,13 @@
 
 namespace lookaside::server {
 
+/// Synthetic record data every simulated authority serves, the Testbed's
+/// and the synthetic universe's alike: the SOA at `apex`, and fixed
+/// documentation-range addresses derived from the FNV-1a 64 of a name.
+[[nodiscard]] dns::SoaRdata synthetic_soa(const dns::Name& apex);
+[[nodiscard]] std::uint32_t synthetic_v4(const dns::Name& name);
+[[nodiscard]] dns::AaaaRdata synthetic_v6(const dns::Name& name);
+
 /// Specification of one second-level domain in the testbed.
 struct SldSpec {
   std::string name;          // e.g. "example.com"

@@ -30,63 +30,36 @@ ZoneAuthority::ZoneAuthority(std::string endpoint_id,
                              std::shared_ptr<zone::Zone> zone)
     : id_(std::move(endpoint_id)), plain_zone_(std::move(zone)) {}
 
-void ZoneAuthority::append_rrset(std::vector<dns::ResourceRecord>& section,
-                                 const dns::RRset& rrset, bool want_dnssec) {
-  for (const dns::ResourceRecord& record : rrset.records()) {
-    section.push_back(record);
-  }
-  if (want_dnssec && signed_zone_) {
-    section.push_back(signed_zone_->rrsig_for(rrset));
-  }
-}
-
-void ZoneAuthority::append_nxdomain_sections(dns::Message& response,
-                                             const dns::Name& qname,
-                                             bool want_dnssec) {
-  const zone::Zone& z = zone_data();
-  append_rrset(response.authorities, z.soa_rrset(), want_dnssec);
-  if (want_dnssec && signed_zone_) {
-    if (signed_zone_->nsec3_enabled()) {
-      for (zone::NsecProof& proof : signed_zone_->nsec3_nxdomain_proof(qname)) {
-        response.authorities.push_back(std::move(proof.nsec));
-        response.authorities.push_back(std::move(proof.rrsig));
-      }
-    } else {
-      zone::NsecProof proof = signed_zone_->nxdomain_proof(qname);
-      response.authorities.push_back(std::move(proof.nsec));
-      response.authorities.push_back(std::move(proof.rrsig));
-    }
-  }
-}
-
-void ZoneAuthority::append_nodata_proof(dns::Message& response,
-                                        const dns::Name& qname) {
-  if (signed_zone_->nsec3_enabled()) {
-    for (zone::NsecProof& proof : signed_zone_->nsec3_nodata_proof(qname)) {
-      response.authorities.push_back(std::move(proof.nsec));
-      response.authorities.push_back(std::move(proof.rrsig));
-    }
-  } else {
-    zone::NsecProof proof = signed_zone_->nodata_proof(qname);
+void ZoneAuthority::append_denial(dns::Message& response,
+                                  const dns::Name& qname, bool nxdomain) {
+  const auto push = [&response](zone::NsecProof& proof) {
     response.authorities.push_back(std::move(proof.nsec));
     response.authorities.push_back(std::move(proof.rrsig));
+  };
+  if (signed_zone_->nsec3_enabled()) {
+    for (zone::NsecProof& proof :
+         nxdomain ? signed_zone_->nsec3_nxdomain_proof(qname)
+                  : signed_zone_->nsec3_nodata_proof(qname)) {
+      push(proof);
+    }
+  } else {
+    zone::NsecProof proof = nxdomain ? signed_zone_->nxdomain_proof(qname)
+                                     : signed_zone_->nodata_proof(qname);
+    push(proof);
   }
 }
 
 void ZoneAuthority::append_glue(dns::Message& response,
-                                const dns::RRset& ns_set, bool want_dnssec) {
+                                const dns::RRset& ns_set) {
   const zone::Zone& z = zone_data();
   for (const dns::ResourceRecord& ns : ns_set.records()) {
     const auto& rdata = std::get<dns::NsRdata>(ns.rdata);
     // Glue only exists for nameserver hosts inside this zone.
     if (const dns::RRset* glue = z.find(rdata.nameserver, dns::RRType::kA)) {
       // Glue is unsigned even in signed zones (it is non-authoritative).
-      for (const dns::ResourceRecord& record : glue->records()) {
-        response.additionals.push_back(record);
-      }
+      zone::append(response.additionals, *glue, nullptr);
     }
   }
-  (void)want_dnssec;
 }
 
 dns::Message ZoneAuthority::handle_query(const dns::Message& query) {
@@ -94,13 +67,17 @@ dns::Message ZoneAuthority::handle_query(const dns::Message& query) {
   response.header.aa = true;
   response.header.z = z_bit_signal_;
   const dns::Question& question = query.question();
-  const bool want_dnssec = query.dnssec_ok;
   const zone::Zone& z = zone_data();
+  // Null unless this answer carries DNSSEC records.
+  zone::Signer* signer = query.dnssec_ok && signed_zone_
+                             ? &signed_zone_->signer()
+                             : nullptr;
 
   // Apex DNSKEY is served from the signing state, not the zone store.
   if (question.type == dns::RRType::kDnskey && signed_zone_ &&
       question.name == z.apex()) {
-    append_rrset(response.answers, signed_zone_->dnskey_rrset(), want_dnssec);
+    zone::append(response.answers, signed_zone_->signer().dnskey_rrset(),
+                 signer);
     trace_outcome(tracer_, id_, question, "answer", response.header.rcode);
     return response;
   }
@@ -108,37 +85,40 @@ dns::Message ZoneAuthority::handle_query(const dns::Message& query) {
   const zone::LookupResult result = z.lookup(question.name, question.type);
   switch (result.kind) {
     case zone::LookupKind::kAnswer: {
-      append_rrset(response.answers, *result.rrset, want_dnssec);
+      zone::append(response.answers, *result.rrset, signer);
       trace_outcome(tracer_, id_, question, "answer", response.header.rcode);
       break;
     }
     case zone::LookupKind::kReferral: {
       response.header.aa = false;
-      append_rrset(response.authorities, *result.rrset, /*want_dnssec=*/false);
-      if (want_dnssec && signed_zone_) {
+      zone::append(response.authorities, *result.rrset, nullptr);
+      if (signer != nullptr) {
         if (result.ds != nullptr) {
-          append_rrset(response.authorities, *result.ds, want_dnssec);
+          zone::append(response.authorities, *result.ds, signer);
         } else {
           // Signed parent, unsigned delegation: prove DS absence (this is
           // what makes the child "insecure" rather than "bogus").
-          append_nodata_proof(response, result.cut);
+          append_denial(response, result.cut, /*nxdomain=*/false);
         }
       }
-      append_glue(response, *result.rrset, want_dnssec);
+      append_glue(response, *result.rrset);
       trace_outcome(tracer_, id_, question, "referral", response.header.rcode);
       break;
     }
     case zone::LookupKind::kNoData: {
-      append_rrset(response.authorities, z.soa_rrset(), want_dnssec);
-      if (want_dnssec && signed_zone_) {
-        append_nodata_proof(response, question.name);
+      zone::append(response.authorities, z.soa_rrset(), signer);
+      if (signer != nullptr) {
+        append_denial(response, question.name, /*nxdomain=*/false);
       }
       trace_outcome(tracer_, id_, question, "nodata", response.header.rcode);
       break;
     }
     case zone::LookupKind::kNxDomain: {
       response.header.rcode = dns::RCode::kNxDomain;
-      append_nxdomain_sections(response, question.name, want_dnssec);
+      zone::append(response.authorities, z.soa_rrset(), signer);
+      if (signer != nullptr) {
+        append_denial(response, question.name, /*nxdomain=*/true);
+      }
       trace_outcome(tracer_, id_, question, "nxdomain", response.header.rcode);
       break;
     }

@@ -51,15 +51,12 @@ class ZoneAuthority : public sim::Endpoint {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  void append_rrset(std::vector<dns::ResourceRecord>& section,
-                    const dns::RRset& rrset, bool want_dnssec);
-  void append_nxdomain_sections(dns::Message& response,
-                                const dns::Name& qname, bool want_dnssec);
-  /// NSEC or NSEC3 proof (per zone signing mode) that `qname` exists but the
-  /// queried type (or DS at a cut) does not. Requires signed_zone_.
-  void append_nodata_proof(dns::Message& response, const dns::Name& qname);
-  void append_glue(dns::Message& response, const dns::RRset& ns_set,
-                   bool want_dnssec);
+  /// NSEC or NSEC3 proof (per zone signing mode) that `qname` does not
+  /// exist, or that it exists but the queried type (or DS at a cut) does
+  /// not. Requires signed_zone_.
+  void append_denial(dns::Message& response, const dns::Name& qname,
+                     bool nxdomain);
+  void append_glue(dns::Message& response, const dns::RRset& ns_set);
 
   std::string id_;
   std::shared_ptr<zone::SignedZone> signed_zone_;

@@ -1,19 +1,12 @@
 #include "sim/latency.h"
 
+#include "crypto/fnv.h"
+
 namespace lookaside::sim {
 
 namespace {
 
 constexpr std::uint64_t kMsToUs = 1000;
-
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -21,7 +14,7 @@ LatencyModel::LatencyModel() = default;
 
 std::uint64_t LatencyModel::hashed_default_us(std::string_view endpoint_id) {
   // SLD authoritative servers: deterministic in [10, 80] ms one-way.
-  return (10 + fnv1a(endpoint_id) % 71) * kMsToUs;
+  return (10 + crypto::fnv1a(endpoint_id) % 71) * kMsToUs;
 }
 
 std::uint64_t LatencyModel::one_way_us(std::string_view endpoint_id) const {

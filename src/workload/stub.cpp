@@ -2,18 +2,11 @@
 
 #include <utility>
 
+#include "crypto/fnv.h"
+
 namespace lookaside::workload {
 
 namespace {
-
-double hash_unit(const dns::Name& name) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : name.internal_text()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return static_cast<double>(hash >> 11) * 0x1.0p-53;
-}
 
 dns::Name reverse_name(std::uint32_t address) {
   return dns::Name::parse(std::to_string(address & 0xFF) + "." +
@@ -47,7 +40,8 @@ VisitOutcome StubClient::visit(const dns::Name& domain) {
   if (options_.query_aaaa) {
     (void)ask(domain, dns::RRType::kAaaa);
   }
-  if (a != nullptr && hash_unit(domain) < options_.ptr_probability) {
+  if (a != nullptr &&
+      crypto::fnv1a_unit(domain.internal_text()) < options_.ptr_probability) {
     const auto& rdata = std::get<dns::ARdata>(a->rdata);
     (void)ask(reverse_name(rdata.address), dns::RRType::kPtr);
   }

@@ -4,11 +4,10 @@
 // from the universe's deposit model.
 //
 // Synthetic authorities answer byte-accurate, correctly signed messages
-// without materializing a million Zone objects; signatures are computed
-// lazily and cached (see zone::SignedZone for the same idea on real zones).
+// without materializing a million Zone objects; they sign through the same
+// lazy, cached zone::Signer as the real zones.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -23,27 +22,6 @@ class Tracer;
 }
 
 namespace lookaside::workload {
-
-/// Signs synthetic RRsets with one zone's keys, caching by (owner, type).
-class SyntheticSigner {
- public:
-  SyntheticSigner(dns::Name zone_apex, zone::ZoneKeys keys);
-
-  /// RRSIG over `rrset`; `with_ksk` selects the KSK (DNSKEY sets only).
-  [[nodiscard]] dns::ResourceRecord sign(const dns::RRset& rrset,
-                                         bool with_ksk = false);
-
-  [[nodiscard]] const zone::ZoneKeys& keys() const { return keys_; }
-  [[nodiscard]] const dns::Name& apex() const { return apex_; }
-
-  /// The apex DNSKEY RRset (ZSK + KSK) with standard TTL.
-  [[nodiscard]] dns::RRset dnskey_rrset() const;
-
- private:
-  dns::Name apex_;
-  zone::ZoneKeys keys_;
-  std::map<std::pair<std::string, dns::RRType>, dns::Bytes> cache_;
-};
 
 /// World-level options.
 struct WorldOptions {

@@ -2,98 +2,42 @@
 
 #include <algorithm>
 
-#include "crypto/dnssec_algo.h"
-
 namespace lookaside::zone {
 
-SignedZone::SignedZone(Zone zone, ZoneKeys keys, Policy policy)
-    : zone_(std::move(zone)),
-      keys_(std::move(keys)),
-      policy_(policy),
-      dnskeys_(zone_.apex(), dns::RRType::kDnskey) {
-  dnskeys_.add(dns::ResourceRecord::make(zone_.apex(), 3600,
-                                         dns::Rdata{keys_.zsk_record()}));
-  dnskeys_.add(dns::ResourceRecord::make(zone_.apex(), 3600,
-                                         dns::Rdata{keys_.ksk_record()}));
+SignedZone::SignedZone(Zone zone, ZoneKeys keys)
+    : zone_(std::move(zone)), signer_(zone_.apex(), std::move(keys)) {}
+
+void SignedZone::add(dns::ResourceRecord record) {
+  zone_.add(std::move(record));
+  nsec3_dirty_ = true;
 }
 
-dns::DsRdata SignedZone::ds_for_parent() const {
-  return make_ds(zone_.apex(), keys_.ksk_record());
-}
-
-dns::ResourceRecord SignedZone::rrsig_for(const dns::RRset& rrset) {
-  const bool is_dnskey = rrset.type() == dns::RRType::kDnskey;
-
-  dns::RrsigRdata rrsig;
-  rrsig.type_covered = rrset.type();
-  rrsig.algorithm = 8;
-  rrsig.labels = static_cast<std::uint8_t>(rrset.name().label_count());
-  rrsig.original_ttl = rrset.ttl();
-  rrsig.expiration = policy_.expiration;
-  rrsig.inception = policy_.inception;
-  rrsig.key_tag = is_dnskey ? keys_.ksk_tag() : keys_.zsk_tag();
-  rrsig.signer = zone_.apex();
-
-  auto* slots =
-      corrupt_ ? nullptr : &signature_cache_.get_or_insert(rrset.name());
-  const dns::Bytes* cached = nullptr;
-  if (slots != nullptr) {
-    for (const auto& [type, signature] : *slots) {
-      if (type == rrset.type()) cached = &signature;
-    }
-  }
-  if (cached != nullptr) {
-    rrsig.signature = *cached;
-  } else {
-    const dns::Bytes signed_data = dns::rrsig_signed_data(rrsig, rrset);
-    const crypto::RsaPrivateKey& key =
-        is_dnskey ? keys_.ksk_private() : keys_.zsk_private();
-    rrsig.signature = crypto::sign_message(key, signed_data);
-    if (corrupt_) {
-      rrsig.signature[rrsig.signature.size() / 2] ^= 0x01;
-    } else {
-      slots->emplace_back(rrset.type(), rrsig.signature);
-      ++signatures_computed_;
-    }
-  }
-  return dns::ResourceRecord::make(rrset.name(), rrset.ttl(),
-                                   dns::Rdata{rrsig});
-}
-
-dns::ResourceRecord SignedZone::make_nsec(const dns::Name& owner) {
-  dns::NsecRdata nsec;
-  nsec.next = zone_.canonical_successor(owner);
-  nsec.types = zone_.types_at(owner);
-  // The DNSKEY rrset lives beside the zone (dnskeys_), not inside it, so
+dns::RRset SignedZone::nsec_at(const dns::Name& owner) const {
+  std::vector<dns::RRType> types = zone_.types_at(owner);
+  // The DNSKEY rrset lives with the signer, not inside the zone, so
   // types_at() misses it; an apex NSEC that omits DNSKEY would let an
   // aggressive-synthesis resolver deny the zone's own keys from cache.
   if (owner == zone_.apex() &&
-      std::find(nsec.types.begin(), nsec.types.end(), dns::RRType::kDnskey) ==
-          nsec.types.end()) {
-    nsec.types.push_back(dns::RRType::kDnskey);
+      std::find(types.begin(), types.end(), dns::RRType::kDnskey) ==
+          types.end()) {
+    types.push_back(dns::RRType::kDnskey);
   }
-  nsec.types.push_back(dns::RRType::kRrsig);
-  nsec.types.push_back(dns::RRType::kNsec);
-  return dns::ResourceRecord::make(owner, zone_.negative_ttl(),
-                                   dns::Rdata{nsec});
+  types.push_back(dns::RRType::kRrsig);
+  types.push_back(dns::RRType::kNsec);
+  return nsec_rrset(owner, zone_.canonical_successor(owner), std::move(types),
+                    zone_.negative_ttl());
+}
+
+NsecProof SignedZone::sign_proof(const dns::RRset& rrset) {
+  return NsecProof{rrset.records().front(), signer_.rrsig_for(rrset)};
 }
 
 NsecProof SignedZone::nxdomain_proof(const dns::Name& qname) {
-  const dns::Name& predecessor = zone_.canonical_predecessor(qname);
-  dns::ResourceRecord nsec = make_nsec(predecessor);
-
-  dns::RRset nsec_set(predecessor, dns::RRType::kNsec);
-  nsec_set.add(nsec);
-  dns::ResourceRecord rrsig = rrsig_for(nsec_set);
-  return NsecProof{std::move(nsec), std::move(rrsig)};
+  return sign_proof(nsec_at(zone_.canonical_predecessor(qname)));
 }
 
 NsecProof SignedZone::nodata_proof(const dns::Name& qname) {
-  dns::ResourceRecord nsec = make_nsec(qname);
-  dns::RRset nsec_set(qname, dns::RRType::kNsec);
-  nsec_set.add(nsec);
-  dns::ResourceRecord rrsig = rrsig_for(nsec_set);
-  return NsecProof{std::move(nsec), std::move(rrsig)};
+  return sign_proof(nsec_at(qname));
 }
 
 void SignedZone::enable_nsec3(Nsec3Params params) {
@@ -104,10 +48,9 @@ void SignedZone::enable_nsec3(Nsec3Params params) {
     dns::Nsec3ParamRdata param;
     param.iterations = nsec3_params_.iterations;
     param.salt = nsec3_params_.salt;
-    zone_.add(dns::ResourceRecord::make(zone_.apex(), zone_.negative_ttl(),
-                                        dns::Rdata{param}));
+    add(dns::ResourceRecord::make(zone_.apex(), zone_.negative_ttl(),
+                                  dns::Rdata{param}));
   }
-  invalidate_signature_cache();
 }
 
 void SignedZone::rebuild_nsec3_chain() {
@@ -161,12 +104,10 @@ NsecProof SignedZone::make_nsec3_proof(std::size_t link) {
 
   const dns::Name hashed_owner =
       zone_.apex().with_prefix_label(base32hex_encode(at.digest));
-  dns::ResourceRecord record = dns::ResourceRecord::make(
-      hashed_owner, zone_.negative_ttl(), dns::Rdata{nsec3});
   dns::RRset nsec3_set(hashed_owner, dns::RRType::kNsec3);
-  nsec3_set.add(record);
-  dns::ResourceRecord rrsig = rrsig_for(nsec3_set);
-  return NsecProof{std::move(record), std::move(rrsig)};
+  nsec3_set.add(dns::ResourceRecord::make(hashed_owner, zone_.negative_ttl(),
+                                          dns::Rdata{std::move(nsec3)}));
+  return sign_proof(nsec3_set);
 }
 
 std::vector<NsecProof> SignedZone::nsec3_nxdomain_proof(

@@ -1,19 +1,14 @@
-// DNSSEC-signed zone: lazy RRSIG generation with caching, NSEC denial
-// proofs, and failure-injection hooks.
-//
-// Signatures are computed on first use and cached. This is how the simulator
-// affords real RSA signatures at million-domain scale: a zone only ever signs
-// the RRsets that queries actually touch (the paper's workloads touch a
-// small, heavily-reused set of NSEC ranges thanks to canonical-order
-// clustering).
+// DNSSEC-signed zone: a Zone, the Signer that signs it lazily (see
+// zone/signer.h), and its NSEC and NSEC3 denial proofs. The paper's
+// workloads touch a small, heavily reused set of NSEC ranges thanks to
+// canonical-order clustering, so few signatures are ever computed.
 #pragma once
 
 #include <utility>
 #include <vector>
 
-#include "dns/name_map.h"
-#include "zone/keys.h"
 #include "zone/nsec3.h"
+#include "zone/signer.h"
 #include "zone/zone.h"
 
 namespace lookaside::zone {
@@ -34,32 +29,20 @@ struct Nsec3Params {
 /// Wraps a Zone with signing state.
 class SignedZone {
  public:
-  /// Signature validity window (absolute sim-seconds).
-  struct Policy {
-    std::uint32_t inception = 0;
-    std::uint32_t expiration = 0x7FFFFFFF;
-  };
-
-  SignedZone(Zone zone, ZoneKeys keys) : SignedZone(std::move(zone), std::move(keys), Policy{}) {}
-  SignedZone(Zone zone, ZoneKeys keys, Policy policy);
+  SignedZone(Zone zone, ZoneKeys keys);
   // The NSEC3 chain points into this zone's own owner keys, so a copy
   // would point into the original's.
   SignedZone(const SignedZone&) = delete;
   SignedZone& operator=(const SignedZone&) = delete;
 
   [[nodiscard]] const Zone& zone() const { return zone_; }
-  [[nodiscard]] Zone& zone() { return zone_; }
-  [[nodiscard]] const ZoneKeys& keys() const { return keys_; }
+  [[nodiscard]] Signer& signer() { return signer_; }
+  [[nodiscard]] const Signer& signer() const { return signer_; }
 
-  /// The apex DNSKEY RRset (ZSK + KSK).
-  [[nodiscard]] const dns::RRset& dnskey_rrset() const { return dnskeys_; }
-
-  /// DS RDATA the parent (or a DLV registry) should publish for this zone.
-  [[nodiscard]] dns::DsRdata ds_for_parent() const;
-
-  /// RRSIG record covering `rrset` (which must belong to this zone).
-  /// DNSKEY RRsets are signed with the KSK, everything else with the ZSK.
-  [[nodiscard]] dns::ResourceRecord rrsig_for(const dns::RRset& rrset);
+  /// Adds `record` to the zone. The NSEC3 chain is rebuilt at the next
+  /// hashed denial; a signed RRset the record changes re-signs on its own,
+  /// because its cached signature no longer matches its data.
+  void add(dns::ResourceRecord record);
 
   /// NSEC proof that `qname` does not exist (covering NSEC from the
   /// canonical predecessor).
@@ -86,25 +69,6 @@ class SignedZone {
   [[nodiscard]] std::vector<NsecProof> nsec3_nodata_proof(
       const dns::Name& qname);
 
-  /// Failure injection: when set, emitted signatures are flipped in one byte
-  /// so validators see bogus data (paper §2.2 "bogus" status).
-  void set_corrupt_signatures(bool corrupt) { corrupt_ = corrupt; }
-  [[nodiscard]] bool corrupt_signatures() const { return corrupt_; }
-
-  /// Drops the signature cache (after zone mutation); the NSEC3 chain is
-  /// also marked dirty so the next denial proof rebuilds it, keeping
-  /// per-deposit cost O(1) instead of a rebuild per mutation.
-  void invalidate_signature_cache() {
-    signature_cache_.clear();
-    signatures_computed_ = 0;
-    nsec3_dirty_ = true;
-  }
-
-  /// Cache statistics: number of distinct RRsets signed so far.
-  [[nodiscard]] std::size_t signatures_computed() const {
-    return signatures_computed_;
-  }
-
  private:
   /// One link of the hashed chain: an owner's digest and the owner itself.
   /// `owner` points at the zone's own key, which a std::map node keeps in
@@ -114,7 +78,10 @@ class SignedZone {
     const dns::Name* owner;
   };
 
-  [[nodiscard]] dns::ResourceRecord make_nsec(const dns::Name& owner);
+  /// The NSEC RRset at `owner`, whose span ends at its canonical successor.
+  [[nodiscard]] dns::RRset nsec_at(const dns::Name& owner) const;
+  /// `rrset`'s one record and its RRSIG.
+  [[nodiscard]] NsecProof sign_proof(const dns::RRset& rrset);
   void rebuild_nsec3_chain();
   /// Proof for chain link `link` (matching or covering some digest): the
   /// only place a hashed owner name and its NSEC3 record are built.
@@ -125,20 +92,11 @@ class SignedZone {
       const crypto::Sha1::Digest& digest) const;
 
   Zone zone_;
-  ZoneKeys keys_;
-  Policy policy_;
-  dns::RRset dnskeys_;
-  bool corrupt_ = false;
+  Signer signer_;
   bool nsec3_enabled_ = false;
   bool nsec3_dirty_ = false;
   Nsec3Params nsec3_params_;
   std::vector<Nsec3Link> nsec3_chain_;  // sorted by digest, digests unique
-  // Cached signatures by owner, then type. An owner holds about one signed
-  // RRset, so its slot list is a one- or two-entry scan. Signatures of
-  // corrupted zones are not cached so toggling corruption mid-test behaves.
-  dns::NameHashMap<std::vector<std::pair<dns::RRType, dns::Bytes>>>
-      signature_cache_;
-  std::size_t signatures_computed_ = 0;
 };
 
 }  // namespace lookaside::zone

@@ -40,7 +40,7 @@ class FaultFixture {
         registry_(dlv::DlvRegistry::Options{}) {
     registry_.attach_clock(clock_);
     registry_.deposit(dns::Name::parse("island.com"),
-                      testbed_.signed_sld("island.com")->ds_for_parent());
+                      testbed_.signed_sld("island.com")->signer().ds_for_parent());
     testbed_.directory().register_zone(
         registry_.apex(),
         std::shared_ptr<sim::Endpoint>(&registry_, [](sim::Endpoint*) {}));

@@ -25,9 +25,9 @@ class MultiDlvFixture {
         cert_ru_(make_registry("dlv.cert.ru", 2)) {
     // island1 deposits at ISC, island2 only at the second registry.
     isc_->deposit(dns::Name::parse("island1.com"),
-                  testbed_.signed_sld("island1.com")->ds_for_parent());
+                  testbed_.signed_sld("island1.com")->signer().ds_for_parent());
     cert_ru_->deposit(dns::Name::parse("island2.com"),
-                      testbed_.signed_sld("island2.com")->ds_for_parent());
+                      testbed_.signed_sld("island2.com")->signer().ds_for_parent());
     register_endpoint(*isc_);
     register_endpoint(*cert_ru_);
 

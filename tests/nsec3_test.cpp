@@ -175,7 +175,7 @@ TEST_F(Nsec3ZoneTest, NxdomainProofVerifiesWithMeteredCost) {
       as_authority(zone_->nsec3_nxdomain_proof(missing));
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
       authority, missing, dns::RRType::kDlv, dns::Name::parse("dlv.example"),
-      zone_->dnskey_rrset());
+      zone_->signer().dnskey_rrset());
   EXPECT_TRUE(check.proven);
   EXPECT_EQ(check.iterations, 11);
   // Closest-encloser discovery hashed at least qname, one ancestor and the
@@ -192,11 +192,11 @@ TEST_F(Nsec3ZoneTest, NodataProofVerifies) {
       as_authority(zone_->nsec3_nodata_proof(present));
   EXPECT_TRUE(validator_
                   .check_nsec3_denial(authority, present, dns::RRType::kAaaa,
-                                      apex, zone_->dnskey_rrset())
+                                      apex, zone_->signer().dnskey_rrset())
                   .proven);
   EXPECT_FALSE(validator_
                    .check_nsec3_denial(authority, present, dns::RRType::kA,
-                                       apex, zone_->dnskey_rrset())
+                                       apex, zone_->signer().dnskey_rrset())
                    .proven);
 }
 
@@ -214,7 +214,7 @@ TEST_F(Nsec3ZoneTest, ProofWithoutClosestEncloserDoesNotVerify) {
   }
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
       as_authority(proofs), missing, dns::RRType::kDlv, apex,
-      zone_->dnskey_rrset());
+      zone_->signer().dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
 
@@ -223,7 +223,7 @@ TEST_F(Nsec3ZoneTest, QnameOutsideApexDoesNotVerify) {
       zone_->nsec3_nxdomain_proof(dns::Name::parse("gamma.dlv.example")));
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
       authority, dns::Name::parse("gamma.other.example"), dns::RRType::kDlv,
-      dns::Name::parse("dlv.example"), zone_->dnskey_rrset());
+      dns::Name::parse("dlv.example"), zone_->signer().dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
 
@@ -234,7 +234,7 @@ TEST_F(Nsec3ZoneTest, TamperedProofDoesNotVerify) {
   rdata.next_hashed[0] ^= 0x01;  // break the span (and the signature)
   const resolver::Nsec3Check check = validator_.check_nsec3_denial(
       as_authority(proofs), missing, dns::RRType::kDlv,
-      dns::Name::parse("dlv.example"), zone_->dnskey_rrset());
+      dns::Name::parse("dlv.example"), zone_->signer().dnskey_rrset());
   EXPECT_FALSE(check.proven);
 }
 

@@ -53,7 +53,7 @@ TEST_P(NsecChainProperty, EveryAbsentNameHasAValidCoveringProof) {
   zone::SignedZone zone(std::move(plain),
                         zone::ZoneKeys::generate(256, key_rng));
   const auto key = crypto::RsaPublicKey::from_wire(
-      zone.keys().zsk_record().public_key);
+      zone.signer().keys().zsk_record().public_key);
   ASSERT_TRUE(key.has_value());
 
   // Every absent label must get a covering NSEC whose range contains it and

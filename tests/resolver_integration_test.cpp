@@ -42,7 +42,7 @@ class IntegrationFixture {
     registry_.attach_clock(clock_);
     if (deposit_island) {
       registry_.deposit(dns::Name::parse("island.com"),
-                        testbed_.signed_sld("island.com")->ds_for_parent());
+                        testbed_.signed_sld("island.com")->signer().ds_for_parent());
     }
     // The registry is reachable through the directory like any authority.
     testbed_.directory().register_zone(
@@ -126,6 +126,57 @@ TEST(IntegrationTest, CorruptedSignaturesAreBogusServfail) {
   EXPECT_EQ(result.status, ValidationStatus::kBogus);
   EXPECT_EQ(result.response.header.rcode, dns::RCode::kServFail);
   EXPECT_TRUE(result.response.answers.empty());
+}
+
+TEST(IntegrationTest, BogusAnswerIsNotServedFromCache) {
+  // The forged A record and its RRSIG reach the cache before validation;
+  // a cached copy would read insecure, so the bogus verdict drops it.
+  IntegrationFixture fixture(ResolverConfig::bind_manual_correct());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const ResolveResult result = fixture.resolve("corrupt.com");
+    EXPECT_EQ(result.status, ValidationStatus::kBogus) << attempt;
+    EXPECT_EQ(result.response.header.rcode, dns::RCode::kServFail) << attempt;
+    EXPECT_TRUE(result.response.answers.empty()) << attempt;
+  }
+  EXPECT_EQ(fixture.registry_.total_queries(), 0u);
+}
+
+/// Answers as `inner` does, except that its DS answers arrive with the
+/// answer section cleared: an on-path NODATA that proves no DS absence.
+class DsStripper : public sim::Endpoint {
+ public:
+  explicit DsStripper(std::shared_ptr<server::ZoneAuthority> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string endpoint_id() const override {
+    return inner_->endpoint_id();
+  }
+
+  [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
+    dns::Message response = inner_->handle_query(query);
+    if (query.question().type == dns::RRType::kDs) response.answers.clear();
+    return response;
+  }
+
+ private:
+  std::shared_ptr<server::ZoneAuthority> inner_;
+};
+
+TEST(IntegrationTest, StrippedDsAnswerReadsBogusWithoutLeaking) {
+  // chained.com is signed and its DS sits in com. A DS denial must prove
+  // DS absence: read as an insecure delegation, the stripped answer would
+  // downgrade chained.com and send it to the registry (a Case-2 leak).
+  IntegrationFixture fixture(ResolverConfig::bind_manual_correct());
+  fixture.testbed_.directory().register_zone(
+      dns::Name::parse("com"),
+      std::make_shared<DsStripper>(fixture.testbed_.authority("com")));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const ResolveResult result = fixture.resolve("chained.com");
+    EXPECT_EQ(result.status, ValidationStatus::kBogus) << attempt;
+    EXPECT_EQ(result.response.header.rcode, dns::RCode::kServFail) << attempt;
+    EXPECT_FALSE(result.dlv.used) << attempt;
+  }
+  EXPECT_EQ(fixture.registry_.total_queries(), 0u);
 }
 
 TEST(IntegrationTest, SecondResolutionServedFromCacheWithoutLeak) {
@@ -337,7 +388,7 @@ TEST(IntegrationTest, HashedDlvHidesDomainFromRegistry) {
                            {"unsigned.com", false, false, false, {}}});
   dlv::DlvRegistry registry(registry_options);
   registry.deposit(dns::Name::parse("island.com"),
-                   testbed.signed_sld("island.com")->ds_for_parent());
+                   testbed.signed_sld("island.com")->signer().ds_for_parent());
   testbed.directory().register_zone(
       registry.apex(),
       std::shared_ptr<sim::Endpoint>(&registry, [](sim::Endpoint*) {}));

@@ -1,10 +1,17 @@
-// Unit tests for authoritative response assembly, the server directory and
-// the testbed builder.
+// Unit tests for authoritative response assembly, the server directory,
+// the testbed and the synthetic universe's authorities.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "crypto/dnssec_algo.h"
+#include "crypto/sha256.h"
+#include "dns/codec.h"
+#include "resolver/resolver.h"
 #include "server/directory.h"
 #include "server/testbed.h"
 #include "server/zone_authority.h"
+#include "workload/universe_world.h"
 
 namespace lookaside::server {
 namespace {
@@ -134,6 +141,33 @@ TEST_F(ZoneAuthorityTest, TxtSignalInjection) {
                std::invalid_argument);
 }
 
+TEST_F(ZoneAuthorityTest, ZoneEditResignsTheChangedApexNsec) {
+  // The apex NSEC is signed and cached before the TXT record lands; the
+  // record adds TXT to its bitmap, and the denial must be signed anew.
+  auto authority = testbed_.authority("secure.com");
+  const auto apex_nsec_verifies = [&] {
+    const dns::Message response =
+        authority->handle_query(query("secure.com", dns::RRType::kMx));
+    dns::RRset nsec(dns::Name::parse("secure.com"), dns::RRType::kNsec);
+    const dns::RrsigRdata* sig = nullptr;
+    for (const auto& record : response.authorities) {
+      if (record.type == dns::RRType::kNsec) nsec.add(record);
+      const auto* rrsig = std::get_if<dns::RrsigRdata>(&record.rdata);
+      if (rrsig != nullptr && rrsig->type_covered == dns::RRType::kNsec) {
+        sig = rrsig;
+      }
+    }
+    const auto key = crypto::RsaPublicKey::from_wire(
+        authority->signed_zone()->signer().keys().zsk_record().public_key);
+    return sig != nullptr &&
+           crypto::verify_message(*key, dns::rrsig_signed_data(*sig, nsec),
+                                  sig->signature);
+  };
+  EXPECT_TRUE(apex_nsec_verifies());
+  testbed_.set_txt_dlv_signal("secure.com", true);
+  EXPECT_TRUE(apex_nsec_verifies());
+}
+
 TEST(ServerDirectoryTest, DeepestMatchAndFallback) {
   ServerDirectory directory;
 
@@ -179,6 +213,133 @@ TEST(TestbedTest, SignedSldAccessors) {
   EXPECT_NE(testbed.authority(""), nullptr);     // root
   EXPECT_NE(testbed.authority("com"), nullptr);  // TLD
   EXPECT_EQ(testbed.sld_names().size(), 2u);
+}
+
+// --- Universe authorities ---------------------------------------------------
+
+/// One SLD of each deployment flavour, the first of each in rank order.
+struct FlavouredSlds {
+  workload::DomainInfo chained;  // signed, DS at the parent
+  workload::DomainInfo island;   // signed, DLV deposit, no DS
+  workload::DomainInfo plain;    // unsigned, out-of-bailiwick nameserver
+};
+
+FlavouredSlds pick_slds(const workload::Universe& universe) {
+  std::optional<workload::DomainInfo> chained, island, plain;
+  for (std::uint64_t rank = 1; rank <= universe.size(); ++rank) {
+    const workload::DomainInfo info = universe.info(rank);
+    if (!chained && info.ds_in_parent) chained = info;
+    if (!island && info.dnssec_signed && !info.ds_in_parent &&
+        info.dlv_deposited) {
+      island = info;
+    }
+    if (!plain && !info.dnssec_signed && !info.glue) plain = info;
+  }
+  if (!chained || !island || !plain) throw std::logic_error("flavour missing");
+  return {*chained, *island, *plain};
+}
+
+/// SHA-256 over the wire answers of one world's root, TLD, SLD, reverse and
+/// registry authorities to a fixed query set, each asked with DO=0 and
+/// DO=1. No two NXDOMAIN names share a synthetic NSEC owner.
+std::string authority_digest(bool nsec3_registry) {
+  workload::WorldOptions options;
+  options.universe.size = 5'000;
+  options.txt_signaling = true;
+  options.dlv.nsec3_enabled = nsec3_registry;
+  options.dlv.nsec3_iterations = 3;
+  options.dlv.nsec3_salt = {0xAB, 0xCD};
+  workload::UniverseWorld world(options);
+  const FlavouredSlds slds = pick_slds(world.universe());
+
+  crypto::Sha256 sha;
+  std::uint16_t id = 0;
+  const auto ask = [&](const dns::Name& zone, const dns::Name& qname,
+                       dns::RRType type) {
+    sim::Endpoint* authority = world.directory().authority_for_zone(zone);
+    ASSERT_NE(authority, nullptr) << zone.to_text();
+    for (const bool dnssec_ok : {false, true}) {
+      sha.update(dns::encode_message(authority->handle_query(
+          dns::Message::make_query(++id, qname, type, false, dnssec_ok))));
+    }
+  };
+  const auto ask_apex = [&](const dns::Name& apex) {
+    for (const dns::RRType type :
+         {dns::RRType::kA, dns::RRType::kAaaa, dns::RRType::kNs,
+          dns::RRType::kSoa, dns::RRType::kDs, dns::RRType::kDnskey,
+          dns::RRType::kTxt}) {
+      ask(apex, apex, type);
+    }
+  };
+  const dns::Name root = dns::Name::root();
+  const dns::Name com = dns::Name::parse("com");
+
+  ask_apex(root);
+  ask(root, com, dns::RRType::kDs);
+  ask(root, dns::Name::parse("www.example.com"), dns::RRType::kA);
+  ask(root, dns::Name::parse("nosuchtld"), dns::RRType::kA);
+
+  ask_apex(com);
+  ask(com, dns::Name::parse("zzqqa.com"), dns::RRType::kA);
+  ask(com, dns::Name::parse("qqxxb.com"), dns::RRType::kMx);
+
+  dlv::DlvRegistry& registry = world.registry();
+  for (const workload::DomainInfo& info :
+       {slds.chained, slds.island, slds.plain}) {
+    const dns::Name www = info.name.with_prefix_label("www");
+    ask(info.name.parent(), info.name, dns::RRType::kDs);
+    ask(info.name.parent(), www, dns::RRType::kA);
+    ask_apex(info.name);
+    ask(info.name, www, dns::RRType::kA);
+    ask(info.name, www, dns::RRType::kAaaa);
+    ask(info.name, info.name, dns::RRType::kMx);
+    ask(info.name, info.name.with_prefix_label("mail"), dns::RRType::kA);
+    ask(registry.apex(), registry.dlv_name_for(info.name), dns::RRType::kDlv);
+  }
+  const dns::Name provider_host =
+      world.universe().provider_ns_host(slds.plain.provider);
+  ask(provider_host, provider_host, dns::RRType::kA);
+  ask(provider_host, provider_host, dns::RRType::kMx);
+
+  ask_apex(registry.apex());
+  const dns::Name arpa = dns::Name::parse("in-addr.arpa");
+  ask(arpa, dns::Name::parse("34.113.0.203.in-addr.arpa"), dns::RRType::kPtr);
+  ask(arpa, arpa, dns::RRType::kSoa);
+  return crypto::to_hex(sha.finish());
+}
+
+TEST(AuthorityKnownAnswer, UniverseAnswersAreByteStable) {
+  EXPECT_EQ(authority_digest(/*nsec3_registry=*/false),
+            "0b32dc829fd9c42f7fc8b25ea0f3002e372c7f00d260c947a5583ee827f6eb68");
+  EXPECT_EQ(authority_digest(/*nsec3_registry=*/true),
+            "6cd4a1fc238a1c28a151b784d61dab179a52857c67deb5cb3d8e47fda2aa1ac7");
+}
+
+TEST(UniverseAuthorityTest, WhiteLieNsecsCarryTheirOwnSignatures) {
+  workload::WorldOptions options;
+  options.universe.size = 5'000;
+  workload::UniverseWorld world(options);
+  sim::SimClock clock;
+  sim::Network network(clock);
+  resolver::RecursiveResolver resolver(network, world.directory(),
+                                       resolver::ResolverConfig::bind_yum());
+  resolver.set_root_trust_anchor(world.root_trust_anchor());
+  resolver.set_dlv_trust_anchor(world.registry().trust_anchor());
+
+  // Each name's NXDOMAIN NSEC has the owner of the one before it:
+  // mai.<sld> under a signed, DS-registered SLD, then zzqq.com.
+  const dns::Name sld = pick_slds(world.universe()).chained.name;
+  for (const dns::Name& missing :
+       {sld.with_prefix_label("mail"), sld.with_prefix_label("maiz"),
+        sld.with_prefix_label("maia"), dns::Name::parse("zzqqa.com"),
+        dns::Name::parse("zzqqb.com"), dns::Name::parse("zzqqc.com")}) {
+    const resolver::ResolveResult result =
+        resolver.resolve({missing, dns::RRType::kA});
+    EXPECT_EQ(result.response.header.rcode, dns::RCode::kNxDomain)
+        << missing.to_text();
+    EXPECT_EQ(result.status, resolver::ValidationStatus::kSecure)
+        << missing.to_text();
+  }
 }
 
 }  // namespace

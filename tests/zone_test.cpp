@@ -5,6 +5,7 @@
 #include "crypto/dnssec_algo.h"
 #include "zone/keys.h"
 #include "zone/signed_zone.h"
+#include "zone/signer.h"
 #include "zone/zone.h"
 
 namespace lookaside::zone {
@@ -161,31 +162,31 @@ TEST_F(SignedZoneTest, RrsigVerifiesWithZsk) {
   const dns::RRset* rrset =
       zone_->zone().find(dns::Name::parse("direct.com"), dns::RRType::kA);
   ASSERT_NE(rrset, nullptr);
-  const dns::ResourceRecord rrsig = zone_->rrsig_for(*rrset);
+  const dns::ResourceRecord rrsig = zone_->signer().rrsig_for(*rrset);
   const auto& sig = std::get<dns::RrsigRdata>(rrsig.rdata);
-  EXPECT_EQ(sig.key_tag, zone_->keys().zsk_tag());
+  EXPECT_EQ(sig.key_tag, zone_->signer().keys().zsk_tag());
   EXPECT_EQ(sig.signer, dns::Name::parse("com"));
 
   const auto key =
-      crypto::RsaPublicKey::from_wire(zone_->keys().zsk_record().public_key);
+      crypto::RsaPublicKey::from_wire(zone_->signer().keys().zsk_record().public_key);
   ASSERT_TRUE(key.has_value());
   EXPECT_TRUE(crypto::verify_message(*key, dns::rrsig_signed_data(sig, *rrset),
                                      sig.signature));
 }
 
 TEST_F(SignedZoneTest, DnskeySignedWithKsk) {
-  const dns::ResourceRecord rrsig = zone_->rrsig_for(zone_->dnskey_rrset());
+  const dns::ResourceRecord rrsig = zone_->signer().rrsig_for(zone_->signer().dnskey_rrset());
   EXPECT_EQ(std::get<dns::RrsigRdata>(rrsig.rdata).key_tag,
-            zone_->keys().ksk_tag());
+            zone_->signer().keys().ksk_tag());
 }
 
 TEST_F(SignedZoneTest, SignatureCacheReused) {
   const dns::RRset* rrset =
       zone_->zone().find(dns::Name::parse("direct.com"), dns::RRType::kA);
-  (void)zone_->rrsig_for(*rrset);
-  const std::size_t after_first = zone_->signatures_computed();
-  (void)zone_->rrsig_for(*rrset);
-  EXPECT_EQ(zone_->signatures_computed(), after_first);
+  (void)zone_->signer().rrsig_for(*rrset);
+  const std::size_t after_first = zone_->signer().stats().signatures;
+  (void)zone_->signer().rrsig_for(*rrset);
+  EXPECT_EQ(zone_->signer().stats().signatures, after_first);
 }
 
 TEST_F(SignedZoneTest, NxdomainProofCoversName) {
@@ -201,7 +202,7 @@ TEST_F(SignedZoneTest, NxdomainProofCoversName) {
   dns::RRset nsec_set(proof.nsec.name, dns::RRType::kNsec);
   nsec_set.add(proof.nsec);
   const auto key =
-      crypto::RsaPublicKey::from_wire(zone_->keys().zsk_record().public_key);
+      crypto::RsaPublicKey::from_wire(zone_->signer().keys().zsk_record().public_key);
   EXPECT_TRUE(crypto::verify_message(
       *key, dns::rrsig_signed_data(sig, nsec_set), sig.signature));
 }
@@ -218,27 +219,115 @@ TEST_F(SignedZoneTest, NodataProofOmitsType) {
 }
 
 TEST_F(SignedZoneTest, CorruptionBreaksVerification) {
-  zone_->set_corrupt_signatures(true);
+  zone_->signer().set_corrupt_signatures(true);
   const dns::RRset* rrset =
       zone_->zone().find(dns::Name::parse("direct.com"), dns::RRType::kA);
-  const dns::ResourceRecord rrsig = zone_->rrsig_for(*rrset);
+  const dns::ResourceRecord rrsig = zone_->signer().rrsig_for(*rrset);
   const auto& sig = std::get<dns::RrsigRdata>(rrsig.rdata);
   const auto key =
-      crypto::RsaPublicKey::from_wire(zone_->keys().zsk_record().public_key);
+      crypto::RsaPublicKey::from_wire(zone_->signer().keys().zsk_record().public_key);
   EXPECT_FALSE(crypto::verify_message(
       *key, dns::rrsig_signed_data(sig, *rrset), sig.signature));
   // Turning corruption off restores good signatures.
-  zone_->set_corrupt_signatures(false);
-  const dns::ResourceRecord good = zone_->rrsig_for(*rrset);
+  zone_->signer().set_corrupt_signatures(false);
+  const dns::ResourceRecord good = zone_->signer().rrsig_for(*rrset);
   const auto& good_sig = std::get<dns::RrsigRdata>(good.rdata);
   EXPECT_TRUE(crypto::verify_message(
       *key, dns::rrsig_signed_data(good_sig, *rrset), good_sig.signature));
 }
 
+TEST_F(SignedZoneTest, AddedRecordResignsItsRrset) {
+  const dns::Name direct = dns::Name::parse("direct.com");
+  (void)zone_->signer().rrsig_for(*zone_->zone().find(direct, dns::RRType::kA));
+  zone_->add(dns::ResourceRecord::make(direct, 3600, dns::ARdata{0x03030303}));
+  const dns::RRset* grown = zone_->zone().find(direct, dns::RRType::kA);
+  ASSERT_EQ(grown->size(), 2u);
+  const dns::ResourceRecord rrsig = zone_->signer().rrsig_for(*grown);
+  const auto& sig = std::get<dns::RrsigRdata>(rrsig.rdata);
+  const auto key = crypto::RsaPublicKey::from_wire(
+      zone_->signer().keys().zsk_record().public_key);
+  EXPECT_TRUE(crypto::verify_message(
+      *key, dns::rrsig_signed_data(sig, *grown), sig.signature));
+  EXPECT_EQ(zone_->signer().stats().resigns, 1u);
+}
+
 TEST_F(SignedZoneTest, DsForParentMatchesKsk) {
-  const dns::DsRdata ds = zone_->ds_for_parent();
-  EXPECT_EQ(ds.key_tag, zone_->keys().ksk_tag());
-  EXPECT_EQ(ds, make_ds(dns::Name::parse("com"), zone_->keys().ksk_record()));
+  const dns::DsRdata ds = zone_->signer().ds_for_parent();
+  EXPECT_EQ(ds.key_tag, zone_->signer().keys().ksk_tag());
+  EXPECT_EQ(ds, make_ds(dns::Name::parse("com"), zone_->signer().keys().ksk_record()));
+}
+
+class SignerTest : public ::testing::Test {
+ protected:
+  SignerTest() : signer_(dns::Name::parse("com"), make_keys()) {}
+
+  static ZoneKeys make_keys() {
+    crypto::SplitMix64 rng(5);
+    return ZoneKeys::generate(256, rng);
+  }
+
+  /// A synthetic NXDOMAIN's NSEC: every missing name after "zzqq" shares
+  /// its owner, and only the next name tells them apart.
+  static dns::RRset white_lie(const std::string& next) {
+    return nsec_rrset(dns::Name::parse("zzqq.com"), dns::Name::parse(next),
+                      {dns::RRType::kNs, dns::RRType::kRrsig,
+                       dns::RRType::kNsec},
+                      3600);
+  }
+
+  [[nodiscard]] bool verifies(const dns::RRset& rrset,
+                              const dns::ResourceRecord& rrsig) const {
+    const auto& sig = std::get<dns::RrsigRdata>(rrsig.rdata);
+    const auto key = crypto::RsaPublicKey::from_wire(
+        signer_.keys().zsk_record().public_key);
+    return crypto::verify_message(*key, dns::rrsig_signed_data(sig, rrset),
+                                  sig.signature);
+  }
+
+  Signer signer_;
+};
+
+TEST_F(SignerTest, SharedOwnerRrsetsEachGetTheirOwnSignature) {
+  const dns::RRset first = white_lie("zzqqa0.com");
+  const dns::RRset second = white_lie("zzqqb0.com");
+  EXPECT_TRUE(verifies(first, signer_.rrsig_for(first)));
+  EXPECT_TRUE(verifies(second, signer_.rrsig_for(second)));
+  EXPECT_TRUE(verifies(first, signer_.rrsig_for(first)));
+  EXPECT_EQ(signer_.stats().signatures, 3u);
+  EXPECT_EQ(signer_.stats().resigns, 2u);
+  EXPECT_EQ(signer_.stats().cache_hits, 0u);
+
+  EXPECT_TRUE(verifies(first, signer_.rrsig_for(first)));
+  EXPECT_EQ(signer_.stats().signatures, 3u);
+  EXPECT_EQ(signer_.stats().cache_hits, 1u);
+}
+
+TEST_F(SignerTest, TtlChangeResigns) {
+  dns::RRset short_lived(dns::Name::parse("a.com"), dns::RRType::kA);
+  short_lived.add(dns::ResourceRecord::make(dns::Name::parse("a.com"), 60,
+                                            dns::ARdata{1}));
+  dns::RRset long_lived(dns::Name::parse("a.com"), dns::RRType::kA);
+  long_lived.add(dns::ResourceRecord::make(dns::Name::parse("a.com"), 3600,
+                                           dns::ARdata{1}));
+  (void)signer_.rrsig_for(short_lived);
+  EXPECT_TRUE(verifies(long_lived, signer_.rrsig_for(long_lived)));
+  EXPECT_EQ(signer_.stats().resigns, 1u);
+}
+
+TEST_F(SignerTest, AppendPushesRecordsThenTheirRrsig) {
+  const dns::RRset nsec = white_lie("zzqqa0.com");
+  std::vector<dns::ResourceRecord> unsigned_section;
+  append(unsigned_section, nsec, nullptr);
+  ASSERT_EQ(unsigned_section.size(), 1u);
+  EXPECT_EQ(unsigned_section[0], nsec.records().front());
+
+  std::vector<dns::ResourceRecord> signed_section;
+  append(signed_section, nsec, &signer_);
+  ASSERT_EQ(signed_section.size(), 2u);
+  EXPECT_EQ(signed_section[0], nsec.records().front());
+  EXPECT_EQ(std::get<dns::RrsigRdata>(signed_section[1].rdata).type_covered,
+            dns::RRType::kNsec);
+  EXPECT_TRUE(verifies(nsec, signed_section[1]));
 }
 
 }  // namespace
