@@ -93,11 +93,11 @@ LeakageReport UniverseExperiment::run_topn_shuffled(
 
 PhaseMetrics UniverseExperiment::metrics() const {
   PhaseMetrics out;
+  const metrics::CounterSet counters = network_.counters();
   out.response_seconds = clock_.now_seconds();
-  out.megabytes = static_cast<double>(
-                      network_.counters().value("bytes.total")) /
+  out.megabytes = static_cast<double>(counters.value("bytes.total")) /
                   (1024.0 * 1024.0);
-  out.queries = network_.counters().value("packets.query");
+  out.queries = counters.value("packets.query");
   return out;
 }
 

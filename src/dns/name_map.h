@@ -20,6 +20,9 @@
 // and passes every other full slot without touching its key or value. A
 // new slot starts due at 0, writers lower the due time when they store an
 // earlier expiry, and the sweep's callback raises it again after a visit.
+// A table of 32 slots or more also keeps one bound per aligned block of 32
+// slots: at most the due time of every full slot in the block. A sweep
+// passes a whole block whose bound is later than its horizon with one load.
 //
 // Linear probing over a power-of-two slot array with tombstone deletion.
 // Rehash keeps the live load factor below 3/4 (tombstones count toward the
@@ -31,6 +34,7 @@
 // entries in unique_ptr to keep std::map-era pointer stability.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -104,7 +108,7 @@ class NameHashMap {
     for (;;) {
       const std::uint8_t c = ctrl_[i];
       if (c == want && keys_equal(slots_[i], key)) {
-        if (due < due_[i]) due_[i] = due;
+        if (due < due_[i]) set_due(i, due);
         return slots_[i].value;
       }
       if (c == kCtrlDead && reuse == kNoSlot) reuse = i;
@@ -115,7 +119,7 @@ class NameHashMap {
         slot.key = key;
         slot.value = Value{};
         ctrl_[target] = want;
-        due_[target] = 0;
+        set_due(target, 0);
         ++size_;
         return slot.value;
       }
@@ -151,6 +155,7 @@ class NameHashMap {
     slots_.clear();
     ctrl_.clear();
     due_.clear();
+    block_due_.clear();
     size_ = 0;
     dead_ = 0;
     ++generation_;
@@ -180,13 +185,17 @@ class NameHashMap {
   /// due time: fn may raise it to the earliest expiry it leaves in the
   /// slot. Returning true erases that entry in place (tombstone, no
   /// rehash). The cursor advances past every walked slot, visited or not,
-  /// so repeated calls cover the whole table. A cursor whose snapshotted
-  /// generation predates a rehash indexed the *old* slot ordering —
-  /// sweep() re-anchors it into the current table (masked, phase
-  /// preserved; see NameMapSweepCursor for why not slot 0) so the walk is
-  /// always a defined position in the live ordering, and within one
-  /// generation never skips or double-visits an entry per lap. Returns the
-  /// number of entries erased. fn must not touch the map.
+  /// so repeated calls cover the whole table. A whole aligned block of 32
+  /// slots whose bound is later than `due_by` is passed with one load, and
+  /// a block walked whole gets its bound recomputed from the due times the
+  /// walk leaves; either way the visits and the cursor are the slot
+  /// walk's. A cursor whose snapshotted generation predates a rehash
+  /// indexed the *old* slot ordering — sweep() re-anchors it into the
+  /// current table (masked, phase preserved; see NameMapSweepCursor for
+  /// why not slot 0) so the walk is always a defined position in the live
+  /// ordering, and within one generation never skips or double-visits an
+  /// entry per lap. Returns the number of entries erased. fn must not
+  /// touch the map.
   template <typename Fn>
   std::size_t sweep(SweepCursor* cursor, std::size_t max_steps,
                     std::uint64_t due_by, Fn&& fn) {
@@ -197,19 +206,38 @@ class NameHashMap {
     }
     std::size_t erased = 0;
     std::size_t i = cursor->slot & mask();
-    for (std::size_t step = 0; step < max_steps; ++step) {
-      if (is_full(ctrl_[i]) && due_[i] <= due_by) {
-        Slot& slot = slots_[i];
-        if (fn(slot.key, slot.value, due_[i])) {
-          slot.key = Name{};
-          slot.value = Value{};
-          ctrl_[i] = kCtrlDead;
-          --size_;
-          ++dead_;
-          ++erased;
-        }
+    // Visits slot `at` when it is full and due; true when fn erased it.
+    const auto visit = [&](std::size_t at) {
+      if (!is_full(ctrl_[at]) || due_[at] > due_by) return false;
+      Slot& slot = slots_[at];
+      if (!fn(slot.key, slot.value, due_[at])) return false;
+      slot.key = Name{};
+      slot.value = Value{};
+      ctrl_[at] = kCtrlDead;
+      --size_;
+      ++dead_;
+      ++erased;
+      return true;
+    };
+    while (max_steps > 0) {
+      if (max_steps < kBlockSlots || i % kBlockSlots != 0 ||
+          block_due_.empty()) {
+        visit(i);
+        i = (i + 1) & mask();
+        --max_steps;
+        continue;
       }
-      i = (i + 1) & mask();
+      std::uint64_t& bound = block_due_[i / kBlockSlots];
+      const std::size_t end = i + kBlockSlots;
+      if (bound <= due_by) {
+        std::uint64_t low = kSweepAll;
+        for (; i < end; ++i) {
+          if (!visit(i) && is_full(ctrl_[i])) low = std::min(low, due_[i]);
+        }
+        bound = low;
+      }
+      i = end & mask();
+      max_steps -= kBlockSlots;
     }
     cursor->slot = i;
     return erased;
@@ -236,6 +264,8 @@ class NameHashMap {
   };
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   static constexpr std::size_t kInitialCapacity = 16;
+  // Slots per due-time block; a table smaller than one block keeps none.
+  static constexpr std::size_t kBlockSlots = 32;
 
   [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
 
@@ -244,6 +274,15 @@ class NameHashMap {
     // unequal pair that survives the control-byte fragment, so the byte
     // compare rarely runs on mismatches.
     return slot.key.hash() == key.hash() && slot.key == key;
+  }
+
+  /// Sets slot i's due time, lowering its block's bound to match. Callers
+  /// only lower a due time or place a slot; sweep() raises them itself.
+  void set_due(std::size_t i, std::uint64_t due) {
+    due_[i] = due;
+    if (block_due_.empty()) return;
+    std::uint64_t& bound = block_due_[i / kBlockSlots];
+    if (due < bound) bound = due;
   }
 
   void grow() {
@@ -260,6 +299,7 @@ class NameHashMap {
     slots_.resize(capacity);
     ctrl_.assign(capacity, kCtrlEmpty);
     due_.assign(capacity, 0);
+    block_due_.assign(capacity / kBlockSlots, kSweepAll);
     size_ = 0;
     dead_ = 0;
     ++generation_;
@@ -272,7 +312,7 @@ class NameHashMap {
       slots_[i].key = std::move(slot.key);
       slots_[i].value = std::move(slot.value);
       ctrl_[i] = ctrl_of(hash);
-      due_[i] = old_due[s];
+      set_due(i, old_due[s]);
       ++size_;
     }
   }
@@ -280,6 +320,9 @@ class NameHashMap {
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> ctrl_;  // SoA control bytes, one per slot
   std::vector<std::uint64_t> due_;  // per-slot due times, beside ctrl_
+  // Per-block lower bounds of due_ over the block's full slots; empty
+  // while the table is smaller than one block.
+  std::vector<std::uint64_t> block_due_;
   std::size_t size_ = 0;
   std::size_t dead_ = 0;       // tombstones
   std::uint64_t generation_ = 1;  // rehash epoch (see SweepCursor)

@@ -118,6 +118,28 @@ const char* ResolverCache::section_name(Section section) {
   }
 }
 
+const metrics::CounterSet ResolverCache::counters() const {
+  metrics::CounterSet out;
+  const auto put = [&](std::string_view name, std::uint64_t value) {
+    if (value != 0) out.add(name, value);
+  };
+  put("cache.hit", counts_.hit);
+  put("cache.miss", counts_.miss);
+  put("cache.negative_hit", counts_.negative_hit);
+  put("cache.servfail_hit", counts_.servfail_hit);
+  put("cache.expired_swept", counts_.expired_swept);
+  std::uint64_t evicted = 0;
+  for (std::size_t section = 0; section < kSectionCount; ++section) {
+    const std::uint64_t count = counts_.evicted[section];
+    put(std::string("cache.evicted.") +
+            section_name(static_cast<Section>(section)),
+        count);
+    evicted += count;
+  }
+  put("cache.evicted", evicted);
+  return out;
+}
+
 // -- Positive cache ----------------------------------------------------------
 
 void ResolverCache::store(const dns::RRset& rrset, bool validated,
@@ -156,10 +178,10 @@ std::optional<ResolverCache::Entry> ResolverCache::find_entry(
       slots->erase(slots->begin() + (slot - slots->data()));
       if (slots->empty()) positive_.erase(name);
     }
-    counters_.add("cache.miss");
+    ++counts_.miss;
     return std::nullopt;
   }
-  counters_.add("cache.hit");
+  ++counts_.hit;
   PositiveEntry& entry = *slot->second;
   entry.referenced = true;
   return Entry{&entry.rrset, entry.validated, &entry.rrsigs};
@@ -239,7 +261,7 @@ NegativeEntry ResolverCache::negative_lookup(const dns::Name& name,
         ++write;
       }
       slots->resize(write);
-      counters_.add("cache.negative_hit");
+      ++counts_.negative_hit;
       return nxdomain ? NegativeEntry::kNxDomain : NegativeEntry::kNoData;
     }
     if (slot.second.nxdomain) {
@@ -253,7 +275,7 @@ NegativeEntry ResolverCache::negative_lookup(const dns::Name& name,
   slots->resize(write);
   if (slots->empty()) negative_.erase(name);
   if (nxdomain_hit) {
-    counters_.add("cache.negative_hit");
+    ++counts_.negative_hit;
     return NegativeEntry::kNxDomain;
   }
   return NegativeEntry::kNone;
@@ -284,7 +306,7 @@ bool ResolverCache::find_servfail(const dns::Name& name, dns::RRType type) {
     return false;
   }
   slot->second.referenced = true;
-  counters_.add("cache.servfail_hit");
+  ++counts_.servfail_hit;
   return true;
 }
 
@@ -605,14 +627,8 @@ std::size_t ResolverCache::sweep_expired(std::size_t max_slots) {
     reclaimed = sweep_section(section, max_slots);
     break;
   }
-  if (reclaimed > 0) counters_.add("cache.expired_swept", reclaimed);
+  counts_.expired_swept += reclaimed;
   return reclaimed;
-}
-
-void ResolverCache::count_eviction(Section section, std::size_t entries) {
-  counters_.add("cache.evicted", entries);
-  counters_.add(std::string("cache.evicted.") + section_name(section),
-                entries);
 }
 
 bool ResolverCache::section_empty(Section section) const {
@@ -713,7 +729,7 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
     default:
       break;
   }
-  if (evicted > 0) count_eviction(section, evicted);
+  counts_.evicted[section] += evicted;
   return evicted > 0;
 }
 

@@ -230,8 +230,9 @@ class ResolverCache {
 
   /// Counters: "cache.hit", "cache.miss", "cache.negative_hit",
   /// "cache.servfail_hit", "cache.expired_swept", "cache.evicted",
-  /// "cache.evicted.positive|negative|servfail|nsec|zone_cut".
-  [[nodiscard]] const metrics::CounterSet& counters() const { return counters_; }
+  /// "cache.evicted.positive|negative|servfail|nsec|zone_cut". A snapshot
+  /// built from typed fields; a name with a zero count is absent.
+  [[nodiscard]] const metrics::CounterSet counters() const;
 
  private:
   struct PositiveEntry {
@@ -379,7 +380,6 @@ class ResolverCache {
   /// referenced entries a second chance (clearing the bit) and evicts the
   /// first unreferenced one. Returns true when something was evicted.
   bool evict_step(Section section, std::size_t budget);
-  void count_eviction(Section section, std::size_t entries);
   void trace_eviction(Section section, const dns::Name& owner);
   [[nodiscard]] bool section_empty(Section section) const;
 
@@ -387,7 +387,16 @@ class ResolverCache {
   obs::Tracer* tracer_ = nullptr;
   SharedProofStore* shared_ = nullptr;  // nullable; not owned
   std::uint32_t shard_id_ = 0;
-  metrics::CounterSet counters_;
+  // What counters() exports; "cache.evicted" is the sum of the sections'.
+  struct Counts {
+    std::uint64_t hit = 0;
+    std::uint64_t miss = 0;
+    std::uint64_t negative_hit = 0;
+    std::uint64_t servfail_hit = 0;
+    std::uint64_t expired_swept = 0;
+    std::uint64_t evicted[kSectionCount] = {};
+  };
+  Counts counts_;
   CacheLimits limits_;
   std::uint64_t bytes_ = 0;
   std::uint64_t peak_bytes_ = 0;

@@ -138,7 +138,7 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
   const dns::Question& question = query.question();
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     if (attempt > 0) {
-      network_->counters().add("retries");
+      network_->count_retry();
       trace_event(obs::EventKind::kRetry, question.name, question.type,
                   "attempt=" + std::to_string(attempt), server_id);
     }

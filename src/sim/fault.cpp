@@ -25,24 +25,29 @@ bool parse_probability(std::string_view text, double* out) {
   char* end = nullptr;
   const double value = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return false;
-  if (value < 0.0 || value > 1.0) return false;
+  // Written so that NaN, which fails every comparison, is rejected too.
+  if (!(value >= 0.0 && value <= 1.0)) return false;
   *out = value;
   return true;
 }
 
-/// Parses "<number>{us|ms|s}" into microseconds.
+/// Parses "<number>{us|ms|s}" into microseconds. Rejects NaN, infinities
+/// and durations of 2^64 µs or more, which no std::uint64_t holds.
 bool parse_duration_us(std::string_view text, std::uint64_t* out) {
   const std::string buf(text);
   char* end = nullptr;
   const double value = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || value < 0.0) return false;
+  if (end == buf.c_str()) return false;
   const std::string_view suffix(end);
   double scale = 0.0;
   if (suffix == "us") scale = 1.0;
   else if (suffix == "ms") scale = 1e3;
   else if (suffix == "s") scale = 1e6;
   else return false;
-  *out = static_cast<std::uint64_t>(value * scale);
+  const double us = value * scale;
+  // 2^64 as a double is exact; NaN fails both comparisons.
+  if (!(us >= 0.0 && us < 18446744073709551616.0)) return false;
+  *out = static_cast<std::uint64_t>(us);
   return true;
 }
 

@@ -4,18 +4,52 @@
 
 namespace lookaside::sim {
 
+const metrics::CounterSet Network::counters() const {
+  metrics::CounterSet out;
+  const auto put = [&](std::string_view name, std::uint64_t value) {
+    if (value != 0) out.add(name, value);
+  };
+  put("packets.query", counts_.packets_query);
+  put("packets.response", counts_.packets_response);
+  put("bytes.query", counts_.bytes_query);
+  put("bytes.response", counts_.bytes_response);
+  put("bytes.total", counts_.bytes_query + counts_.bytes_response);
+  put("timeouts", counts_.timeouts);
+  put("timeouts.partial", counts_.timeouts_partial);
+  put("faults.dropped", counts_.faults_dropped);
+  put("faults.mangled", counts_.faults_mangled);
+  put("faults.truncated", counts_.faults_truncated);
+  put("faults.rrsig_corrupted", counts_.faults_rrsig_corrupted);
+  put("faults.latency_spikes", counts_.faults_latency_spikes);
+  put("retries", counts_.retries);
+  const auto put_query = [&](std::size_t code, std::uint64_t count) {
+    if (count == 0) return;  // before building the name
+    put("query." + dns::rr_type_name(static_cast<dns::RRType>(code)), count);
+  };
+  for (std::size_t code = 0; code < counts_.queries_by_type.size(); ++code) {
+    put_query(code, counts_.queries_by_type[code]);
+  }
+  for (const auto& [code, count] : counts_.queries_by_high_type) {
+    put_query(code, count);
+  }
+  return out;
+}
+
 void Network::record(PacketRecord packet) {
   if (packet.is_query) {
-    counters_.add("packets.query");
-    counters_.add("bytes.query", packet.bytes);
-    counters_.add("bytes.total", packet.bytes);
+    ++counts_.packets_query;
+    counts_.bytes_query += packet.bytes;
     if (packet.has_question) {
-      counters_.add("query." + dns::rr_type_name(packet.qtype));
+      const auto code = static_cast<std::uint16_t>(packet.qtype);
+      if (code < counts_.queries_by_type.size()) {
+        ++counts_.queries_by_type[code];
+      } else {
+        ++counts_.queries_by_high_type[code];
+      }
     }
   } else {
-    counters_.add("packets.response");
-    counters_.add("bytes.response", packet.bytes);
-    counters_.add("bytes.total", packet.bytes);
+    ++counts_.packets_response;
+    counts_.bytes_response += packet.bytes;
   }
   for (const auto& observer : observers_) observer(packet);
   if (capture_enabled_) capture_.push_back(std::move(packet));
@@ -40,9 +74,9 @@ void Network::charge_timeout(const dns::Message& query, const std::string& to,
                              std::uint64_t wait_us, const char* cause,
                              bool partial) {
   clock_->advance_us(wait_us);
-  counters_.add("timeouts");
-  if (partial) counters_.add("timeouts.partial");
-  counters_.add("faults.dropped");
+  ++counts_.timeouts;
+  if (partial) ++counts_.timeouts_partial;
+  ++counts_.faults_dropped;
   notify_fault(query, to, cause);
 }
 
@@ -76,7 +110,7 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
 
   std::uint64_t one_way = server.latency_override_us(query);
   if (one_way == 0) one_way = latency_.one_way_us(to);
-  if (fault.added_latency_us != 0) counters_.add("faults.latency_spikes");
+  if (fault.added_latency_us != 0) ++counts_.faults_latency_spikes;
 
   clock_->advance_us(one_way);
   dns::Message response = server.handle_query(query);
@@ -99,7 +133,7 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
     response.answers.clear();
     response.authorities.clear();
     response.additionals.clear();
-    counters_.add("faults.mangled");
+    ++counts_.faults_mangled;
     notify_fault(query, to, fault.cause);
   }
   if (fault.truncate) {
@@ -107,7 +141,7 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
     response.answers.clear();
     response.authorities.clear();
     response.additionals.clear();
-    counters_.add("faults.truncated");
+    ++counts_.faults_truncated;
     notify_fault(query, to, "truncate");
   }
   if (fault.corrupt_rrsigs) {
@@ -122,7 +156,7 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
       }
     }
     if (corrupted) {
-      counters_.add("faults.rrsig_corrupted");
+      ++counts_.faults_rrsig_corrupted;
       notify_fault(query, to, "rrsig-corrupt");
     }
   }

@@ -7,8 +7,10 @@
 // and (3) account every query/byte so the overhead tables can be rebuilt.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -128,11 +130,13 @@ class Network {
   /// "bytes.query", "bytes.response", "bytes.total", "timeouts",
   /// "timeouts.partial" (response leg lost — the query still leaked),
   /// "faults.dropped", "faults.mangled", "faults.truncated",
-  /// "faults.rrsig_corrupted", "faults.latency_spikes". The resolver's
-  /// retry layer adds "retries" to this same set so one CounterSet holds
-  /// the whole fault/recovery story.
-  [[nodiscard]] const metrics::CounterSet& counters() const { return counters_; }
-  [[nodiscard]] metrics::CounterSet& counters() { return counters_; }
+  /// "faults.rrsig_corrupted", "faults.latency_spikes", and "retries"
+  /// (count_retry), so one set holds the whole fault/recovery story. A
+  /// snapshot built from typed fields; a name with a zero count is absent.
+  [[nodiscard]] const metrics::CounterSet counters() const;
+
+  /// Counts one resend by the resolver's retry layer ("retries").
+  void count_retry() { ++counts_.retries; }
 
   [[nodiscard]] LatencyModel& latency() { return latency_; }
   [[nodiscard]] SimClock& clock() { return *clock_; }
@@ -153,9 +157,29 @@ class Network {
   void notify_fault(const dns::Message& query, const std::string& to,
                     const char* cause);
 
+  /// What counters() exports, counted on the exchange path without names.
+  struct Counts {
+    std::uint64_t packets_query = 0;
+    std::uint64_t packets_response = 0;
+    std::uint64_t bytes_query = 0;
+    std::uint64_t bytes_response = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t timeouts_partial = 0;
+    std::uint64_t faults_dropped = 0;
+    std::uint64_t faults_mangled = 0;
+    std::uint64_t faults_truncated = 0;
+    std::uint64_t faults_rrsig_corrupted = 0;
+    std::uint64_t faults_latency_spikes = 0;
+    std::uint64_t retries = 0;
+    // Queries by question type: the codes below 256 by index, the rest
+    // (DLV, unknown types) by code.
+    std::array<std::uint64_t, 256> queries_by_type{};
+    std::map<std::uint16_t, std::uint64_t> queries_by_high_type;
+  };
+
   SimClock* clock_;
   LatencyModel latency_;
-  metrics::CounterSet counters_;
+  Counts counts_;
   std::vector<PacketRecord> capture_;
   bool capture_enabled_ = false;
   std::vector<std::function<void(const PacketRecord&)>> observers_;

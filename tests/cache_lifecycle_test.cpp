@@ -13,6 +13,8 @@
 #include "resolver/cache.h"
 #include "resolver/config.h"
 #include "sim/clock.h"
+#include "sim/fault.h"
+#include "sim/network.h"
 
 namespace lookaside::resolver {
 namespace {
@@ -358,6 +360,109 @@ TEST(CacheLifecycleEndToEnd, CappedResolverHoldsBytesUnderCapAndLeaksMore) {
   // Evicting aggressive-NSEC proofs re-opens the leakage channel: the
   // capped resolver can only do worse (more Case-2 queries), never better.
   EXPECT_GE(capped_report.case2_queries, free_report.case2_queries);
+}
+
+// -- Counter known answer ------------------------------------------------------
+
+/// Answers every query with its own question; the scenario's direct
+/// exchanges use it to ask types no resolver asks.
+class EchoEndpoint : public sim::Endpoint {
+ public:
+  [[nodiscard]] std::string endpoint_id() const override { return "echo"; }
+  [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
+    dns::Message response = query;
+    response.header.qr = true;
+    return response;
+  }
+};
+
+TEST(CounterKnownAnswer, FaultyCappedRunExportsItsRecordedCounters) {
+  // One fixed run through every counted path of the network and the
+  // cache: a seeded plan that fires each fault kind (loss, a response-leg
+  // loss and a spike past the retransmission timer are both partial
+  // timeouts, and every lost or truncated attempt is retried), a byte cap
+  // that evicts from every section, TTLs that expire between passes, and
+  // direct exchanges of an unknown type below 256 and one above. The
+  // literals were recorded before the counters were typed fields. Every
+  // name the two classes export appears, except query.<TYPE> for types
+  // this run never asks: TXT, which the resolver asks only under the TXT
+  // remedy, and the types it only reads in answers (SOA, CNAME, RRSIG,
+  // NSEC, NSEC3).
+  core::UniverseExperiment::Options options;
+  options.universe_size = 2'000;
+  options.resolver_config = ResolverConfig::bind_yum();
+  options.resolver_config.max_cache_bytes = 48 * 1024;
+  options.resolver_config.server_holddown_us = 0;
+  core::UniverseExperiment experiment(options);
+  sim::FaultPlan plan;
+  plan.seed = 2028;
+  const auto spec = sim::FaultSpec::parse(
+      "* loss=0.04 rloss=0.03 spike=0.04:2s truncate=0.03 "
+      "rcode=SERVFAIL:0.04 corrupt=0.03");
+  ASSERT_TRUE(spec.has_value());
+  plan.add(*spec);
+  experiment.network().set_fault_plan(plan);
+
+  const workload::Universe& universe = experiment.world().universe();
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint64_t rank = 1; rank <= 150; ++rank) {
+      const dns::Name domain = universe.domain_at(rank);
+      (void)experiment.stub().visit(domain);
+      // A repeat inside the SERVFAIL TTL is answered from that cache.
+      const Query query{domain, dns::RRType::kA};
+      if (experiment.resolver().resolve(query).response.header.rcode ==
+          dns::RCode::kServFail) {
+        (void)experiment.resolver().resolve(query);
+      }
+    }
+    experiment.clock().advance_seconds(3'000);  // most TTLs are 3,600 s
+  }
+  EchoEndpoint echo;
+  for (const std::uint16_t type : {99, 99, 65'280}) {
+    dns::Message query;
+    query.questions.push_back(
+        {dns::Name::parse("probe.test"), static_cast<dns::RRType>(type)});
+    (void)experiment.network().exchange("stub", echo, query);
+  }
+
+  using Entries = std::vector<std::pair<std::string, std::uint64_t>>;
+  const Entries network = experiment.network().counters().entries();
+  const Entries cache = experiment.resolver().cache().counters().entries();
+  for (const auto& [name, value] : network) EXPECT_NE(value, 0u) << name;
+  for (const auto& [name, value] : cache) EXPECT_NE(value, 0u) << name;
+  EXPECT_EQ(network, (Entries{{"bytes.query", 241229},
+                               {"bytes.response", 735005},
+                               {"bytes.total", 976234},
+                               {"faults.dropped", 578},
+                               {"faults.latency_spikes", 213},
+                               {"faults.mangled", 219},
+                               {"faults.rrsig_corrupted", 91},
+                               {"faults.truncated", 168},
+                               {"packets.query", 5849},
+                               {"packets.response", 5271},
+                               {"query.A", 2675},
+                               {"query.AAAA", 1240},
+                               {"query.DLV", 249},
+                               {"query.DNSKEY", 310},
+                               {"query.DS", 1049},
+                               {"query.NS", 307},
+                               {"query.PTR", 16},
+                               {"query.TYPE65280", 1},
+                               {"query.TYPE99", 2},
+                               {"retries", 654},
+                               {"timeouts", 578},
+                               {"timeouts.partial", 322}}));
+  EXPECT_EQ(cache, (Entries{{"cache.evicted", 5180},
+                             {"cache.evicted.negative", 812},
+                             {"cache.evicted.nsec", 440},
+                             {"cache.evicted.positive", 2571},
+                             {"cache.evicted.servfail", 71},
+                             {"cache.evicted.zone_cut", 1286},
+                             {"cache.expired_swept", 83},
+                             {"cache.hit", 3046},
+                             {"cache.miss", 6664},
+                             {"cache.negative_hit", 190},
+                             {"cache.servfail_hit", 14}}));
 }
 
 }  // namespace

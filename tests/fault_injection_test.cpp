@@ -111,6 +111,13 @@ TEST(FaultSpecTest, ParsesTheDocumentedGrammar) {
   EXPECT_FALSE(sim::FaultSpec::parse("root bogus=1").has_value());
   EXPECT_FALSE(sim::FaultSpec::parse("root rcode=NOPE:0.5").has_value());
   EXPECT_FALSE(sim::FaultSpec::parse("root outage=2s..1s").has_value());
+  // Non-finite numbers and durations past 2^64 µs: the conversion to
+  // microseconds would be undefined, and a NaN probability never fires.
+  EXPECT_FALSE(sim::FaultSpec::parse("* spike=0.5:1e300s").has_value());
+  EXPECT_FALSE(sim::FaultSpec::parse("* spike=0.5:infs").has_value());
+  EXPECT_FALSE(sim::FaultSpec::parse("* spike=0.5:nanms").has_value());
+  EXPECT_FALSE(sim::FaultSpec::parse("* outage=0s..1e30s").has_value());
+  EXPECT_FALSE(sim::FaultSpec::parse("* loss=nan").has_value());
 }
 
 TEST(ResolverRetryTest, RetryRecoversWhenOutageEndsMidSchedule) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "crypto/rng.h"
 #include "dns/name.h"
 #include "dns/name_map.h"
 #include "resolver/cache.h"
@@ -274,6 +275,173 @@ TEST(NameMapSweep, StoresLowerTheDueTimeAndVisitsRaiseIt) {
   EXPECT_EQ(visits, 2u);
   lap(dns::kSweepAll, 700);  // kSweepAll visits whatever is stored
   EXPECT_EQ(visits, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Block due bounds (§4f): a sweep passes a block of 32 slots whose bound is
+// past its horizon with one load, and must still visit exactly what the
+// slot walk visits.
+
+/// Replays one seeded schedule on two maps with the same history. `bounded`
+/// is swept with each call's `due_by`; `reference` is swept with kSweepAll
+/// and filtered by the test's own model of each key's due time. After every
+/// call both must have visited the same keys in the same order and left
+/// their cursors on the same slot and generation. `*bounded_calls`
+/// receives the number of calls that could pass a block (a table of 32
+/// slots or more, a horizon short of kSweepAll), so callers can check that
+/// the bounds were exercised.
+void replay_bounded_sweep(std::uint64_t seed, std::size_t key_pool,
+                          std::size_t steps, std::size_t* bounded_calls) {
+  dns::NameHashMap<int> bounded;
+  dns::NameHashMap<int> reference;
+  std::map<std::string, std::uint64_t> due;  // the model: each key's due time
+  dns::NameMapSweepCursor bounded_cursor;
+  dns::NameMapSweepCursor reference_cursor;
+  crypto::SplitMix64 rng(seed);
+  *bounded_calls = 0;
+  std::uint64_t call = 0;
+
+  const auto key_of = [](std::uint64_t n) {
+    std::string key = std::to_string(n);
+    key.insert(0, 1, 'k');
+    return key.append(".test");
+  };
+  // The callback's decision for `key` in sweep call `call`: erase, or
+  // raise the due time by 1-200 (which may or may not pass the horizon).
+  const auto decide = [](const std::string& key, std::uint64_t call) {
+    std::uint64_t h = 14695981039346656037ULL ^ call;
+    for (const char c : key) h = (h ^ static_cast<unsigned char>(c)) *
+                                 1099511628211ULL;
+    return h;
+  };
+  // Inserts or lowers `key` in both maps and the model: a new slot starts
+  // due at 0 whatever `d` asks; an existing one takes the earlier of its
+  // due time and `d`.
+  const auto insert = [&](const std::string& key, std::uint64_t d) {
+    const dns::Name name = dns::Name::parse(key);
+    bounded.get_or_insert(name, d);
+    reference.get_or_insert(name, d);
+    const auto it = due.find(key);
+    if (it == due.end()) {
+      due[key] = 0;
+    } else {
+      it->second = std::min(it->second, d);
+    }
+  };
+  const auto stored_range = [&] {
+    std::uint64_t lo = dns::kSweepAll;
+    std::uint64_t hi = 0;
+    for (const auto& [key, d] : due) {
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    return std::make_pair(lo, hi);
+  };
+
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::uint64_t event = rng.next_below(100);
+    if (event < 30) {
+      const std::string key = key_of(rng.next_below(key_pool));
+      insert(key, rng.next_below(4'000));
+    } else if (event < 38) {
+      const std::string key = key_of(rng.next_below(key_pool));
+      const dns::Name name = dns::Name::parse(key);
+      ASSERT_EQ(bounded.erase(name), reference.erase(name));
+      due.erase(key);
+    } else if (event < 40) {
+      // A burst past the load factor: rehashes in the middle of a lap.
+      const std::size_t burst = 1 + rng.next_below(key_pool / 4 + 1);
+      for (std::size_t i = 0; i < burst; ++i) {
+        insert(key_of(rng.next_below(key_pool)), 100);
+      }
+    } else if (event < 41) {
+      bounded.clear();
+      reference.clear();
+      due.clear();
+    } else {
+      static constexpr std::size_t kChunks[] = {1, 7, 13, 32, 64, 0};
+      std::size_t chunk = kChunks[rng.next_below(6)];
+      if (chunk == 0) chunk = bounded.slot_count();
+      const auto [lo, hi] = stored_range();
+      std::uint64_t due_by = dns::kSweepAll;
+      switch (rng.next_below(4)) {
+        case 0: due_by = lo == 0 || lo == dns::kSweepAll ? 0 : lo - 1; break;
+        case 1: due_by = hi == 0 ? 0 : rng.next_below(hi + 1); break;
+        case 2: due_by = hi + 1 + rng.next_below(1'000); break;
+        default: break;
+      }
+      ++call;
+      if (bounded.slot_count() >= 32 && due_by != dns::kSweepAll) {
+        ++*bounded_calls;
+      }
+      std::vector<std::string> bounded_visits;
+      std::map<std::string, std::uint64_t> reference_due = due;
+      const std::size_t bounded_erased = bounded.sweep(
+          &bounded_cursor, chunk, due_by,
+          [&](const dns::Name& name, int, std::uint64_t& slot_due) {
+            const std::string& key = name.internal_text();
+            bounded_visits.push_back(key);
+            EXPECT_EQ(slot_due, due.at(key)) << key;
+            EXPECT_LE(slot_due, due_by) << key;
+            const std::uint64_t h = decide(key, call);
+            if (h % 4 == 0) {
+              due.erase(key);
+              return true;
+            }
+            slot_due += 1 + h % 200;
+            due[key] = slot_due;
+            return false;
+          });
+      std::vector<std::string> reference_visits;
+      const std::size_t reference_erased = reference.sweep(
+          &reference_cursor, chunk, dns::kSweepAll,
+          [&](const dns::Name& name, int, std::uint64_t&) {
+            const std::string& key = name.internal_text();
+            std::uint64_t& model_due = reference_due.at(key);
+            if (model_due > due_by) return false;
+            reference_visits.push_back(key);
+            const std::uint64_t h = decide(key, call);
+            if (h % 4 == 0) {
+              reference_due.erase(key);
+              return true;
+            }
+            model_due += 1 + h % 200;
+            return false;
+          });
+      ASSERT_EQ(bounded_visits, reference_visits)
+          << "seed " << seed << " step " << step << " chunk " << chunk
+          << " due_by " << due_by;
+      ASSERT_EQ(bounded_erased, reference_erased);
+      ASSERT_EQ(due, reference_due);
+      ASSERT_EQ(bounded_cursor.slot, reference_cursor.slot);
+      ASSERT_EQ(bounded_cursor.generation, reference_cursor.generation);
+    }
+    ASSERT_EQ(bounded.size(), due.size());
+    ASSERT_EQ(reference.size(), due.size());
+    ASSERT_EQ(bounded.slot_count(), reference.slot_count());
+    ASSERT_EQ(bounded.generation(), reference.generation());
+  }
+}
+
+TEST(NameMapSweep, BlockBoundsVisitWhatTheSlotWalkVisits) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::size_t bounded_calls = 0;
+    replay_bounded_sweep(seed, 1'500, 6'000, &bounded_calls);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(bounded_calls, 1'000u) << "seed " << seed;
+  }
+}
+
+TEST(NameMapSweep, MapUnderOneBlockSweepsLikeTheSlotWalk) {
+  // Ten keys never fill a 16-slot table past its load factor, so the map
+  // keeps no bounds and every call walks slot by slot, wrapping on the
+  // 32- and 64-slot chunks.
+  for (const std::uint64_t seed : {5u, 6u}) {
+    std::size_t bounded_calls = 0;
+    replay_bounded_sweep(seed, 10, 3'000, &bounded_calls);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(bounded_calls, 0u) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------

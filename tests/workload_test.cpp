@@ -258,14 +258,16 @@ TEST(UniverseWorldTest, OutOfBailiwickNsForcesExtraALookups) {
 
 TEST(UniverseWorldTest, StubVisitIssuesAAndAaaa) {
   WorldFixture fixture;
-  const metrics::CounterSet& counters = fixture.network_.counters();
-  const std::uint64_t a_before = counters.value("query.A");
-  const std::uint64_t aaaa_before = counters.value("query.AAAA");
+  const metrics::CounterSet before = fixture.network_.counters();
+  const std::uint64_t a_before = before.value("query.A");
+  const std::uint64_t aaaa_before = before.value("query.AAAA");
   const VisitOutcome outcome =
       fixture.stub_->visit(fixture.world_->universe().domain_at(42));
   EXPECT_TRUE(outcome.got_address);
-  EXPECT_GE(counters.value("query.A") - a_before, 2u);  // stub + iterative legs
-  EXPECT_GE(counters.value("query.AAAA") - aaaa_before, 1u);
+  // counters() is a snapshot: read it again after the visit.
+  const metrics::CounterSet after = fixture.network_.counters();
+  EXPECT_GE(after.value("query.A") - a_before, 2u);  // stub + iterative legs
+  EXPECT_GE(after.value("query.AAAA") - aaaa_before, 1u);
 }
 
 TEST(UniverseWorldTest, LeakRateIsHighForSmallSamples) {
