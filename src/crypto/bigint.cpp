@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <type_traits>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace lookaside::crypto {
 
 namespace {
@@ -332,6 +336,81 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
 // Montgomery arithmetic
 // ---------------------------------------------------------------------------
 
+namespace {
+
+using Limb2 = std::array<Limb, 2>;
+
+/// (top, t1, t0) - n when that is not negative, else (t1, t0): the final
+/// subtraction of a 2-limb Montgomery multiply, chosen by a mask rather
+/// than a branch (gcc 12 compiles a `? :` select here into one). x86-64
+/// takes the borrow chain from _subborrow_u64; other targets compute the
+/// same mask from 128-bit differences.
+[[gnu::always_inline]] inline Limb2 subtract_if_ge_2(Limb t0, Limb t1,
+                                                     Limb top, const Limb* n) {
+#if defined(__x86_64__)
+  unsigned long long d0 = 0;
+  unsigned long long d1 = 0;
+  unsigned long long d2 = 0;
+  unsigned char borrow = _subborrow_u64(0, t0, n[0], &d0);
+  borrow = _subborrow_u64(borrow, t1, n[1], &d1);
+  borrow = _subborrow_u64(borrow, top, 0, &d2);
+  const Limb keep = Limb{0} - borrow;  // all ones when the value is below n
+#else
+  const Wide d0 = static_cast<Wide>(t0) - n[0];
+  const Wide d1 = static_cast<Wide>(t1) - n[1] - static_cast<Limb>(d0 >> 127);
+  const Wide d2 = static_cast<Wide>(top) - static_cast<Limb>(d1 >> 127);
+  const Limb keep = Limb{0} - static_cast<Limb>(d2 >> 127);
+#endif
+  return {(t0 & keep) | (static_cast<Limb>(d0) & ~keep),
+          (t1 & keep) | (static_cast<Limb>(d1) & ~keep)};
+}
+
+/// lo = low limb of a * b + c + d, which never overflows 128 bits; returns
+/// the high limb. The sums carry in 64-bit adds: gcc 12 spills a 128-bit
+/// sum to the stack here.
+[[gnu::always_inline]] inline Limb mul_add(Limb a, Limb b, Limb c, Limb d,
+                                           Limb& lo) {
+  const Wide product = static_cast<Wide>(a) * b;
+  Limb hi = static_cast<Limb>(product >> 64);
+  lo = static_cast<Limb>(product) + c;
+  hi += lo < c ? 1 : 0;
+  lo += d;
+  hi += lo < d ? 1 : 0;
+  return hi;
+}
+
+/// a * b * R^-1 mod n for R = 2^128 and b < n: mul_k<2>'s CIOS unrolled
+/// into locals, ending in the branch-free select. Only the paired
+/// exponentiation uses it: alone, the longer select costs a single chain
+/// more than the occasional mispredicted branch of mul_k<2>.
+[[gnu::always_inline]] inline Limb2 mul_2(const Limb2& a, const Limb2& b,
+                                          const Limb* n, Limb n0_inv) {
+  Limb t0 = 0;
+  Limb t1 = 0;
+  Limb cancelled = 0;  // m is chosen so that t0 + m * n[0] ends in zero
+  // Row 0: t = a * b[0], then t = (t + m * n) / 2^64.
+  Limb carry = mul_add(a[0], b[0], 0, 0, t0);
+  Limb t2 = mul_add(a[1], b[0], carry, 0, t1);
+  Limb m = t0 * n0_inv;
+  carry = mul_add(m, n[0], t0, 0, cancelled);
+  carry = mul_add(m, n[1], t1, carry, t0);
+  t1 = t2 + carry;
+  t2 = t1 < carry ? 1 : 0;
+  // Row 1: t += a * b[1], then the same reduction step.
+  carry = mul_add(a[0], b[1], t0, 0, t0);
+  carry = mul_add(a[1], b[1], t1, carry, t1);
+  t2 += carry;
+  const Limb t3 = t2 < carry ? 1 : 0;
+  m = t0 * n0_inv;
+  carry = mul_add(m, n[0], t0, 0, cancelled);
+  carry = mul_add(m, n[1], t1, carry, t0);
+  t1 = t2 + carry;
+  t2 = t3 + (t1 < carry ? 1 : 0);
+  return subtract_if_ge_2(t0, t1, t2, n);  // the value is below 2n
+}
+
+}  // namespace
+
 Montgomery::Montgomery(const BigUint& modulus) {
   if (!modulus.is_odd() || modulus.bit_length() < 2) {
     throw std::invalid_argument("Montgomery modulus must be odd and > 1");
@@ -496,6 +575,72 @@ void Montgomery::exp_k(const Limb* base, const BigUint& exponent,
   std::copy_n(acc.begin(), k, out);
 }
 
+template <std::size_t K>
+void Montgomery::exp_pair_k(const Limb* base, const BigUint& exponent,
+                            Limb* out, const Montgomery& other,
+                            const Limb* other_base,
+                            const BigUint& other_exponent,
+                            Limb* other_out) const {
+  constexpr std::size_t kWidth = K != 0 ? K : kMaxModulusLimbs;
+  const std::size_t k = K != 0 ? K : k_;
+  const std::size_t bits =
+      std::max(exponent.bit_length(), other_exponent.bit_length());
+  if (bits == 0) {
+    std::copy_n(r1_.begin(), k, out);
+    std::copy_n(other.r1_.begin(), k, other_out);
+    return;
+  }
+  using Value = std::array<Limb, kWidth>;
+  // a = a * x under this modulus and b = b * y under the other: two
+  // independent chains, which the CPU overlaps as long as neither branches
+  // on data. Two limbs keep both in registers; wider values interleave
+  // mul_k calls.
+  const auto mul_pair = [&](Value& a, const Value& x, Value& b,
+                            const Value& y) {
+    if constexpr (K == 2) {
+      a = mul_2(a, x, n_.data(), n0_inv_);
+      b = mul_2(b, y, other.n_.data(), other.n0_inv_);
+    } else {
+      mul_k<K>(a.data(), x.data(), a.data());
+      other.mul_k<K>(b.data(), y.data(), b.data());
+    }
+  };
+
+  // table[d] = base^d. Window 0 multiplies by table[0], one, rather than
+  // skipping the multiply, so the schedule never depends on the exponents.
+  std::array<Value, 16> table_a{};
+  std::array<Value, 16> table_b{};
+  std::copy_n(r1_.begin(), k, table_a[0].begin());
+  std::copy_n(base, k, table_a[1].begin());
+  std::copy_n(other.r1_.begin(), k, table_b[0].begin());
+  std::copy_n(other_base, k, table_b[1].begin());
+  for (std::size_t d = 2; d < 16; ++d) {
+    table_a[d] = table_a[d - 1];
+    table_b[d] = table_b[d - 1];
+    mul_pair(table_a[d], table_a[1], table_b[d], table_b[1]);
+  }
+
+  // Both exponents zero-padded to the capacity, so the shorter one reads
+  // its leading windows as zero. A 64-bit limb holds exactly 16 windows.
+  std::array<Limb, BigUint::kCapacity> e_a{};
+  std::array<Limb, BigUint::kCapacity> e_b{};
+  std::copy(exponent.limbs().begin(), exponent.limbs().end(), e_a.begin());
+  std::copy(other_exponent.limbs().begin(), other_exponent.limbs().end(),
+            e_b.begin());
+  const auto window = [](const auto& e, std::size_t w) {
+    return static_cast<std::size_t>((e[w / 16] >> (4 * (w % 16))) & 0xF);
+  };
+  std::size_t w = (bits + 3) / 4 - 1;
+  Value a = table_a[window(e_a, w)];
+  Value b = table_b[window(e_b, w)];
+  while (w-- > 0) {
+    for (int s = 0; s < 4; ++s) mul_pair(a, a, b, b);
+    mul_pair(a, table_a[window(e_a, w)], b, table_b[window(e_b, w)]);
+  }
+  std::copy_n(a.begin(), k, out);
+  std::copy_n(b.begin(), k, other_out);
+}
+
 void Montgomery::mont_mul(const Limb* a, const Limb* b, Limb* out) const {
   dispatch([&](auto width) { mul_k<decltype(width)::value>(a, b, out); });
 }
@@ -522,6 +667,20 @@ void Montgomery::mont_exp(const Limb* base, const BigUint& exponent,
                           Limb* out) const {
   dispatch(
       [&](auto width) { exp_k<decltype(width)::value>(base, exponent, out); });
+}
+
+void Montgomery::mont_exp_pair(const Limb* base, const BigUint& exponent,
+                               Limb* out, const Montgomery& other,
+                               const Limb* other_base,
+                               const BigUint& other_exponent,
+                               Limb* other_out) const {
+  if (other.k_ != k_) {
+    throw std::invalid_argument("mont_exp_pair: moduli of unequal width");
+  }
+  dispatch([&](auto width) {
+    exp_pair_k<decltype(width)::value>(base, exponent, out, other, other_base,
+                                       other_exponent, other_out);
+  });
 }
 
 Montgomery::Residue Montgomery::reduce(const BigUint& value) const {

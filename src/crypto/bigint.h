@@ -179,7 +179,8 @@ class BigUint {
 /// any size. The Residue methods are the allocation-free interface RSA uses:
 /// operands are k-limb little-endian arrays, and "Montgomery form" of x is
 /// x * R mod n. The multiply is CIOS, specialised at compile time for the
-/// limb counts of the key sizes in use and chosen from k at run time.
+/// limb counts of the key sizes in use and chosen from k at run time; the
+/// paired exponentiation of RSA signing has its own 2-limb kernel.
 class Montgomery {
  public:
   using Residue = std::array<Limb, kMaxModulusLimbs>;
@@ -213,6 +214,15 @@ class Montgomery {
   /// up to 64 bits use square-and-multiply (65537 costs 17 multiplies);
   /// longer ones a fixed 4-bit window.
   void mont_exp(const Limb* base, const BigUint& exponent, Limb* out) const;
+  /// Two mont_exp calls run in lockstep: out = base ^ exponent under this
+  /// modulus and other_out = other_base ^ other_exponent under `other`,
+  /// which must have the same limb count (std::invalid_argument otherwise).
+  /// One fixed 4-bit window schedule runs over the longer exponent, the
+  /// shorter one reading leading zero windows, so the two independent
+  /// multiply chains overlap. Each base must be below its modulus.
+  void mont_exp_pair(const Limb* base, const BigUint& exponent, Limb* out,
+                     const Montgomery& other, const Limb* other_base,
+                     const BigUint& other_exponent, Limb* other_out) const;
 
  private:
   template <std::size_t K>
@@ -221,6 +231,10 @@ class Montgomery {
   void redc_k(const Limb* wide, Limb* out) const;
   template <std::size_t K>
   void exp_k(const Limb* base, const BigUint& exponent, Limb* out) const;
+  template <std::size_t K>
+  void exp_pair_k(const Limb* base, const BigUint& exponent, Limb* out,
+                  const Montgomery& other, const Limb* other_base,
+                  const BigUint& other_exponent, Limb* other_out) const;
   template <std::size_t K>
   void subtract_if_ge_k(const Limb* t, Limb top, Limb* out) const;
   template <typename Kernel>

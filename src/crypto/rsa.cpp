@@ -228,15 +228,16 @@ Bytes RsaPrivateKey::sign_digest(std::span<const std::uint8_t> digest) const {
   std::array<Limb, 2 * kMaxModulusLimbs> em{};
   load_be(em_view, std::span<Limb>(em.data(), 2 * k));
 
-  // m1 = EM^dp mod p and m2 = EM^dq mod q. EM < n < p * R, so one REDC and
-  // one multiply by R^3 bring it into Montgomery form without dividing.
+  // m1 = EM^dp mod p and m2 = EM^dq mod q, side by side in one paired
+  // exponentiation. EM < n < p * R, so one REDC and one multiply by R^3
+  // bring it into each prime's Montgomery form without dividing.
   Montgomery::Residue m1{};
   Montgomery::Residue m2{};
   mont_p.to_mont_wide(em.data(), m1.data());
-  mont_p.mont_exp(m1.data(), crt_->dp, m1.data());
-  mont_p.from_mont(m1.data(), m1.data());
   mont_q.to_mont_wide(em.data(), m2.data());
-  mont_q.mont_exp(m2.data(), crt_->dq, m2.data());
+  mont_p.mont_exp_pair(m1.data(), crt_->dp, m1.data(), mont_q, m2.data(),
+                       crt_->dq, m2.data());
+  mont_p.from_mont(m1.data(), m1.data());
   mont_q.from_mont(m2.data(), m2.data());
 
   // Garner: sig = m2 + q * ((m1 - m2) * q^-1 mod p). m2 < q < 2p, so one

@@ -7,9 +7,7 @@
 
 namespace lookaside::crypto {
 
-Sha1::Sha1()
-    : state_{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0},
-      buffer_{} {}
+Sha1::Sha1() : state_(kernels::kSha1Initial), buffer_{} {}
 
 void Sha1::update(const std::uint8_t* data, std::size_t len) {
   total_bytes_ += len;

@@ -1,5 +1,7 @@
 #include "crypto/sha_kernels.h"
 
+#include <cstring>
+
 #if defined(__x86_64__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -81,6 +83,20 @@ void sha1_scalar(Sha1State& state, const std::uint8_t* data,
   }
 }
 
+void sha1_iterate_scalar(Sha1State& state, const std::uint8_t* block,
+                         std::size_t iterations) {
+  std::array<std::uint8_t, 64> message;
+  std::memcpy(message.data(), block, message.size());
+  for (; iterations > 0; --iterations) {
+    for (int i = 0; i < 20; ++i) {  // the digest, big-endian
+      const std::uint32_t word = state[i / 4];
+      message[i] = static_cast<std::uint8_t>(word >> (24 - 8 * (i % 4)));
+    }
+    state = kSha1Initial;
+    sha1_scalar(state, message.data(), 1);
+  }
+}
+
 void sha256_scalar(Sha256State& state, const std::uint8_t* data,
                    std::size_t blocks) {
   for (; blocks > 0; --blocks, data += 64) {
@@ -138,53 +154,97 @@ void sha256_scalar(Sha256State& state, const std::uint8_t* data,
 // message registers w[0..3], the group's four schedule words in each. The
 // loops unroll fully, so every w index and branch below is a constant.
 
-__attribute__((target("sha,sse4.1,ssse3"))) void sha1_shani(
-    Sha1State& state, const std::uint8_t* data, std::size_t blocks) {
-  // Word 0 of a block, and A of the state, sit in the top lane.
+namespace {
+
+/// One SHA-1 block on SHA-NI: the 80 rounds over message words w (word 0
+/// in the top lane of w[0]) from the state (abcd, e0), with A and E in the
+/// top lanes, then the feed-forward add.
+[[gnu::always_inline]] inline __attribute__((target("sha,sse4.1,ssse3"))) void
+sha1_block_shani(__m128i& abcd, __m128i& e0, __m128i (&w)[4]) {
+  const __m128i abcd_save = abcd;
+  const __m128i e0_save = e0;
+  // Group 0 adds E to its words. Every later group derives E from A four
+  // rounds back (sha1nexte), so `prev` is the state before the previous
+  // group.
+  __m128i prev = abcd;
+  abcd = _mm_sha1rnds4_epu32(abcd, _mm_add_epi32(e0, w[0]), 0);
+#pragma GCC unroll 19
+  for (int g = 1; g < 20; ++g) {
+    const __m128i words = w[g % 4];
+    const __m128i e = _mm_sha1nexte_epu32(prev, words);
+    prev = abcd;
+    switch (g / 5) {  // the round function is an immediate operand
+      case 1: abcd = _mm_sha1rnds4_epu32(abcd, e, 1); break;
+      case 2: abcd = _mm_sha1rnds4_epu32(abcd, e, 2); break;
+      case 3: abcd = _mm_sha1rnds4_epu32(abcd, e, 3); break;
+      default: abcd = _mm_sha1rnds4_epu32(abcd, e, 0); break;
+    }
+    // Schedule: W[g+1] = msg2(msg1(W[g-3], W[g-2]) ^ W[g-1], W[g]), one
+    // step per group, each reusing the register of a spent group.
+    if (g <= 16) {
+      w[(g + 3) % 4] = _mm_sha1msg1_epu32(w[(g + 3) % 4], words);
+    }
+    if (g >= 2 && g <= 17) {
+      w[(g + 2) % 4] = _mm_xor_si128(w[(g + 2) % 4], words);
+    }
+    if (g >= 3 && g <= 18) {
+      w[(g + 1) % 4] = _mm_sha1msg2_epu32(w[(g + 1) % 4], words);
+    }
+  }
+  e0 = _mm_sha1nexte_epu32(prev, e0_save);
+  abcd = _mm_add_epi32(abcd, abcd_save);
+}
+
+// Word 0 of a block, and A of the state, sit in the top lane.
+__attribute__((target("sha,sse4.1,ssse3"))) __m128i load_words(
+    const std::uint8_t* data) {
   const __m128i reverse_bytes =
       _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(data)), reverse_bytes);
+}
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1,ssse3"))) void sha1_shani(
+    Sha1State& state, const std::uint8_t* data, std::size_t blocks) {
   __m128i abcd = _mm_shuffle_epi32(
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
   __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
   for (; blocks > 0; --blocks, data += 64) {
-    const __m128i abcd_save = abcd;
-    const __m128i e0_save = e0;
     __m128i w[4];
-    for (int i = 0; i < 4; ++i) {
-      w[i] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
-          reverse_bytes);
-    }
-    // Group 0 adds E to its words. Every later group derives E from A four
-    // rounds back (sha1nexte), so `prev` is the state before the previous
-    // group.
-    __m128i prev = abcd;
-    abcd = _mm_sha1rnds4_epu32(abcd, _mm_add_epi32(e0, w[0]), 0);
-#pragma GCC unroll 19
-    for (int g = 1; g < 20; ++g) {
-      const __m128i words = w[g % 4];
-      const __m128i e = _mm_sha1nexte_epu32(prev, words);
-      prev = abcd;
-      switch (g / 5) {  // the round function is an immediate operand
-        case 1: abcd = _mm_sha1rnds4_epu32(abcd, e, 1); break;
-        case 2: abcd = _mm_sha1rnds4_epu32(abcd, e, 2); break;
-        case 3: abcd = _mm_sha1rnds4_epu32(abcd, e, 3); break;
-        default: abcd = _mm_sha1rnds4_epu32(abcd, e, 0); break;
-      }
-      // Schedule: W[g+1] = msg2(msg1(W[g-3], W[g-2]) ^ W[g-1], W[g]), one
-      // step per group, each reusing the register of a spent group.
-      if (g <= 16) {
-        w[(g + 3) % 4] = _mm_sha1msg1_epu32(w[(g + 3) % 4], words);
-      }
-      if (g >= 2 && g <= 17) {
-        w[(g + 2) % 4] = _mm_xor_si128(w[(g + 2) % 4], words);
-      }
-      if (g >= 3 && g <= 18) {
-        w[(g + 1) % 4] = _mm_sha1msg2_epu32(w[(g + 1) % 4], words);
-      }
-    }
-    e0 = _mm_sha1nexte_epu32(prev, e0_save);
-    abcd = _mm_add_epi32(abcd, abcd_save);
+    for (int i = 0; i < 4; ++i) w[i] = load_words(data + 16 * i);
+    sha1_block_shani(abcd, e0, w);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
+}
+
+__attribute__((target("sha,sse4.1,ssse3"))) void sha1_iterate_shani(
+    Sha1State& state, const std::uint8_t* block, std::size_t iterations) {
+  const __m128i initial_abcd = _mm_set_epi32(
+      static_cast<int>(kSha1Initial[0]), static_cast<int>(kSha1Initial[1]),
+      static_cast<int>(kSha1Initial[2]), static_cast<int>(kSha1Initial[3]));
+  const __m128i initial_e0 =
+      _mm_set_epi32(static_cast<int>(kSha1Initial[4]), 0, 0, 0);
+  // Words 4-15 of the block: the salt, the padding and the bit length.
+  // Word 4 gives way to E in its top lane.
+  const __m128i words_4_7 = load_words(block + 16);
+  const __m128i words_8_11 = load_words(block + 32);
+  const __m128i words_12_15 = load_words(block + 48);
+  __m128i abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
+  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  for (; iterations > 0; --iterations) {
+    // The digest's words already sit in the lanes the next message wants
+    // them in: A-D are message words 0-3 and E, in the top lane of e0
+    // with zeros below, is word 4. Only the state feeds back.
+    __m128i w[4] = {abcd, _mm_blend_epi16(words_4_7, e0, 0xC0), words_8_11,
+                    words_12_15};
+    abcd = initial_abcd;
+    e0 = initial_e0;
+    sha1_block_shani(abcd, e0, w);
   }
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
                    _mm_shuffle_epi32(abcd, 0x1B));
@@ -259,6 +319,12 @@ Sha1Kernel sha1_kernel() {
   return kernel;
 }
 
+Sha1IterateKernel sha1_iterate_kernel() {
+  static const Sha1IterateKernel kernel =
+      cpu_has_sha_ni() ? sha1_iterate_shani : sha1_iterate_scalar;
+  return kernel;
+}
+
 Sha256Kernel sha256_kernel() {
   static const Sha256Kernel kernel =
       cpu_has_sha_ni() ? sha256_shani : sha256_scalar;
@@ -269,6 +335,7 @@ Sha256Kernel sha256_kernel() {
 
 bool cpu_has_sha_ni() { return false; }
 Sha1Kernel sha1_kernel() { return sha1_scalar; }
+Sha1IterateKernel sha1_iterate_kernel() { return sha1_iterate_scalar; }
 Sha256Kernel sha256_kernel() { return sha256_scalar; }
 
 #endif

@@ -174,7 +174,8 @@ FaultDecision FaultInjector::decide(const std::string& endpoint_id,
     }
     if (spec.spike_probability > 0.0 &&
         rng_.next_double() < spec.spike_probability) {
-      decision.added_latency_us += spec.spike_us;
+      decision.added_latency_us =
+          saturating_add(decision.added_latency_us, spec.spike_us);
       decision.cause = "latency-spike";
     }
     if (spec.truncate > 0.0 && rng_.next_double() < spec.truncate) {

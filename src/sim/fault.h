@@ -81,11 +81,19 @@ struct FaultPlan {
   [[nodiscard]] bool inert() const;
 };
 
+/// a + b, or the largest std::uint64_t where the sum would wrap. Latency
+/// sums saturate, so a spike near 2^64 µs outlives every timer instead of
+/// wrapping round to a short delay.
+[[nodiscard]] constexpr std::uint64_t saturating_add(std::uint64_t a,
+                                                     std::uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+
 /// What the injector decided for one exchange attempt.
 struct FaultDecision {
   bool drop_query = false;     // query leg lost (server never contacted)
   bool drop_response = false;  // response leg lost (server DID answer)
-  std::uint64_t added_latency_us = 0;
+  std::uint64_t added_latency_us = 0;  // summed spikes, saturated
   bool truncate = false;
   std::optional<dns::RCode> rewrite_rcode;
   bool corrupt_rrsigs = false;

@@ -116,8 +116,10 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
   dns::Message response = server.handle_query(query);
 
   // Response-leg loss, or a latency spike that outlives the caller's timer:
-  // the server answered (and the query leaked) but the caller gives up.
-  const std::uint64_t round_trip = 2 * one_way + fault.added_latency_us;
+  // the server answered (and the query leaked) but the caller gives up. The
+  // round trip saturates, so a spike too long to add up is a timeout too.
+  const std::uint64_t round_trip = saturating_add(
+      saturating_add(one_way, one_way), fault.added_latency_us);
   const bool spike_timeout = fault.added_latency_us != 0 &&
                              round_trip >= timeout;
   if (fault.drop_response || spike_timeout) {

@@ -3,6 +3,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "crypto/sha_kernels.h"
+
 namespace lookaside::zone {
 
 namespace {
@@ -39,6 +41,30 @@ crypto::Sha1::Digest nsec3_hash(const dns::Name& name,
   at = std::copy(salt.begin(), salt.end(), at);
   crypto::Sha1::Digest digest =
       crypto::Sha1::digest(std::span(input.begin(), at));
+  // A later input of at most 55 octets is one block once padded, and only
+  // its first 20 octets change: pad it once and iterate on the kernel.
+  const std::size_t round_octets = digest.size() + salt.size();
+  if (round_octets <= 55) {
+    std::array<std::uint8_t, 64> block{};
+    std::copy(salt.begin(), salt.end(), block.begin() + digest.size());
+    block[round_octets] = 0x80;
+    const std::uint64_t bits = 8 * round_octets;
+    for (int i = 0; i < 8; ++i) {
+      block[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    }
+    crypto::kernels::Sha1State state;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      state[i] = static_cast<std::uint32_t>(digest[4 * i]) << 24 |
+                 static_cast<std::uint32_t>(digest[4 * i + 1]) << 16 |
+                 static_cast<std::uint32_t>(digest[4 * i + 2]) << 8 |
+                 digest[4 * i + 3];
+    }
+    crypto::kernels::sha1_iterate_kernel()(state, block.data(), iterations);
+    for (std::size_t i = 0; i < digest.size(); ++i) {
+      digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+    }
+    return digest;
+  }
   std::copy(salt.begin(), salt.end(), input.begin() + digest.size());
   const std::span<const std::uint8_t> round(input.data(),
                                             digest.size() + salt.size());

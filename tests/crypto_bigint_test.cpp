@@ -291,6 +291,98 @@ TEST(MontgomeryPropertyTest, MatchesSquareAndMultiplyAtEveryWidth) {
   }
 }
 
+/// A random value of exactly `bits` bits (zero for 0).
+BigUint random_bits(std::size_t bits, SplitMix64& rng) {
+  if (bits == 0) return BigUint{};
+  std::vector<Limb> raw((bits + 63) / 64);
+  for (Limb& limb : raw) limb = rng.next();
+  const std::size_t top = (bits - 1) % 64;
+  raw.back() &= top == 63 ? ~Limb{0} : (Limb{1} << (top + 1)) - 1;
+  raw.back() |= Limb{1} << top;
+  return BigUint::from_limbs(raw);
+}
+
+TEST(MontgomeryPropertyTest, PairedExpMatchesTwoSingleExps) {
+  // mont_exp_pair against two mont_exp calls at every width: the 2-limb
+  // register kernel and the interleaved mul_k body elsewhere. The
+  // exponents straddle the single path's binary/window boundary and come
+  // in every pairing of lengths, so the shorter one reads leading zero
+  // windows. An all-ones top limb makes the final subtraction fire often;
+  // a top limb of 1 makes it rare.
+  SplitMix64 rng(0x9a1e);
+  for (std::size_t limbs = 1; limbs <= kMaxModulusLimbs; ++limbs) {
+    std::vector<Montgomery> moduli;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Limb> raw(limbs);
+      for (Limb& limb : raw) limb = rng.next();
+      if (trial == 0 || trial == 2) raw.back() = ~Limb{0};
+      if (trial == 1) raw.back() = 1;
+      raw.back() |= 1;   // nonzero top limb
+      raw.front() |= 1;  // odd
+      if (limbs == 1 && raw.front() == 1) raw.front() = 3;
+      moduli.emplace_back(BigUint::from_limbs(raw));
+    }
+    std::vector<BigUint> exponents;
+    for (const std::size_t bits : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{63}, std::size_t{64},
+                                   std::size_t{65}, 64 * limbs}) {
+      exponents.push_back(random_bits(bits, rng));
+    }
+    // Bases in Montgomery form: zero, one, n - 1 and a random residue.
+    const auto bases = [&rng](const Montgomery& mont) {
+      const BigUint n = mont.modulus();
+      std::vector<Montgomery::Residue> out;
+      for (const BigUint& value :
+           {BigUint{}, BigUint(1), BigUint::sub(n, BigUint(1)),
+            random_value(mont.limb_count(), rng)}) {
+        Montgomery::Residue residue = mont.reduce(value);
+        mont.to_mont(residue.data(), residue.data());
+        out.push_back(residue);
+      }
+      return out;
+    };
+    for (std::size_t pair = 0; pair < moduli.size(); pair += 2) {
+      const Montgomery& mont_a = moduli[pair];
+      const Montgomery& mont_b = moduli[pair + 1];
+      const auto bases_a = bases(mont_a);
+      const auto bases_b = bases(mont_b);
+      for (std::size_t ia = 0; ia < exponents.size(); ++ia) {
+        for (std::size_t ib = 0; ib < exponents.size(); ++ib) {
+          // Every base meets several pairings of exponent lengths.
+          const std::size_t i = (ia + ib) % bases_a.size();
+          const Montgomery::Residue& base_a = bases_a[i];
+          const Montgomery::Residue& base_b = bases_b[(i + 1) % 4];
+          const BigUint& e_a = exponents[ia];
+          const BigUint& e_b = exponents[ib];
+          Montgomery::Residue want_a{};
+          Montgomery::Residue want_b{};
+          mont_a.mont_exp(base_a.data(), e_a, want_a.data());
+          mont_b.mont_exp(base_b.data(), e_b, want_b.data());
+          Montgomery::Residue got_a = base_a;  // outputs alias the bases
+          Montgomery::Residue got_b = base_b;
+          mont_a.mont_exp_pair(got_a.data(), e_a, got_a.data(), mont_b,
+                               got_b.data(), e_b, got_b.data());
+          ASSERT_EQ(got_a, want_a)
+              << "limbs=" << limbs << " pair=" << pair << " base=" << i
+              << " bits=" << e_a.bit_length() << "," << e_b.bit_length();
+          ASSERT_EQ(got_b, want_b)
+              << "limbs=" << limbs << " pair=" << pair << " base=" << i
+              << " bits=" << e_a.bit_length() << "," << e_b.bit_length();
+        }
+      }
+    }
+  }
+  // The pair shares one window schedule, so the widths must match.
+  const Montgomery one_limb(BigUint(97));
+  const Montgomery two_limbs(BigUint::add(BigUint(1).shifted_left(64),
+                                          BigUint(13)));
+  Montgomery::Residue x{};
+  EXPECT_THROW(one_limb.mont_exp_pair(x.data(), BigUint(3), x.data(),
+                                      two_limbs, x.data(), BigUint(3),
+                                      x.data()),
+               std::invalid_argument);
+}
+
 TEST(MontgomeryPropertyTest, WideReductionMatchesDivision) {
   // to_mont_wide is how RSA signing brings a 2k-limb EM into the CRT
   // primes' Montgomery form: any value below n * R must land on value mod n.

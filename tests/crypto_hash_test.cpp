@@ -1,10 +1,15 @@
 // Unit tests for SHA-256 and SHA-1 against published vectors, each
 // compression kernel (scalar and SHA-NI) called directly on the same
-// vectors, and SHA-NI checked against scalar on random input.
+// vectors, SHA-NI checked against scalar on random input, and the SHA-1
+// iterate kernels checked against the NSEC3 hash loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "crypto/bytes.h"
 #include "crypto/rng.h"
@@ -187,6 +192,73 @@ void expect_sha256_known_answers(kernels::Sha256Kernel kernel) {
   }
 }
 
+// ---- Iterated one-block SHA-1, the NSEC3 rounds after the first. ----
+
+/// The round block for `salt`: 20 octets for the digest, here filled with
+/// a pattern the kernels must ignore, then the salt, padded as one block.
+std::array<std::uint8_t, 64> round_block(const Bytes& salt) {
+  std::array<std::uint8_t, 64> block{};
+  std::fill_n(block.begin(), Sha1::kDigestSize, 0xA5);
+  std::copy(salt.begin(), salt.end(), block.begin() + Sha1::kDigestSize);
+  const std::size_t octets = Sha1::kDigestSize + salt.size();
+  block[octets] = 0x80;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>((8 * octets) >> (56 - 8 * i));
+  }
+  return block;
+}
+
+/// The NSEC3 loop as the hash API spells it: digest = SHA-1(digest || salt).
+Sha1::Digest hash_loop(Sha1::Digest digest, const Bytes& salt,
+                       std::size_t iterations) {
+  for (std::size_t k = 0; k < iterations; ++k) {
+    Bytes input(digest.begin(), digest.end());
+    input.insert(input.end(), salt.begin(), salt.end());
+    digest = Sha1::digest(input);
+  }
+  return digest;
+}
+
+kernels::Sha1State to_state(const Sha1::Digest& digest) {
+  kernels::Sha1State state{};
+  for (std::size_t i = 0; i < digest.size(); ++i) {
+    state[i / 4] = state[i / 4] << 8 | digest[i];
+  }
+  return state;
+}
+
+/// `kernel` against the hash loop and against the scalar kernel, for every
+/// salt that fits one block (0-35 octets) and 0-20 and 150 iterations.
+void expect_iterate_matches(kernels::Sha1IterateKernel kernel) {
+  SplitMix64 rng(0x17e);
+  std::vector<std::size_t> counts(21);
+  std::iota(counts.begin(), counts.end(), 0);
+  counts.push_back(150);
+  for (std::size_t salt_octets = 0; salt_octets <= 35; ++salt_octets) {
+    Bytes salt(salt_octets);
+    rng.fill(salt);
+    const std::array<std::uint8_t, 64> block = round_block(salt);
+    for (const std::size_t iterations : counts) {
+      Bytes start(Sha1::kDigestSize);
+      rng.fill(start);
+      Sha1::Digest digest{};
+      std::copy(start.begin(), start.end(), digest.begin());
+      kernels::Sha1State state = to_state(digest);
+      kernels::Sha1State scalar = state;
+      kernel(state, block.data(), iterations);
+      kernels::sha1_iterate_scalar(scalar, block.data(), iterations);
+      ASSERT_EQ(state, to_state(hash_loop(digest, salt, iterations)))
+          << "salt=" << salt_octets << " iterations=" << iterations;
+      ASSERT_EQ(state, scalar)
+          << "salt=" << salt_octets << " iterations=" << iterations;
+    }
+  }
+}
+
+TEST(ShaKernelTest, ScalarIterateMatchesTheHashLoop) {
+  expect_iterate_matches(kernels::sha1_iterate_scalar);
+}
+
 TEST(ShaKernelTest, ScalarKnownAnswers) {
   expect_sha1_known_answers(kernels::sha1_scalar);
   expect_sha256_known_answers(kernels::sha256_scalar);
@@ -196,6 +268,8 @@ TEST(ShaKernelTest, ClassesRunTheSelectedKernel) {
   EXPECT_EQ(kernels::sha1_kernel() == kernels::sha1_scalar,
             !kernels::cpu_has_sha_ni());
   EXPECT_EQ(kernels::sha256_kernel() == kernels::sha256_scalar,
+            !kernels::cpu_has_sha_ni());
+  EXPECT_EQ(kernels::sha1_iterate_kernel() == kernels::sha1_iterate_scalar,
             !kernels::cpu_has_sha_ni());
 }
 
@@ -240,6 +314,10 @@ TEST_F(ShaNiKernelTest, MatchesScalarOnRandomStatesAndBlocks) {
     ASSERT_EQ(sha1_ni, sha1) << "trial " << trial;
     ASSERT_EQ(sha256_ni, sha256) << "trial " << trial;
   }
+}
+
+TEST_F(ShaNiKernelTest, IterateMatchesScalarAndTheHashLoop) {
+  expect_iterate_matches(kernels::sha1_iterate_shani);
 }
 
 TEST_F(ShaNiKernelTest, MatchesScalarOnRandomMessagesUpTo299Bytes) {

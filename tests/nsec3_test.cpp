@@ -5,7 +5,9 @@
 // frontend (ctest -L nsec3).
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
@@ -85,6 +87,37 @@ TEST(Nsec3HashTest, LongestNameAndSaltMatchTheDefinition) {
   EXPECT_EQ(zone::nsec3_hash(name, salt, 2), expected);
   EXPECT_THROW((void)zone::nsec3_hash(name, crypto::Bytes(256, 0x5a), 2),
                std::invalid_argument);
+}
+
+TEST(Nsec3HashTest, EverySaltLengthMatchesTheDefinition) {
+  // Salts of 0-35 octets iterate on one pre-padded block; 36 and 255 take
+  // the general loop. Each against RFC 5155 §5 spelled out.
+  const dns::Name name = dns::Name::parse("site-12345.com.dlv.isc.org");
+  std::vector<std::size_t> salt_sizes(37);
+  std::iota(salt_sizes.begin(), salt_sizes.end(), 0);
+  salt_sizes.push_back(255);
+  std::vector<std::uint16_t> counts(21);
+  std::iota(counts.begin(), counts.end(), 0);
+  counts.push_back(150);
+  for (const std::size_t salt_size : salt_sizes) {
+    crypto::Bytes salt(salt_size);
+    for (std::size_t i = 0; i < salt_size; ++i) {
+      salt[i] = static_cast<std::uint8_t>(31 * i + salt_size);
+    }
+    crypto::Bytes input = name.to_wire();
+    input.insert(input.end(), salt.begin(), salt.end());
+    crypto::Sha1::Digest expected = crypto::Sha1::digest(input);
+    std::uint16_t done = 0;
+    for (const std::uint16_t iterations : counts) {
+      for (; done < iterations; ++done) {
+        input.assign(expected.begin(), expected.end());
+        input.insert(input.end(), salt.begin(), salt.end());
+        expected = crypto::Sha1::digest(input);
+      }
+      ASSERT_EQ(zone::nsec3_hash(name, salt, iterations), expected)
+          << "salt=" << salt_size << " iterations=" << iterations;
+    }
+  }
 }
 
 TEST(Nsec3HashTest, HashIsCaseInsensitive) {

@@ -330,6 +330,44 @@ TEST(FaultInjectionTest, SpikePastTimeoutBecomesPartialTimeout) {
   EXPECT_EQ(network.counters().value("timeouts.partial"), 1u);
 }
 
+/// Runs one exchange with "root" (2 x 30 ms base round trip) under `plan`
+/// and an 800 ms timeout, and expects the spike to time it out.
+void expect_spike_timeout(const FaultPlan& plan) {
+  SimClock clock;
+  Network network(clock);
+  EchoServer server("root");
+  network.set_fault_plan(plan);
+  EXPECT_FALSE(
+      network.exchange("stub", server, sample_query(), 800'000).has_value());
+  EXPECT_EQ(server.handled_, 1);
+  EXPECT_EQ(network.counters().value("timeouts"), 1u);
+  EXPECT_EQ(network.counters().value("timeouts.partial"), 1u);
+  EXPECT_EQ(network.counters().value("faults.latency_spikes"), 1u);
+  EXPECT_EQ(clock.now_us(), 800'000u);
+}
+
+TEST(FaultInjectionTest, SpikeNearTwoToThe64TimesOutInsteadOfWrapping) {
+  // 2^64 - 2048 µs: the round trip would wrap to a few milliseconds.
+  const auto spec =
+      FaultSpec::parse("* spike=1:18446744073709549568us");
+  ASSERT_TRUE(spec.has_value());
+  ASSERT_EQ(spec->spike_us, 18446744073709549568u);
+  FaultPlan plan;
+  plan.add(*spec);
+  expect_spike_timeout(plan);
+}
+
+TEST(FaultInjectionTest, SpikesSummingPast2To64TimeOut) {
+  // Two spikes of 2^63 µs would sum to 0, which reads as no spike at all.
+  FaultPlan plan;
+  FaultSpec spec;
+  spec.spike_probability = 1.0;
+  spec.spike_us = std::uint64_t{1} << 63;
+  plan.add(spec);
+  plan.add(spec);
+  expect_spike_timeout(plan);
+}
+
 TEST(FaultInjectionTest, RrsigCorruptionFlipsSignatureBytes) {
   class SignedServer : public Endpoint {
    public:
