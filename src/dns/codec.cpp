@@ -23,16 +23,17 @@ class CompressionTable {
   /// Offset `suffix` was first written at, or kNotFound.
   [[nodiscard]] std::size_t find(std::string_view suffix) const {
     for (std::size_t i = 0; i < inline_count_; ++i) {
-      if (inline_[i].suffix == suffix) return inline_[i].offset;
+      if (inline_[i].suffix() == suffix) return inline_[i].offset;
     }
     for (const Entry& entry : spill_) {
-      if (entry.suffix == suffix) return entry.offset;
+      if (entry.suffix() == suffix) return entry.offset;
     }
     return kNotFound;
   }
 
   void add(std::string_view suffix, std::size_t offset) {
-    const Entry entry{suffix, static_cast<std::uint16_t>(offset)};
+    const Entry entry{suffix.data(), static_cast<std::uint16_t>(suffix.size()),
+                      static_cast<std::uint16_t>(offset)};
     if (inline_count_ < kInline) {
       inline_[inline_count_++] = entry;
     } else {
@@ -41,9 +42,15 @@ class CompressionTable {
   }
 
  private:
+  // No member initialisers: a table is built for every encode and
+  // wire_size call, and an Entry that is trivially default-constructible
+  // leaves the inline array unwritten until add() fills a slot.
   struct Entry {
-    std::string_view suffix;
-    std::uint16_t offset = 0;
+    const char* data;
+    std::uint16_t length;
+    std::uint16_t offset;
+
+    [[nodiscard]] std::string_view suffix() const { return {data, length}; }
   };
   static constexpr std::size_t kInline = 64;
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dns/name.h"
@@ -49,6 +50,10 @@ class RRset {
   [[nodiscard]] RRType type() const { return type_; }
   [[nodiscard]] const std::vector<ResourceRecord>& records() const {
     return records_;
+  }
+  /// Moves the records out of a set its owner is done with.
+  [[nodiscard]] std::vector<ResourceRecord> take_records() && {
+    return std::move(records_);
   }
   [[nodiscard]] bool empty() const { return records_.empty(); }
   [[nodiscard]] std::size_t size() const { return records_.size(); }

@@ -1,6 +1,7 @@
 #include "resolver/resolver.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "crypto/fnv.h"
 #include "obs/tracer.h"
@@ -45,15 +46,30 @@ bool nsec_proves(const GroupedSection& authority, const dns::Name& zone_apex,
   return false;
 }
 
+/// DNSSEC records, which a plain stub (DO=0) is never shown.
+bool hidden_from_plain_stub(dns::RRType type) {
+  return type == dns::RRType::kRrsig || type == dns::RRType::kNsec ||
+         type == dns::RRType::kNsec3 || type == dns::RRType::kNsec3Param;
+}
+
+/// Appends `records` to `out`: copies what is lent, moves what is owned.
+void append(std::vector<dns::ResourceRecord>& out,
+            const std::vector<dns::ResourceRecord>& records) {
+  out.insert(out.end(), records.begin(), records.end());
+}
+
+void append(std::vector<dns::ResourceRecord>& out,
+            std::vector<dns::ResourceRecord>&& records) {
+  out.insert(out.end(), std::make_move_iterator(records.begin()),
+             std::make_move_iterator(records.end()));
+}
+
 }  // namespace
 
 void strip_for_plain_stub(dns::Message& response) {
   response.header.ad = false;
   std::erase_if(response.answers, [](const dns::ResourceRecord& record) {
-    return record.type == dns::RRType::kRrsig ||
-           record.type == dns::RRType::kNsec ||
-           record.type == dns::RRType::kNsec3 ||
-           record.type == dns::RRType::kNsec3Param;
+    return hidden_from_plain_stub(record.type);
   });
 }
 
@@ -207,8 +223,7 @@ RecursiveResolver::Fetched RecursiveResolver::fetch_from_cache(
     out.kind = Fetched::Kind::kAnswer;
     out.from_cache = true;
     out.cached_validated = entry->validated;
-    out.answer.rrsets.push_back(*entry->rrset);
-    out.answer.rrsigs = *entry->rrsigs;
+    out.lent = *entry;
     out.auth_zone = cache_.deepest_known_cut(qname);
     return out;
   }
@@ -266,11 +281,11 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
     const dns::Message query = dns::Message::make_query(
         next_id_++, send_name, send_type, /*recursion_desired=*/false,
         dnssec_ok);
-    const auto response = exchange_with_retry(*endpoint, query, config_.retry);
+    auto response = exchange_with_retry(*endpoint, query, config_.retry);
     if (!response.has_value()) return Fetched{};
 
-    out.answer = group_section(response->answers);
-    out.authority = group_section(response->authorities);
+    out.answer = group_section(std::move(response->answers));
+    out.authority = group_section(std::move(response->authorities));
     out.auth_zone = zone_apex;
     out.z_bit = response->header.z;
 
@@ -342,7 +357,8 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
       cache_.store(*referral_ns, /*validated=*/false);
       cache_.store_zone_cut(cut, referral_ns->ttl());
       // Cache any glue that rode along.
-      GroupedSection additional = group_section(response->additionals);
+      GroupedSection additional =
+          group_section(std::move(response->additionals));
       for (const dns::RRset& glue : additional.rrsets) {
         if (glue.type() == dns::RRType::kA) {
           cache_.store(glue, /*validated=*/false);
@@ -401,7 +417,7 @@ ValidationStatus RecursiveResolver::validate_zone_keys(
     return ValidationStatus::kBogus;
   }
   const dns::RRset* keys = nullptr;
-  for (const dns::RRset& rrset : keys_fetch.answer.rrsets) {
+  for (const dns::RRset& rrset : keys_fetch.answer_rrsets()) {
     if (rrset.type() == dns::RRType::kDnskey && rrset.name() == zone) {
       keys = &rrset;
       break;
@@ -424,12 +440,14 @@ ValidationStatus RecursiveResolver::validate_zone_keys(
   }
   if (!endorsed) return ValidationStatus::kBogus;
 
-  if (validator_.verify_rrset(*keys, keys_fetch.answer.rrsigs, *keys) !=
+  if (validator_.verify_rrset(*keys, keys_fetch.answer_rrsigs(), *keys) !=
       SigCheck::kValid) {
     return ValidationStatus::kBogus;
   }
-  cache_.store(*keys, /*validated=*/true, keys_fetch.answer.rrsigs);
+  // Keys cached unvalidated come lent, and storing over them frees them:
+  // copy them out first.
   *out_keys = *keys;
+  cache_.store(*out_keys, /*validated=*/true, keys_fetch.answer_rrsigs());
   return ValidationStatus::kSecure;
 }
 
@@ -476,23 +494,29 @@ ValidationStatus RecursiveResolver::validate_descent(
       return ValidationStatus::kIndeterminate;
     }
     const dns::RRset* ds_rrset = nullptr;
-    for (const dns::RRset& rrset : ds_fetch.answer.rrsets) {
+    for (const dns::RRset& rrset : ds_fetch.answer_rrsets()) {
       if (rrset.type() == dns::RRType::kDs && rrset.name() == child) {
         ds_rrset = &rrset;
         break;
       }
     }
     if (ds_rrset == nullptr) return ValidationStatus::kIndeterminate;
+    const auto* ds =
+        std::get_if<dns::DsRdata>(&ds_rrset->records().front().rdata);
+    dns::DsRdata lent_ds;
     if (!(ds_fetch.from_cache && ds_fetch.cached_validated)) {
-      if (validator_.verify_rrset(*ds_rrset, ds_fetch.answer.rrsigs,
+      if (validator_.verify_rrset(*ds_rrset, ds_fetch.answer_rrsigs(),
                                   trusted) != SigCheck::kValid) {
         return ValidationStatus::kBogus;
       }
-      cache_.store(*ds_rrset, /*validated=*/true, ds_fetch.answer.rrsigs);
+      // A DS cached unvalidated comes lent, and storing over it frees it:
+      // copy the record the key check reads first.
+      if (ds != nullptr && ds_fetch.from_cache) {
+        lent_ds = *ds;
+        ds = &lent_ds;
+      }
+      cache_.store(*ds_rrset, /*validated=*/true, ds_fetch.answer_rrsigs());
     }
-
-    const auto* ds =
-        std::get_if<dns::DsRdata>(&ds_rrset->records().front().rdata);
     if (ds == nullptr) return ValidationStatus::kBogus;
     dns::RRset child_keys;
     const ValidationStatus key_status =
@@ -605,8 +629,8 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
       validate_chain(fetched.auth_zone, depth, &zone_keys);
   if (chain != ValidationStatus::kSecure) return chain;
 
-  for (const dns::RRset& rrset : fetched.answer.rrsets) {
-    if (validator_.verify_rrset(rrset, fetched.answer.rrsigs, zone_keys) !=
+  for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+    if (validator_.verify_rrset(rrset, fetched.answer_rrsigs(), zone_keys) !=
         SigCheck::kValid) {
       return ValidationStatus::kBogus;
     }
@@ -691,14 +715,13 @@ const dns::RRset* RecursiveResolver::dlv_zone_keys(const dns::Name& apex,
       /*recursion_desired=*/false, /*dnssec_ok=*/true);
   // DLV traffic runs on its own bounded retry budget: a dead registry must
   // not cost the full upstream schedule on every resolution (§8.4).
-  const auto response =
-      exchange_with_retry(*registry, query, config_.dlv_retry);
+  auto response = exchange_with_retry(*registry, query, config_.dlv_retry);
   if (!response.has_value()) {
     if (current_ != nullptr) current_->dlv.timed_out = true;
     return nullptr;
   }
 
-  const GroupedSection answer = group_section(response->answers);
+  const GroupedSection answer = group_section(std::move(response->answers));
   const dns::RRset* keys = find_rrset(answer, apex, dns::RRType::kDnskey);
   if (keys == nullptr) return nullptr;
   bool anchored = false;
@@ -811,8 +834,7 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
     const dns::Message query = dns::Message::make_query(
         next_id_++, candidate, dns::RRType::kDlv,
         /*recursion_desired=*/false, /*dnssec_ok=*/true);
-    const auto response =
-        exchange_with_retry(*registry, query, config_.dlv_retry);
+    auto response = exchange_with_retry(*registry, query, config_.dlv_retry);
     result.dlv.used = true;
     result.dlv.query_names.push_back(candidate);
     // Trace detail distinguishes the three registry outcomes: "timeout"
@@ -832,8 +854,9 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
       continue;
     }
 
-    GroupedSection answer = group_section(response->answers);
-    GroupedSection authority = group_section(response->authorities);
+    const GroupedSection answer = group_section(std::move(response->answers));
+    const GroupedSection authority =
+        group_section(std::move(response->authorities));
 
     const dns::RRset* dlv_rrset =
         find_rrset(answer, candidate, dns::RRType::kDlv);
@@ -920,7 +943,7 @@ std::optional<bool> RecursiveResolver::fetch_txt_signal(
     const dns::Name& domain, int depth) {
   Fetched fetched = fetch(domain, dns::RRType::kTxt, depth + 1);
   if (fetched.kind != Fetched::Kind::kAnswer) return std::nullopt;
-  for (const dns::RRset& rrset : fetched.answer.rrsets) {
+  for (const dns::RRset& rrset : fetched.answer_rrsets()) {
     if (rrset.type() != dns::RRType::kTxt) continue;
     for (const dns::ResourceRecord& record : rrset.records()) {
       const auto* txt = std::get_if<dns::TxtRdata>(&record.rdata);
@@ -1055,8 +1078,8 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
           }
           if (via_dlv == ValidationStatus::kSecure) {
             bool all_valid = true;
-            for (const dns::RRset& rrset : fetched.answer.rrsets) {
-              if (validator_.verify_rrset(rrset, fetched.answer.rrsigs,
+            for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+              if (validator_.verify_rrset(rrset, fetched.answer_rrsigs(),
                                           anchor_keys) != SigCheck::kValid) {
                 all_valid = false;
                 break;
@@ -1085,43 +1108,72 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
     result.status = leg_status;
     if (leg_status == ValidationStatus::kBogus) {
       // Data that failed validation must not come back from the cache,
-      // where it would read insecure.
-      for (const dns::RRset& rrset : fetched.answer.rrsets) {
-        cache_.forget(rrset.name(), rrset.type());
+      // where it would read insecure. Forgetting a lent RRset frees it, so
+      // its key is copied first.
+      for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+        const dns::Name name = rrset.name();
+        cache_.forget(name, rrset.type());
       }
       result.response.header.rcode = dns::RCode::kServFail;
       result.response.answers.clear();
       break;
     }
     if (leg_status == ValidationStatus::kSecure) {
-      for (const dns::RRset& rrset : fetched.answer.rrsets) {
+      for (const dns::RRset& rrset : fetched.answer_rrsets()) {
         cache_.mark_validated(rrset.name(), rrset.type());
       }
     }
 
-    // Copy answers out (records first, then covering signatures).
+    // Fill the answer once, records first and then signatures: a lent
+    // answer is copied, a fresh one is fetched's own and moves. A plain
+    // stub is never shown DNSSEC records, so none is copied for it. A CNAME
+    // answer without the type asked for is chased; its target is read
+    // before the records move.
+    const auto shown = [&query](dns::RRType type) {
+      return query.options.dnssec_ok || !hidden_from_plain_stub(type);
+    };
+    std::size_t shown_count =
+        shown(dns::RRType::kRrsig) ? fetched.answer_rrsigs().size() : 0;
     const dns::RRset* cname_rrset = nullptr;
-    for (const dns::RRset& rrset : fetched.answer.rrsets) {
-      for (const dns::ResourceRecord& record : rrset.records()) {
-        result.response.answers.push_back(record);
-      }
+    bool has_qtype = false;
+    for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+      if (shown(rrset.type())) shown_count += rrset.size();
       if (rrset.type() == dns::RRType::kCname && qtype != dns::RRType::kCname) {
         cname_rrset = &rrset;
       }
+      has_qtype |= rrset.name() == current_name && rrset.type() == qtype;
     }
-    for (const dns::ResourceRecord& sig : fetched.answer.rrsigs) {
-      result.response.answers.push_back(sig);
+    std::optional<dns::Name> cname_target;
+    if (cname_rrset != nullptr && !has_qtype) {
+      cname_target =
+          std::get<dns::CnameRdata>(cname_rrset->records().front().rdata)
+              .target;
     }
 
-    if (cname_rrset != nullptr &&
-        find_rrset(fetched.answer, current_name, qtype) == nullptr) {
+    std::vector<dns::ResourceRecord>& answers = result.response.answers;
+    answers.reserve(answers.size() + shown_count);
+    if (fetched.lent.rrset != nullptr) {
+      if (shown(fetched.lent.rrset->type())) {
+        append(answers, fetched.lent.rrset->records());
+      }
+      if (shown(dns::RRType::kRrsig)) append(answers, *fetched.lent.rrsigs);
+    } else {
+      for (dns::RRset& rrset : fetched.answer.rrsets) {
+        if (shown(rrset.type())) {
+          append(answers, std::move(rrset).take_records());
+        }
+      }
+      if (shown(dns::RRType::kRrsig)) {
+        append(answers, std::move(fetched.answer.rrsigs));
+      }
+    }
+
+    if (cname_target.has_value()) {
       if (++chased > kMaxCnameDepth) {
         result.response.header.rcode = dns::RCode::kServFail;
         break;
       }
-      current_name =
-          std::get<dns::CnameRdata>(cname_rrset->records().front().rdata)
-              .target;
+      current_name = std::move(*cname_target);
       continue;
     }
 
@@ -1143,12 +1195,11 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
     break;
   }
 
+  // Plain stub (DO=0): no AD bit, and the answer was filled without
+  // DNSSEC records (paper §2.2: "If the DO bit is set in the initial query
+  // from a stub, AD will be set").
   result.response.header.ad =
-      result.status == ValidationStatus::kSecure;
-  // Plain stub (DO=0): no AD bit and no DNSSEC records in the answer
-  // (paper §2.2: "If the DO bit is set in the initial query from a stub,
-  // AD will be set").
-  if (!query.options.dnssec_ok) strip_for_plain_stub(result.response);
+      query.options.dnssec_ok && result.status == ValidationStatus::kSecure;
 
   if (tracer_ != nullptr) {
     trace_event(obs::EventKind::kValidation, qname, qtype,
@@ -1167,10 +1218,11 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
 
   current_ = nullptr;
   // Cache maintenance runs strictly between resolutions: eviction destroys
-  // boxed entries, and the result holds copies, so nothing handed out
-  // during this resolution can dangle. The query context stays pushed so
-  // eviction events are attributed to the resolution whose tick they ran
-  // under, mirroring the serve frontend's still-open context.
+  // boxed entries, which ends every view the cache lent this resolution.
+  // The response owns its records (copied from lent answers, moved from
+  // fresh ones), so nothing in the result can dangle. The query context
+  // stays pushed so eviction events are attributed to the resolution whose
+  // tick they ran under, mirroring the serve frontend's still-open context.
   cache_.maintain();
   if (pushed_query_context) tracer_->pop_query();
   return result;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,9 +46,10 @@ enum class ValidationStatus {
 [[nodiscard]] const char* status_name(ValidationStatus status);
 
 /// Plain-stub view of a response (DO=0, paper §2.2): clears AD and drops
-/// every DNSSEC record from the answer section. The resolver applies it to
-/// DO=0 resolutions and the serve frontend to each DO=0 client's copy of a
-/// shared answer, so both paths strip identically.
+/// every DNSSEC record from the answer section. The serve frontend applies
+/// it to each DO=0 client's copy of a shared answer; resolve() leaves the
+/// same records out of a DO=0 answer as it fills it, by the same rule, so
+/// both paths strip identically.
 void strip_for_plain_stub(dns::Message& response);
 
 /// Per-query knobs a caller sets alongside the (name, type) tuple. The
@@ -180,16 +182,31 @@ class RecursiveResolver : public sim::Endpoint {
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  /// What one iterative fetch produced.
+  /// What one iterative fetch produced. A cache hit lends the cache's entry
+  /// instead of copying it: the view stays valid until the cache stores
+  /// over, forgets or evicts that (name, type), or maintain() runs at the
+  /// end of resolve() (DESIGN.md §4o). Read an answer through
+  /// answer_rrsets() and answer_rrsigs(), which see either the lent entry
+  /// or the section fetch() grouped itself.
   struct Fetched {
     enum class Kind { kAnswer, kNxDomain, kNoData, kFail };
     Kind kind = Kind::kFail;
-    GroupedSection answer;
+    GroupedSection answer;     // a fresh answer, owned
     GroupedSection authority;
+    ResolverCache::Entry lent;  // a cached answer: rrset is non-null
     dns::Name auth_zone;   // apex of the zone that produced the outcome
     bool from_cache = false;
     bool cached_validated = false;
     bool z_bit = false;    // Z bit seen on the final answer (remedy §6.2.1)
+
+    [[nodiscard]] std::span<const dns::RRset> answer_rrsets() const {
+      if (lent.rrset != nullptr) return {lent.rrset, 1};
+      return answer.rrsets;
+    }
+    [[nodiscard]] const std::vector<dns::ResourceRecord>& answer_rrsigs()
+        const {
+      return lent.rrset != nullptr ? *lent.rrsigs : answer.rrsigs;
+    }
   };
 
   Fetched fetch(const dns::Name& qname, dns::RRType qtype, int depth);

@@ -153,11 +153,11 @@ const crypto::RsaPublicKey* Validator::parse_key(const dns::DnskeyRdata& key) {
   return raw;
 }
 
-GroupedSection group_section(const std::vector<dns::ResourceRecord>& section) {
+GroupedSection group_section(std::vector<dns::ResourceRecord> section) {
   GroupedSection out;
-  for (const dns::ResourceRecord& record : section) {
+  for (dns::ResourceRecord& record : section) {
     if (record.type == dns::RRType::kRrsig) {
-      out.rrsigs.push_back(record);
+      out.rrsigs.push_back(std::move(record));
       continue;
     }
     dns::RRset* target = nullptr;
@@ -171,7 +171,7 @@ GroupedSection group_section(const std::vector<dns::ResourceRecord>& section) {
       out.rrsets.emplace_back(record.name, record.type);
       target = &out.rrsets.back();
     }
-    target->add(record);
+    target->add(std::move(record));
   }
   return out;
 }

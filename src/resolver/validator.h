@@ -140,13 +140,15 @@ class Validator {
 };
 
 /// Groups a message section into RRsets, preserving section order of first
-/// appearance; RRSIG records are returned separately.
+/// appearance; RRSIG records are returned separately. Each record is moved
+/// into its group, so callers pass a section they are done with by
+/// std::move.
 struct GroupedSection {
   std::vector<dns::RRset> rrsets;
   std::vector<dns::ResourceRecord> rrsigs;
 };
 [[nodiscard]] GroupedSection group_section(
-    const std::vector<dns::ResourceRecord>& section);
+    std::vector<dns::ResourceRecord> section);
 
 /// First RRset with (name, type) within a grouped section, or nullptr.
 [[nodiscard]] const dns::RRset* find_rrset(const GroupedSection& section,

@@ -1,9 +1,9 @@
 // Root-hash de-aliasing, sweep-cursor rehash safety, allocation pins for
-// names and for a warm stub visit, byte-accounting truthfulness (the
-// accounted bytes against the live heap, and the live heap of a capped
-// cache and of a shared store whose probes reclaimed every expired proof),
-// and one RSA verification per signature check a resolution needs (§4f,
-// §4k).
+// names and for a warm and a cold stub visit, byte-accounting truthfulness
+// (the accounted bytes against the live heap, and the live heap of a
+// capped cache and of a shared store whose probes reclaimed every expired
+// proof), and one RSA verification per signature check a resolution needs
+// (§4f, §4k).
 //
 // The `intern` label runs this suite under ASan and TSan in CI: the name
 // table sits on the resolver's hottest paths, so lifetime and data-race
@@ -533,7 +533,7 @@ TEST(NameAllocations, WarmStubVisitAllocatesItsPinnedCount) {
   // creep back onto the warm path. A change that moves it on purpose
   // updates kWarmVisitAllocations to the count the failure prints and says
   // why in CHANGES.md.
-  constexpr long kWarmVisitAllocations = 10;
+  constexpr long kWarmVisitAllocations = 6;
   core::UniverseExperiment::Options options;
   options.universe_size = 1'000;
   options.resolver_config = resolver::ResolverConfig::bind_yum();
@@ -546,6 +546,28 @@ TEST(NameAllocations, WarmStubVisitAllocatesItsPinnedCount) {
       allocations_of([&] { outcome = experiment.stub().visit(domain); });
   EXPECT_TRUE(outcome.got_address);
   EXPECT_EQ(allocations, kWarmVisitAllocations);
+}
+
+TEST(NameAllocations, ColdStubVisitAllocatesItsPinnedCount) {
+  // The first visit to rank 2 after rank 1 in a 1,000-domain bind_yum
+  // world: the root and TLD material is cached, the SLD is not, so the
+  // visit walks referrals, validates and looks aside. The count is exact so
+  // that copies cannot creep back onto the cold path; a change that moves
+  // it on purpose updates kColdVisitAllocations to the count the failure
+  // prints and says why in CHANGES.md.
+  constexpr long kColdVisitAllocations = 549;
+  core::UniverseExperiment::Options options;
+  options.universe_size = 1'000;
+  options.resolver_config = resolver::ResolverConfig::bind_yum();
+  core::UniverseExperiment experiment(options);
+  const workload::Universe& universe = experiment.world().universe();
+  (void)experiment.stub().visit(universe.domain_at(1));
+  const dns::Name domain = universe.domain_at(2);
+  workload::VisitOutcome outcome;
+  const long allocations =
+      allocations_of([&] { outcome = experiment.stub().visit(domain); });
+  EXPECT_TRUE(outcome.got_address);
+  EXPECT_EQ(allocations, kColdVisitAllocations);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 // the testbed and the synthetic universe's authorities.
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "crypto/dnssec_algo.h"
 #include "crypto/sha256.h"
 #include "dns/codec.h"
@@ -12,6 +10,7 @@
 #include "server/testbed.h"
 #include "server/zone_authority.h"
 #include "workload/universe_world.h"
+#include "universe_slds.h"
 
 namespace lookaside::server {
 namespace {
@@ -217,27 +216,8 @@ TEST(TestbedTest, SignedSldAccessors) {
 
 // --- Universe authorities ---------------------------------------------------
 
-/// One SLD of each deployment flavour, the first of each in rank order.
-struct FlavouredSlds {
-  workload::DomainInfo chained;  // signed, DS at the parent
-  workload::DomainInfo island;   // signed, DLV deposit, no DS
-  workload::DomainInfo plain;    // unsigned, out-of-bailiwick nameserver
-};
-
-FlavouredSlds pick_slds(const workload::Universe& universe) {
-  std::optional<workload::DomainInfo> chained, island, plain;
-  for (std::uint64_t rank = 1; rank <= universe.size(); ++rank) {
-    const workload::DomainInfo info = universe.info(rank);
-    if (!chained && info.ds_in_parent) chained = info;
-    if (!island && info.dnssec_signed && !info.ds_in_parent &&
-        info.dlv_deposited) {
-      island = info;
-    }
-    if (!plain && !info.dnssec_signed && !info.glue) plain = info;
-  }
-  if (!chained || !island || !plain) throw std::logic_error("flavour missing");
-  return {*chained, *island, *plain};
-}
+using universe_slds::FlavouredSlds;
+using universe_slds::pick_slds;
 
 /// SHA-256 over the wire answers of one world's root, TLD, SLD, reverse and
 /// registry authorities to a fixed query set, each asked with DO=0 and
